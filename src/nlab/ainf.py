@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import invert
-from .quiver import AdjacencyGraph
+from .quiver import AdjacencyGraph, json_field
 from .ribbon.census import LabeledRibbonGraph
 from .ribbon.orientation import OrientationBridge
 
@@ -203,19 +203,38 @@ class CyclicAInfData:
         return {a: v for a, v in out.items() if v}
 
 
+def _space_key(key):
+    parts = key.split(",")
+    if len(parts) != 2:
+        raise AInfError("space key %r is not of the form 'i,j'" % key)
+    return tuple(parts)
+
+
+def _field(obj, key, kind, where="ainf data"):
+    return json_field(obj, key, kind, where, AInfError)
+
+
 def load_data(text) -> CyclicAInfData:
     data = json.loads(text)
-    objects = data["objects"]
-    adjacency = [tuple(p) for p in data["adjacency"]]
+    objects = _field(data, "objects", list)
+    adjacency = []
+    for p in _field(data, "adjacency", list):
+        if not isinstance(p, list) or len(p) != 2:
+            raise AInfError("adjacency entry %r is not a pair" % (p,))
+        adjacency.append(tuple(p))
     parities = {}
-    for key, entry in data["spaces"].items():
-        i, j = key.split(",")
-        parities[(i, j)] = entry["parities"]
+    for key, entry in _field(data, "spaces", dict).items():
+        parities[_space_key(key)] = _field(entry, "parities", list, "space %s" % key)
     pairings = {}
-    for key, mat in data["pairings"].items():
-        i, j = key.split(",")
-        pairings[(i, j)] = mat
-    products = [(tuple(p["cycle"]), p["tensor"]) for p in data.get("products", [])]
+    for key, mat in _field(data, "pairings", dict).items():
+        if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
+            raise AInfError("pairing %s is not a matrix" % key)
+        pairings[_space_key(key)] = mat
+    products = []
+    for n, p in enumerate(_field(data, "products", list) if "products" in data else ()):
+        where = "product %d" % n
+        products.append((tuple(_field(p, "cycle", list, where)),
+                         _field(p, "tensor", list, where)))
     return CyclicAInfData(objects, adjacency, parities, pairings, products)
 
 

@@ -41,8 +41,6 @@ def rank(rows) -> int:
             continue
         a[r], a[piv] = a[piv], a[r]
         for i in range(r + 1, nrows):
-            if not a[i][c] and prev == 1:
-                continue
             for j in range(c + 1, ncols):
                 a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
             a[i][c] = 0

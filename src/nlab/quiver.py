@@ -16,6 +16,20 @@ class QuiverError(ValueError):
     pass
 
 
+def json_field(obj, key, kind, where, error=QuiverError):
+    """obj[key] from parsed JSON, checked to be a `kind`; raises `error` naming
+    `where` and the key when obj is not an object, lacks the key or has the
+    wrong type there."""
+    if not isinstance(obj, dict):
+        raise error("%s is not a JSON object" % where)
+    if key not in obj:
+        raise error("%s has no %r" % (where, key))
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise error("%s: %r has the wrong type %s" % (where, key, type(value).__name__))
+    return value
+
+
 class Quiver:
     """A finite quiver: ordered vertex ids and edge records (id, tail, head)."""
 
@@ -38,8 +52,16 @@ class Quiver:
     @staticmethod
     def from_json(text: str) -> "Quiver":
         data = json.loads(text)
-        return Quiver(data["vertices"],
-                      [(e["id"], e["tail"], e["head"]) for e in data["edges"]])
+        vertices = json_field(data, "vertices", list, "quiver")
+        edges = []
+        for n, e in enumerate(json_field(data, "edges", list, "quiver")):
+            where = "quiver edge %d" % n
+            edges.append(tuple(json_field(e, key, (str, int), where)
+                               for key in ("id", "tail", "head")))
+        for v in vertices:
+            if not isinstance(v, (str, int)):
+                raise QuiverError("quiver vertex %r is not a string or integer" % (v,))
+        return Quiver(vertices, edges)
 
     @staticmethod
     def load(path) -> "Quiver":

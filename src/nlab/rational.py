@@ -8,11 +8,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_UNIT = {0: 1}  # coefficient dict of the unit polynomial
+
 
 class QPoly:
     """Polynomial in h with Fraction coefficients, stored sparsely.
 
-    Instances are treated as immutable; arithmetic returns new objects.
+    Instances are immutable and may be shared between results: a product with
+    the unit polynomial returns the other operand itself, not a copy.  Never
+    mutate `c` after construction.
     """
 
     __slots__ = ("c",)
@@ -75,6 +79,10 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, QPoly):
+            if self.c == _UNIT:
+                return other
+            if other.c == _UNIT:
+                return self
             c = {}
             for k1, v1 in self.c.items():
                 for k2, v2 in other.c.items():

@@ -176,17 +176,25 @@ class RibbonComplex:
     # -- exact homology ------------------------------------------------------------
 
     def betti(self):
-        """degree -> (dim, betti) with fraction-free exact ranks."""
+        """degree -> (dim, betti) with fraction-free exact ranks.
+
+        Raises RibbonError if a rank exceeds its matrix's smaller side or a
+        Betti number comes out negative: either means the arithmetic is wrong.
+        """
         out = {}
         ranks = {}
         for k in range(self.kmin, self.kmax + 1):
             mat = self.matrices.get(k)
             ranks[k] = rank(mat) if mat else 0
+            if mat and ranks[k] > min(len(mat), len(mat[0])):
+                raise RibbonError("rank %d exceeds the %d x %d boundary at degree %d"
+                                  % (ranks[k], len(mat), len(mat[0]), k))
         for k in range(self.kmin, self.kmax + 1):
             dim = len(self.basis.get(k, ()))
-            rk = ranks.get(k, 0)
-            rk1 = ranks.get(k + 1, 0)
-            out[k] = (dim, dim - rk - rk1)
+            b = dim - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            if b < 0:
+                raise RibbonError("negative Betti number %d at degree %d" % (b, k))
+            out[k] = (dim, b)
         return out
 
     def euler_characteristic(self):

@@ -220,22 +220,23 @@ def diagram_checks(alg: NecklaceAlgebra, dims_list, max_len=4,
     out = [c_tr, c_weyl, c_phi, c_rt]
     for dims in dims_list:
         rs = RepSpace(alg, dims)
+        # Each image is computed once per pair or single and shared by the
+        # checks that need it; nothing is kept across pairs.
         for (P, R) in pairs:
-            lhs = rs.trace_rep(H.star(P, R))
-            rhs = rs.moyal_star_classical(rs.trace_rep(P), rs.trace_rep(R))
-            c_tr.record(lhs == rhs,
+            tp, tr = rs.trace_rep(P), rs.trace_rep(R)
+            classical = rs.moyal_star_classical(tp, tr)
+            c_tr.record(rs.trace_rep(H.star(P, R)) == classical,
                         lambda P=P, R=R: 'nlab trace -q %s -l "%s" (star with "%s")'
                         % (quiver_path, _fmt(P), _fmt(R)))
-            fw = rs.weyl_symmetrize(rs.moyal_star_classical(rs.trace_rep(P),
-                                                            rs.trace_rep(R)))
-            prod = rs.weyl_symmetrize(rs.trace_rep(P)) * rs.weyl_symmetrize(rs.trace_rep(R))
-            c_weyl.record(fw == prod,
+            prod = rs.weyl_symmetrize(tp) * rs.weyl_symmetrize(tr)
+            c_weyl.record(rs.weyl_symmetrize(classical) == prod,
                           lambda P=P, R=R: 'nlab weyl -q %s -l "%s"' % (quiver_path, _fmt(P)))
         for P in singles:
             tr = rs.trace_rep(P)
-            c_phi.record(rs.phi_w_realized(P) == rs.weyl_symmetrize(tr),
+            sym = rs.weyl_symmetrize(tr)
+            c_phi.record(rs.phi_w_realized(P) == sym,
                          lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, _fmt(P)))
-            c_rt.record(rs.weyl_unsymmetrize(rs.weyl_symmetrize(tr)) == tr,
+            c_rt.record(rs.weyl_unsymmetrize(sym) == tr,
                         lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, _fmt(P)))
     return out
 

@@ -67,13 +67,16 @@ def test_ac2_classical_limits():
 
 def test_ac3_diagram_2d():
     total = 0
-    for q in (one_loop(), two_loops()):
+    # per-check case counts, summed over dims 1 and 2
+    expected = {"one_loop": [466, 466, 114, 114], "two_loops": [4354, 4354, 930, 930]}
+    for name, q in (("one_loop", one_loop()), ("two_loops", two_loops())):
         alg = NecklaceAlgebra(double(q))
         dims_list = [{v: l for v in alg.dq.vertices} for l in (1, 2)]
         checks = sweeps.diagram_checks(alg, dims_list, max_len=4)
         for c in checks:
             assert c.ok, "%s: %s" % (c.name, c.failure)
             total += c.cases
+        assert [c.cases for c in checks] == expected[name]
     # the worked value through both oracles
     alg = NecklaceAlgebra(double(one_loop()))
     H = MoyalHopf(alg)

@@ -139,3 +139,21 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-(e e*)"
+
+
+def test_malformed_input_exits_two(tmp_path, capsys):
+    cases = [
+        (["verify", "hopf", "-q"], {"vertices": ["v"]}, "'edges'"),
+        (["verify", "hopf", "-q"],
+         {"vertices": ["v"], "edges": [{"id": "e", "head": "v"}]}, "'tail'"),
+        (["ainf", "check", "--data"],
+         {"objects": ["v"], "adjacency": [["v", "v"]],
+          "spaces": {"v,v": {"parities": [0]}}}, "'pairings'"),
+    ]
+    for n, (args, data, key) in enumerate(cases):
+        path = tmp_path / ("bad%d.json" % n)
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(args + [str(path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and key in err

@@ -199,19 +199,23 @@ def cmd_rep(args, which):
     return 0
 
 
-def _ribbon_complex(args):
-    from .ribbon.complexes import RibbonComplex
-    G = X = None
-    if args.graph or args.labels:
-        if not (args.graph and args.labels):
-            raise QuiverError("labeled complexes need both --graph and --labels")
-        G = adjacency(Quiver.load(args.graph))
-        X = tuple(x.strip() for x in args.labels.split(","))
+def _ribbon_family(args):
+    """(G, X) of the family named on the command line; both None if unlabeled."""
     if args.genus is None or args.faces is None:
         raise QuiverError("need --genus and --faces")
+    if not (args.graph or args.labels):
+        return None, None
+    if not (args.graph and args.labels):
+        raise QuiverError("labeled families need both --graph and --labels")
+    return (adjacency(Quiver.load(args.graph)),
+            tuple(x.strip() for x in args.labels.split(",")))
+
+
+def _ribbon_complex(args):
+    from .ribbon.complexes import RibbonComplex
+    G, X = _ribbon_family(args)
     return RibbonComplex(args.genus, args.faces, args.min_valence, G=G, X=X,
-                         max_edges=args.max_edges, cache_dir=args.cache_dir,
-                         jobs=args.jobs)
+                         max_edges=args.max_edges, cache_dir=args.cache_dir)
 
 
 def cmd_ribbon(args):
@@ -220,23 +224,10 @@ def cmd_ribbon(args):
     if args.op == "enum":
         # every connected iso class, including nonorientable ones
         from .ribbon.census import labeled_classes, unlabeled_as_classes
-        from .ribbon.complexes import bottom_degree, top_degree
-        if args.genus is None or args.faces is None:
-            raise QuiverError("need --genus and --faces")
-        kmax = top_degree(args.genus, args.faces, args.min_valence)
-        if kmax is None:
-            if args.max_edges is None:
-                raise QuiverError("valence-2 enumeration needs --max-edges")
-            kmax = args.max_edges
-        elif args.max_edges is not None:
-            kmax = min(kmax, args.max_edges)
-        kmin = bottom_degree(args.genus, args.faces)
-        G = X = None
-        if args.graph or args.labels:
-            if not (args.graph and args.labels):
-                raise QuiverError("labeled enumeration needs --graph and --labels")
-            G = adjacency(Quiver.load(args.graph))
-            X = tuple(x.strip() for x in args.labels.split(","))
+        from .ribbon.complexes import degree_range
+        G, X = _ribbon_family(args)
+        kmin, kmax = degree_range(args.genus, args.faces, args.min_valence,
+                                  args.max_edges)
         out = []
         for k in range(kmin, kmax + 1):
             if G is not None:
@@ -284,7 +275,7 @@ def cmd_ribbon(args):
 
 
 def cmd_ribbon_cochain(args):
-    from .ribbon.census import canonical_labeled, unlabeled_as_classes
+    from .ribbon.census import canonical_labeled, unlabeled_class
     from .ribbon.cochain import GraphCochain
     if not (args.ribbon and args.quiver and args.necklaces):
         raise QuiverError("cochain needs --ribbon, -q and --necklaces")
@@ -293,15 +284,7 @@ def cmd_ribbon_cochain(args):
     q = Quiver.load(args.quiver).multiply(args.mult)
     alg = NecklaceAlgebra(double(q))
     if labels is None:
-        code, perms = graph.canonical()
-        cg = RibbonGraph.from_code(code)
-        p0 = perms[0]
-        inv0 = [0] * graph.n
-        for d, img in enumerate(p0):
-            inv0[img] = d
-        auts = [tuple(p[inv0[d]] for d in range(graph.n)) for p in perms]
-        from .ribbon.census import LabeledRibbonGraph
-        lg = LabeledRibbonGraph(cg, (None,) * cg.num_faces, code, auts)
+        lg = unlabeled_class(graph)
     else:
         key = {v: i + 1 for i, v in enumerate(sorted(set(labels)))}
         lg = canonical_labeled(graph, labels, key)

@@ -1,22 +1,141 @@
-"""Kernel selection: compiled extension if available, pure Python otherwise.
+"""Ribbon map kernels: canonical forms and the one-partition pairing scan.
 
-Set NLAB_PURE_PY=1 to force the Python path (used by the benchmark for
-comparison).  Both backends expose `canonical_data`, `scan_pairings` and
-a BACKEND name string.
+A combinatorial map is a pair of permutations (iota, gamma) on darts
+0..n-1 with iota a fixed-point-free involution; `labels[d]` is an integer
+attached to the face containing dart d (0 everywhere for unlabeled use).
 """
 
 from __future__ import annotations
 
-import os
+BACKEND = "python"
 
-if os.environ.get("NLAB_PURE_PY"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
-BACKEND = _impl.BACKEND
-canonical_data = _impl.canonical_data
-scan_pairings = _impl.scan_pairings
+def canonical_data(iota, gamma, labels):
+    """Minimal rooted-BFS relabeling over all darts.
+
+    Returns (code, perms): `code` is the tuple
+    (gamma', iota', labels') of the minimal relabeled map, and `perms`
+    lists every old->new relabeling achieving it (their count is the order
+    of the automorphism group; the map acts freely on darts).
+    Raises ValueError on a disconnected map.
+    """
+    n = len(iota)
+    best_code = None
+    best_perms = []
+    for root in range(n):
+        perm = [-1] * n
+        order = [root]
+        perm[root] = 0
+        k = 1
+        i = 0
+        while i < len(order):
+            d = order[i]
+            i += 1
+            for nb in (gamma[d], iota[d]):
+                if perm[nb] < 0:
+                    perm[nb] = k
+                    k += 1
+                    order.append(nb)
+        if k < n:
+            raise ValueError("disconnected map")
+        g2 = [0] * n
+        i2 = [0] * n
+        l2 = [0] * n
+        for d in range(n):
+            g2[perm[d]] = perm[gamma[d]]
+            i2[perm[d]] = perm[iota[d]]
+            l2[perm[d]] = labels[d]
+        code = (tuple(g2), tuple(i2), tuple(l2))
+        if best_code is None or code < best_code:
+            best_code = code
+            best_perms = [tuple(perm)]
+        elif code == best_code:
+            best_perms.append(tuple(perm))
+    return best_code, best_perms
+
+
+def _is_connected(iota, gamma):
+    n = len(iota)
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    k = 1
+    while stack:
+        d = stack.pop()
+        for nb in (gamma[d], iota[d]):
+            if not seen[nb]:
+                seen[nb] = True
+                k += 1
+                stack.append(nb)
+    return k == n
+
+
+def _count_faces(iota, gamma):
+    n = len(iota)
+    seen = [False] * n
+    faces = 0
+    for d in range(n):
+        if seen[d]:
+            continue
+        faces += 1
+        cur = d
+        while not seen[cur]:
+            seen[cur] = True
+            cur = gamma[iota[cur]]
+    return faces
+
+
+def scan_pairings(valences, want_genus, want_faces):
+    """Enumerate iso classes of connected maps with the given vertex valences.
+
+    gamma is fixed with one cycle per valence on consecutive darts; all
+    fixed-point-free pairings are scanned and deduplicated by canonical
+    form.  Only maps with the requested genus and face count are kept
+    (pass want_genus < 0 or want_faces < 0 to keep all).  Returns a sorted
+    list of canonical codes.
+    """
+    n = sum(valences)
+    if n % 2:
+        return []
+    gamma = [0] * n
+    start = 0
+    for v in valences:
+        for j in range(v):
+            gamma[start + j] = start + (j + 1) % v
+        start += v
+    nvert = len(valences)
+    nedge = n // 2
+    iota = [-1] * n
+    found = {}
+
+    def emit():
+        if not _is_connected(iota, gamma):
+            return
+        faces = _count_faces(iota, gamma)
+        genus2 = 2 - (nvert - nedge + faces)
+        if genus2 % 2:
+            return
+        genus = genus2 // 2
+        if want_genus >= 0 and genus != want_genus:
+            return
+        if want_faces >= 0 and faces != want_faces:
+            return
+        code, _ = canonical_data(iota, gamma, [0] * n)
+        found.setdefault(code, None)
+
+    def rec(d):
+        while d < n and iota[d] >= 0:
+            d += 1
+        if d == n:
+            emit()
+            return
+        for e in range(d + 1, n):
+            if iota[e] < 0:
+                iota[d] = e
+                iota[e] = d
+                rec(d + 1)
+                iota[d] = -1
+                iota[e] = -1
+
+    rec(0)
+    return sorted(found)

@@ -1,11 +1,11 @@
 """Enumeration of ribbon graph isomorphism classes, unlabeled and labeled.
 
-Unlabeled classes with prescribed vertex valences come from the kernel
-pairing scan (fixed gamma per valence partition, all pairings, canonical
-dedupe).  Face labelings by vertices of an adjacency graph G are layered
-on top: every edge must separate faces whose labels are adjacent in G,
-the label multiset is fixed, and labeled classes are deduplicated by the
-label-aware canonical form.
+Unlabeled classes with a valence bound, genus and face count are
+generated by vertex splitting from the one-vertex maps, deduplicated by
+canonical form.  Face labelings by vertices of an adjacency graph G are
+layered on top: every edge must separate faces whose labels are adjacent
+in G, the label multiset is fixed, and labeled classes are deduplicated
+by the label-aware canonical form.
 """
 
 from __future__ import annotations
@@ -38,80 +38,59 @@ def partitions(total, min_part):
     return out
 
 
-def iso_classes(num_edges, min_valence, genus=None, faces=None, progress=None,
-                cache_dir=None, jobs=1):
-    """All connected iso classes with the given edge count and valence bound.
+def iso_classes(num_edges, min_valence, genus, faces):
+    """All connected iso classes with the given edge count, valence bound,
+    genus and face count, as canonical graphs in code order.
 
-    The pairing scan runs one valence partition at a time; with a cache
-    directory each completed partition is checkpointed to disk, so a
-    restarted enumeration resumes at the first unfinished chunk.  jobs > 1
-    spreads partitions over a process pool (deterministic merge).
+    A connected map with two or more vertices has a non-loop edge, and
+    contracting it keeps the genus and the faces and merges valences
+    a, b >= v into a + b - 2 >= v (for v = 1, unless the map is a single
+    edge).  So every class at degree k + 1 is a vertex split of a class at
+    degree k.  Generation starts from the one-vertex maps at degree
+    2g - 1 + m, found by a single pairing scan; for genus 0 with one face
+    (the plane trees) it starts from the single edge.
     """
-    n = 2 * num_edges
-    want_g = -1 if genus is None else genus
-    want_f = -1 if faces is None else faces
-    parts = partitions(n, min_valence)
-    codes = set()
-    pending = []
-    for valences in parts:
-        cached = _load_scan(cache_dir, valences, want_g, want_f)
-        if cached is not None:
-            codes.update(cached)
-        else:
-            pending.append(valences)
-    if jobs > 1 and len(pending) > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(
-                _scan_chunk, [(list(v), want_g, want_f) for v in pending])
-        for valences, found in zip(pending, results):
-            _store_scan(cache_dir, valences, want_g, want_f, found)
-            codes.update(found)
-    else:
-        for valences in pending:
-            found = kernels.scan_pairings(list(valences), want_g, want_f,
-                                          progress)
-            _store_scan(cache_dir, valences, want_g, want_f, found)
-            codes.update(found)
+    v = max(min_valence, 1)
+    k = 2 * genus - 1 + faces
+    valences = [2 * k] if k else [1, 1]
+    k = max(k, 1)
+    if num_edges < k or min(valences) < v:
+        return []  # a base below the valence bound has no splits either
+    codes = kernels.scan_pairings(valences, genus, faces)
+    for _ in range(k, num_edges):
+        codes = _splits(codes, v)
     return [RibbonGraph.from_code(c) for c in sorted(codes)]
 
 
-def _scan_chunk(valences, want_g, want_f):
-    return kernels.scan_pairings(valences, want_g, want_f, None)
+def _splits(codes, min_valence):
+    """Canonical codes of every vertex split of the given classes.
+
+    A split cuts a contiguous arc out of a vertex's cyclic order and joins
+    it to the rest of that vertex by a new edge (darts n, n + 1), keeping
+    both new valences >= min_valence.  Contracting the new edge undoes it.
+    """
+    out = set()
+    for code in codes:
+        g = RibbonGraph.from_code(code)
+        n = g.n
+        iota = list(g.iota) + [n + 1, n]
+        zeros = [0] * (n + 2)
+        for cyc in g.vertices:
+            a = len(cyc)
+            for j in range(min_valence - 1, a + 2 - min_valence):
+                for i in range(a):
+                    gamma = list(g.gamma) + [n, n + 1]
+                    _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
+                    _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])
+                    out.add(kernels.canonical_data(iota, gamma, zeros)[0])
+    return out
 
 
-def _scan_path(cache_dir, valences, want_g, want_f):
-    import hashlib
-    import os
-    tag = hashlib.sha256(repr((tuple(valences), want_g, want_f)).encode()) \
-        .hexdigest()[:20]
-    return os.path.join(cache_dir, "scan-%s.json" % tag)
-
-
-def _load_scan(cache_dir, valences, want_g, want_f):
-    import json
-    import os
-    if not cache_dir:
-        return None
-    path = _scan_path(cache_dir, valences, want_g, want_f)
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        data = json.load(f)
-    return [tuple(tuple(part) for part in code) for code in data]
-
-
-def _store_scan(cache_dir, valences, want_g, want_f, found):
-    import json
-    import os
-    if not cache_dir:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _scan_path(cache_dir, valences, want_g, want_f)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump([[list(part) for part in code] for code in found], f)
-    os.replace(tmp, path)
+def _close(gamma, head, darts):
+    """Make (head, *darts) one cycle of gamma."""
+    cyc = [head] + darts
+    for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+        gamma[d] = nxt
 
 
 class LabeledRibbonGraph:
@@ -132,24 +111,36 @@ class LabeledRibbonGraph:
         return "Labeled(%r, labels=%s)" % (self.graph, list(self.face_labels))
 
 
+def canonical_class(graph: RibbonGraph, dart_labels=None):
+    """(code, canonical graph, relabeling, auts) of a graph.
+
+    `relabeling` is the first old->new dart map reaching the canonical
+    code; `auts` are the automorphisms of the canonical graph, one per map.
+    """
+    code, perms = graph.canonical(dart_labels)
+    p0 = perms[0]
+    inv0 = [0] * graph.n
+    for d, img in enumerate(p0):
+        inv0[img] = d
+    auts = [tuple(p[inv0[d]] for d in range(graph.n)) for p in perms]
+    return code, RibbonGraph.from_code(code), p0, auts
+
+
+def unlabeled_class(graph: RibbonGraph) -> LabeledRibbonGraph:
+    """A graph's canonical class with trivial labels."""
+    code, cg, _, auts = canonical_class(graph)
+    return LabeledRibbonGraph(cg, (None,) * cg.num_faces, code, auts)
+
+
 def canonical_labeled(graph: RibbonGraph, face_labels, label_key) -> LabeledRibbonGraph:
     """Rebuild a labeled graph in its canonical form.
 
     label_key: label -> int, a fixed injection used inside the code.
     """
     dart_labels = [label_key[face_labels[graph.face_of(d)]] for d in range(graph.n)]
-    code, perms = graph.canonical(dart_labels)
-    cg = RibbonGraph.from_code(code)
+    code, cg, _, auts = canonical_class(graph, dart_labels)
     key_to_label = {v: k for k, v in label_key.items()}
     lab = [key_to_label[code[2][cyc[0]]] for cyc in cg.faces]
-    # automorphisms of the canonical labeled graph
-    p0 = perms[0]
-    inv0 = [0] * graph.n
-    for d, img in enumerate(p0):
-        inv0[img] = d
-    auts = []
-    for p in perms:
-        auts.append(tuple(p[inv0[d]] for d in range(graph.n)))
     return LabeledRibbonGraph(cg, lab, code, auts)
 
 
@@ -175,68 +166,33 @@ def label_assignments(graph: RibbonGraph, G: AdjacencyGraph, X):
             yield perm
 
 
-def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X,
-                    genus=None, progress=None, cache_dir=None, jobs=1):
-    """Labeled iso classes: X an unordered label tuple, one label per face."""
+def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus=None):
+    """Labeled iso classes: X an unordered label tuple, one label per face.
+
+    genus=None takes every genus the edge and face counts allow.
+    """
     X = tuple(sorted(X))
     label_key = {v: i + 1 for i, v in enumerate(sorted(set(G.vertices)))}
+    genera = [genus] if genus is not None else range((num_edges + 1 - len(X)) // 2 + 1)
     out = {}
-    for graph in iso_classes(num_edges, min_valence, genus=genus,
-                             faces=len(X), progress=progress,
-                             cache_dir=cache_dir, jobs=jobs):
-        for lab in label_assignments(graph, G, X):
-            lg = canonical_labeled(graph, lab, label_key)
-            out.setdefault(lg.code, lg)
+    for g in genera:
+        for graph in iso_classes(num_edges, min_valence, g, len(X)):
+            for lab in label_assignments(graph, G, X):
+                lg = canonical_labeled(graph, lab, label_key)
+                out.setdefault(lg.code, lg)
     return [out[c] for c in sorted(out)]
 
 
-def unlabeled_as_classes(num_edges, min_valence, genus=None, faces=None,
-                         progress=None, cache_dir=None, jobs=1):
+def unlabeled_as_classes(num_edges, min_valence, genus, faces):
     """Unlabeled classes wrapped with trivial labels (single-label complexes)."""
-    out = []
-    for graph in iso_classes(num_edges, min_valence, genus=genus, faces=faces,
-                             progress=progress, cache_dir=cache_dir, jobs=jobs):
-        code, perms = graph.canonical()
-        cg = RibbonGraph.from_code(code)
-        p0 = perms[0]
-        inv0 = [0] * graph.n
-        for d, img in enumerate(p0):
-            inv0[img] = d
-        auts = [tuple(p[inv0[d]] for d in range(graph.n)) for p in perms]
-        out.append(LabeledRibbonGraph(cg, (None,) * cg.num_faces, code, auts))
-    return out
+    return [unlabeled_class(graph)
+            for graph in iso_classes(num_edges, min_valence, genus, faces)]
 
 
 def polygon_class(k, face_labels=(None, None)):
-    """The k-gon as a (possibly labeled) class; its own fast path."""
+    """The k-gon as a (possibly labeled) class."""
     g = polygon(k)
     if face_labels == (None, None):
-        code, perms = g.canonical()
-    else:
-        key = {v: i + 1 for i, v in enumerate(sorted(set(face_labels)))}
-        return canonical_labeled(g, face_labels, key)
-    cg = RibbonGraph.from_code(code)
-    p0 = perms[0]
-    inv0 = [0] * g.n
-    for d, img in enumerate(p0):
-        inv0[img] = d
-    auts = [tuple(p[inv0[d]] for d in range(g.n)) for p in perms]
-    return LabeledRibbonGraph(cg, (None,) * cg.num_faces, code, auts)
-
-
-def polygon_classes(k, G=None, X=None):
-    """All (labeled) classes of the genus-0 two-face valence-2 family.
-
-    With valences all >= 2 and |E| = |V| the only connected graphs are the
-    polygons, one per edge count, so the pairing scan is bypassed.
-    """
-    if G is None:
-        return [polygon_class(k)]
-    X = tuple(sorted(X))
-    out = {}
-    g = polygon(k)
-    for lab in label_assignments(g, G, X):
-        key = {v: i + 1 for i, v in enumerate(sorted(set(G.vertices)))}
-        lg = canonical_labeled(g, lab, key)
-        out.setdefault(lg.code, lg)
-    return [out[c] for c in sorted(out)]
+        return unlabeled_class(g)
+    key = {v: i + 1 for i, v in enumerate(sorted(set(face_labels)))}
+    return canonical_labeled(g, face_labels, key)

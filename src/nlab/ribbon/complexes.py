@@ -21,7 +21,8 @@ import json
 import os
 
 from ..linalg import perm_sign, rank
-from .census import LabeledRibbonGraph, labeled_classes, unlabeled_as_classes
+from .census import (LabeledRibbonGraph, canonical_class, labeled_classes,
+                     unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
 from .orientation import is_orientable
 
@@ -38,14 +39,25 @@ def bottom_degree(g, m):
     return 2 * g - 1 + m
 
 
+def degree_range(g, m, min_valence, max_edges=None):
+    """(kmin, kmax) of a family: bottom degree to top degree, capped at max_edges."""
+    top = top_degree(g, m, min_valence)
+    if top is None:
+        if max_edges is None:
+            raise RibbonError("valence-2 families need max_edges")
+        top = max_edges
+    elif max_edges is not None:
+        top = min(top, max_edges)
+    return bottom_degree(g, m), top
+
+
 class RibbonComplex:
     """Bases and boundary matrices for one (g, m [, G, X]) family."""
 
     SIZE_GUARD = 50000  # total basis elements; raise it explicitly if needed
 
     def __init__(self, genus, faces, min_valence, G=None, X=None,
-                 max_edges=None, cache_dir=None, progress=None, jobs=1,
-                 size_guard=None):
+                 max_edges=None, cache_dir=None, size_guard=None):
         if faces < 1:
             raise RibbonError("need at least one face")
         if min_valence >= 3 and 2 - 2 * genus - faces >= 0:
@@ -59,31 +71,10 @@ class RibbonComplex:
             raise RibbonError("labeled complexes need both G and X")
         if X is not None and len(self.X) != faces:
             raise RibbonError("label multiset size must equal the face count")
-        top = top_degree(genus, faces, min_valence)
-        if top is None:
-            if max_edges is None:
-                raise RibbonError("valence-2 complexes need max_edges")
-            top = max_edges
-        elif max_edges is not None:
-            top = min(top, max_edges)
-        self.kmax = top
-        self.kmin = bottom_degree(genus, faces)
+        self.kmin, self.kmax = degree_range(genus, faces, min_valence, max_edges)
         self.basis = {}       # degree -> list of LabeledRibbonGraph (orientable)
         self.index = {}       # degree -> {code: position}
         self.matrices = {}    # degree k -> boundary C_k -> C_{k-1} (row-major)
-        if progress is None and cache_dir:
-            # stamp the candidate counter every 10^5 pairings so a watcher
-            # can see where a long enumeration is; chunk caches make the
-            # enumeration itself restartable at partition granularity
-            stamp = os.path.join(cache_dir, "enum-progress.txt")
-
-            def progress(count, _path=stamp, _dir=cache_dir):
-                os.makedirs(_dir, exist_ok=True)
-                with open(_path, "w") as f:
-                    f.write("%d\n" % count)
-        self._progress = progress
-        self._cache_dir = cache_dir
-        self._jobs = jobs
         self._size_guard = size_guard or self.SIZE_GUARD
         if not self._load(cache_dir):
             self._build()
@@ -92,17 +83,11 @@ class RibbonComplex:
     # -- construction -----------------------------------------------------------
 
     def _classes(self, k):
-        if self.genus == 0 and self.faces == 2 and self.min_valence == 2:
-            # the polygon family: one underlying graph per edge count
-            from .census import polygon_classes
-            return polygon_classes(k, self.G, self.X)
         if self.G is not None:
             return labeled_classes(k, self.min_valence, self.G, self.X,
-                                   genus=self.genus, progress=self._progress,
-                                   cache_dir=self._cache_dir, jobs=self._jobs)
+                                   genus=self.genus)
         return unlabeled_as_classes(k, self.min_valence, genus=self.genus,
-                                    faces=self.faces, progress=self._progress,
-                                    cache_dir=self._cache_dir, jobs=self._jobs)
+                                    faces=self.faces)
 
     def _build(self):
         total = 0
@@ -154,13 +139,7 @@ class RibbonComplex:
                                for d in range(contracted.n)]
             else:
                 dart_labels = [0] * contracted.n
-            code, perms = contracted.canonical(dart_labels)
-            cg = RibbonGraph.from_code(code)
-            p0 = perms[0]
-            inv0 = [0] * contracted.n
-            for d, img in enumerate(p0):
-                inv0[img] = d
-            auts = [tuple(p[inv0[d]] for d in range(contracted.n)) for p in perms]
+            code, cg, p0, auts = canonical_class(contracted, dart_labels)
             pos = self.index[k - 1].get(code)
             if pos is None:
                 if is_orientable(cg, auts):
@@ -236,30 +215,48 @@ class RibbonComplex:
         return os.path.join(cache_dir, "complex-%s.json" % self._cache_key())
 
     def _load(self, cache_dir):
+        """Read bases and matrices from the cache.
+
+        A missing file, another version, a file that does not parse or one
+        whose matrix shapes disagree with its basis sizes is a miss.
+        """
         if not cache_dir:
             return False
         path = self._cache_path(cache_dir)
         if not os.path.exists(path):
             return False
-        with open(path) as f:
-            data = json.load(f)
-        if data.get("version") != CACHE_VERSION:
+        try:
+            with open(path) as f:
+                data = json.load(f)
+            if data.get("version") != CACHE_VERSION:
+                return False
+            basis = {}
+            for k_str, items in data["basis"].items():
+                basis[int(k_str)] = []
+                for item in items:
+                    code = (tuple(item["gamma"]), tuple(item["iota"]), tuple(item["lab"]))
+                    cg = RibbonGraph.from_code(code)
+                    auts = [tuple(p) for p in item["auts"]]
+                    labels = tuple(item["face_labels"]) if self.G is not None \
+                        else (None,) * cg.num_faces
+                    basis[int(k_str)].append(LabeledRibbonGraph(cg, labels, code, auts))
+            matrices = {int(k): v for k, v in data["matrices"].items()}
+            if not self._shapes_agree(basis, matrices):
+                return False
+        except (ValueError, LookupError, TypeError, AttributeError):
             return False
-        label_pool = None
-        for k_str, items in data["basis"].items():
-            k = int(k_str)
-            basis = []
-            for item in items:
-                code = (tuple(item["gamma"]), tuple(item["iota"]), tuple(item["lab"]))
-                cg = RibbonGraph.from_code(code)
-                auts = [tuple(p) for p in item["auts"]]
-                labels = tuple(item["face_labels"]) if self.G is not None \
-                    else (None,) * cg.num_faces
-                basis.append(LabeledRibbonGraph(cg, labels, code, auts))
-            self.basis[k] = basis
-            self.index[k] = {lg.code: i for i, lg in enumerate(basis)}
-        self.matrices = {int(k): v for k, v in data["matrices"].items()}
+        self.basis = basis
+        self.index = {k: {lg.code: i for i, lg in enumerate(b)} for k, b in basis.items()}
+        self.matrices = matrices
         return True
+
+    def _shapes_agree(self, basis, matrices):
+        if set(basis) != set(range(self.kmin, self.kmax + 1)) or \
+                set(matrices) != set(range(self.kmin + 1, self.kmax + 1)):
+            return False
+        return all(len(mat) == len(basis[k - 1]) and
+                   all(len(row) == len(basis[k]) for row in mat)
+                   for k, mat in matrices.items())
 
     def _store(self, cache_dir):
         if not cache_dir:

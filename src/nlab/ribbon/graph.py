@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 
 from .. import kernels
+from ..quiver import json_field
 
 
 class RibbonError(ValueError):
@@ -230,15 +231,19 @@ class RibbonGraph:
     def from_json(text):
         """Returns (graph, face_labels or None); faces are indexed by min dart order."""
         data = json.loads(text)
-        darts = list(data["half_edges"])
+
+        def field(key, kind):
+            return json_field(data, key, kind, "ribbon graph", error=RibbonError)
+
+        darts = list(field("half_edges", list))
         index = {d: i for i, d in enumerate(darts)}
         n = len(darts)
         iota = [-1] * n
-        for a, b in data["iota"]:
+        for a, b in field("iota", list):
             iota[index[a]] = index[b]
             iota[index[b]] = index[a]
         gamma = [-1] * n
-        for cyc in data["gamma"]:
+        for cyc in field("gamma", list):
             for x, y in zip(cyc, cyc[1:] + cyc[:1]):
                 gamma[index[x]] = index[y]
         if -1 in iota or -1 in gamma:
@@ -247,7 +252,7 @@ class RibbonGraph:
         labels = None
         if "labels" in data:
             labels = [None] * g.num_faces
-            for key, lab in data["labels"].items():
+            for key, lab in field("labels", dict).items():
                 if not key.startswith("face"):
                     raise RibbonError("bad face key %r" % key)
                 labels[int(key[4:])] = lab

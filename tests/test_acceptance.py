@@ -16,7 +16,7 @@ from nlab.grammar import format_element, parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, adjacency, double, one_loop, two_loops, two_vertex
-from nlab.ribbon.census import iso_classes
+from nlab.ribbon.census import canonical_class, iso_classes
 from nlab.ribbon.complexes import RibbonComplex, top_degree
 from nlab.ribbon.graph import RibbonGraph
 from nlab.ribbon.orientation import is_orientable
@@ -166,39 +166,44 @@ def _ad_tensor(alg, f, T):
     return out._clean()
 
 
+def betti_table(kmin, dims, bettis):
+    """A betti() table from its dimension and Betti lists, degree kmin first."""
+    return {kmin + i: (d, b) for i, (d, b) in enumerate(zip(dims, bettis))}
+
+
 def test_ac5_ribbon_complexes(cache_dir):
     Gv = adjacency(one_loop())
     Gpq = adjacency(Quiver(["p", "q"], [("a", "p", "q"), ("c", "p", "p")]))
-    built = []
-    # valence >= 3 families, complete or truncated at 7 edges
-    for (g, m) in [(0, 3), (0, 4), (1, 1), (1, 2), (0, 5), (2, 1)]:
-        built.append(RibbonComplex(g, m, 3, G=Gv, X=("v",) * m, max_edges=7,
-                                   cache_dir=cache_dir))
-    # valence >= 2 families (truncated) and the polygon family
-    built.append(RibbonComplex(0, 3, 2, G=Gv, X=("v",) * 3, max_edges=5,
-                               cache_dir=cache_dir))
-    built.append(RibbonComplex(1, 1, 2, G=Gv, X=("v",), max_edges=4,
-                               cache_dir=cache_dir))
-    built.append(RibbonComplex(0, 2, 2, G=Gv, X=("v", "v"), max_edges=12,
-                               cache_dir=cache_dir))
-    # labeled complexes over a two-vertex graph
-    built.append(RibbonComplex(0, 3, 3, G=Gpq, X=("p", "p", "q"),
-                               cache_dir=cache_dir))
-    built.append(RibbonComplex(0, 4, 3, G=Gpq, X=("p", "p", "q", "q"),
-                               cache_dir=cache_dir))
-    for cx in built:
+    # (genus, faces, min valence, G, labels, max edges) -> betti() table
+    families = [
+        # valence >= 3 families, complete or truncated at 7 edges
+        ((0, 3, 3, Gv, "vvv", 7), betti_table(2, [1, 2], [0, 1])),
+        ((0, 4, 3, Gv, "vvvv", 7), betti_table(3, [1, 3, 7, 6], [0, 0, 0, 1])),
+        ((1, 1, 3, Gv, "v", 7), betti_table(2, [0, 1], [0, 1])),
+        ((1, 2, 3, Gv, "vv", 7), betti_table(3, [1, 5, 8, 5], [0, 0, 0, 1])),
+        ((0, 5, 3, Gv, "vvvvv", 7), betti_table(4, [3, 21, 58, 85], [0, 0, 0, 45])),
+        ((2, 1, 3, Gv, "v", 7), betti_table(4, [3, 20, 39, 43], [0, 0, 0, 21])),
+        # valence >= 2 families (truncated) and the polygon family
+        ((0, 3, 2, Gv, "vvv", 5), betti_table(2, [1, 3, 2, 4], [0, 1, 0, 3])),
+        ((1, 1, 2, Gv, "v", 4), betti_table(2, [0, 1, 0], [0, 1, 0])),
+        ((0, 2, 2, Gv, "vv", 12),
+         betti_table(1, [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0],
+                     [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0])),
+        # labeled complexes over a two-vertex graph
+        ((0, 3, 3, Gpq, "ppq", None), betti_table(2, [2, 2], [0, 0])),
+        ((0, 4, 3, Gpq, "ppqq", None), betti_table(3, [2, 9, 14, 7], [0, 0, 0, 0])),
+    ]
+    for (g, m, mv, G, labels, max_edges), betti in families:
+        cx = RibbonComplex(g, m, mv, G=G, X=tuple(labels), max_edges=max_edges,
+                           cache_dir=cache_dir)
         assert cx.check_d_squared()
+        assert cx.betti() == betti, (g, m, mv, labels, max_edges)
     # the planar two-vertex four-edge ribbon graph is nonorientable
     iota = [1, 0, 3, 2, 5, 4, 7, 6]
     gamma = [2, 7, 4, 1, 6, 3, 0, 5]
     g = RibbonGraph(iota, gamma)
     assert g.num_vertices == 2 and g.num_edges == 4 and g.genus() == 0
-    code, perms = g.canonical()
-    cg = RibbonGraph.from_code(code)
-    inv0 = [0] * 8
-    for d, img in enumerate(perms[0]):
-        inv0[img] = d
-    auts = [tuple(p[inv0[d]] for d in range(8)) for p in perms]
+    _, cg, _, auts = canonical_class(g)
     assert not is_orientable(cg, auts)
     # top labeled cells have 6g - 6 + 3m edges when trivalent graphs exist
     for (g_, m_) in [(0, 3), (1, 1), (0, 4), (1, 2)]:
@@ -207,9 +212,27 @@ def test_ac5_ribbon_complexes(cache_dir):
         tops = iso_classes(top, 3, genus=g_, faces=m_)
         assert tops and all(gg.valences() == (3,) * gg.num_vertices
                             for gg in tops)
-    report("[AC5] Ribbon complexes: d^2 = 0 on %d complexes (<= 7 edges; "
-           "polygons to 12), 2v4e planar graph nonorientable, top cells "
-           "at 6g-6+3m: PASS" % len(built))
+    report("[AC5] Ribbon complexes: d^2 = 0 and pinned Betti tables on %d "
+           "complexes (<= 7 edges; polygons to 12), 2v4e planar graph "
+           "nonorientable, top cells at 6g-6+3m: PASS" % len(families))
+
+
+def test_ac5_full_stable_complexes(cache_dir):
+    # complete valence >= 3 complexes up to the top degree 6g - 6 + 3m:
+    # homology sits in the top degree and, for (2,1), two degrees below
+    Gv = adjacency(one_loop())
+    families = [
+        ((0, 5), betti_table(4, [3, 21, 58, 85, 70, 26], [0, 0, 0, 0, 0, 1])),
+        ((2, 1), betti_table(4, [3, 20, 39, 43, 28, 9], [0, 0, 0, 1, 0, 1])),
+        ((1, 3), betti_table(4, [11, 68, 178, 236, 160, 46], [0, 0, 0, 0, 0, 1])),
+    ]
+    for (g, m), betti in families:
+        cx = RibbonComplex(g, m, 3, G=Gv, X=("v",) * m, cache_dir=cache_dir)
+        assert cx.kmax == 6 * g - 6 + 3 * m
+        assert cx.check_d_squared()
+        assert cx.betti() == betti, (g, m)
+    report("[AC5] Full (0,5), (2,1), (1,3) complexes: d^2 = 0, Betti tables "
+           "pinned: PASS")
 
 
 def test_ac6_polygon_homology_and_euler(cache_dir):

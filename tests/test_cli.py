@@ -149,6 +149,8 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         (["ainf", "check", "--data"],
          {"objects": ["v"], "adjacency": [["v", "v"]],
           "spaces": {"v,v": {"parities": [0]}}}, "'pairings'"),
+        (["ribbon", "cochain", "-q", q("loop.json"), "--necklaces", "(e e*)",
+          "--ribbon"], {"half_edges": [0, 1], "gamma": [[0, 1]]}, "'iota'"),
     ]
     for n, (args, data, key) in enumerate(cases):
         path = tmp_path / ("bad%d.json" % n)

@@ -1,52 +1,7 @@
-import random
-
 import pytest
 
-import nlab._kernels_py as pure
-import nlab.kernels as selected
-
-try:
-    import nlab._kernels as compiled
-except ImportError:
-    compiled = None
-
-
-def random_map(rng, k):
-    n = 2 * k
-    darts = list(range(n))
-    rng.shuffle(darts)
-    iota = [0] * n
-    for i in range(0, n, 2):
-        a, b = darts[i], darts[i + 1]
-        iota[a] = b
-        iota[b] = a
-    g = list(range(n))
-    rng.shuffle(g)
-    gamma = [0] * n
-    for i in range(n):
-        gamma[g[i]] = g[(i + 1) % n]
-    return iota, gamma
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backends_agree_on_canonical_forms():
-    rng = random.Random(0)
-    for _ in range(200):
-        k = rng.randint(1, 6)
-        iota, gamma = random_map(rng, k)
-        labels = [rng.randint(0, 2) for _ in range(2 * k)]
-        assert pure.canonical_data(iota, gamma, labels) == \
-            compiled.canonical_data(iota, gamma, labels)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backends_agree_on_scans():
-    for vals in [(3, 3), (4,), (2, 2, 2), (3, 3, 4), (2, 3, 3), (2, 2, 3, 3)]:
-        assert pure.scan_pairings(list(vals), -1, -1) == \
-            compiled.scan_pairings(list(vals), -1, -1)
-    for vals, g, f in [((3, 3), 0, 3), ((4,), 1, 1), ((3, 3, 3, 3), 0, 4)]:
-        assert pure.scan_pairings(list(vals), g, f) == \
-            compiled.scan_pairings(list(vals), g, f)
+import nlab.kernels as kernels
+from nlab.ribbon.census import iso_classes, partitions
 
 
 def test_disconnected_maps_rejected():
@@ -54,18 +9,27 @@ def test_disconnected_maps_rejected():
     iota = [1, 0, 3, 2]
     gamma = [1, 0, 3, 2]
     with pytest.raises(ValueError):
-        selected.canonical_data(iota, gamma, [0, 0, 0, 0])
-
-
-def test_progress_callback():
-    seen = []
-    pure.scan_pairings([3, 3, 3, 3], 0, 4, progress=seen.append)
-    # 11!! = 10395 pairings < 10^5: callback stays quiet on small scans
-    assert seen == []
+        kernels.canonical_data(iota, gamma, [0, 0, 0, 0])
 
 
 def test_canonical_code_shape():
-    code, perms = selected.canonical_data([1, 0], [1, 0], [0, 0])
+    code, perms = kernels.canonical_data([1, 0], [1, 0], [0, 0])
     g2, i2, l2 = code
     assert len(g2) == len(i2) == len(l2) == 2
     assert perms
+
+
+def test_vertex_splitting_equals_pairing_scan():
+    # (genus, faces, min_valence, top degree): iso_classes generates by
+    # vertex splitting; the oracle scans every pairing of every valence
+    # partition and dedupes by canonical form
+    families = [(0, 3, 3, 3), (0, 4, 3, 6), (1, 1, 3, 3), (1, 2, 3, 6),
+                (0, 5, 3, 6), (2, 1, 3, 6), (0, 3, 2, 5), (1, 1, 2, 4)]
+    for g, m, v, top in families:
+        for k in range(1, top + 1):
+            scanned = set()
+            for valences in partitions(2 * k, v):
+                scanned.update(kernels.scan_pairings(list(valences), g, m))
+            split = iso_classes(k, v, g, m)
+            assert [(c.gamma, c.iota) for c in split] == \
+                [(gamma, iota) for gamma, iota, _ in sorted(scanned)], (g, m, v, k)

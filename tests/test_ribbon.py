@@ -1,4 +1,7 @@
+import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -190,3 +193,43 @@ def test_size_guard():
     G = loop_graph()
     with pytest.raises(RibbonError):
         RibbonComplex(0, 4, 3, G=G, X=("v",) * 4, size_guard=2)
+
+
+def test_complex_cache_validated_on_load(tmp_path):
+    # a truncated file, one without bases and one with a matrix one row
+    # short are misses: the complex is rebuilt and the file rewritten
+    G = loop_graph()
+    cold = RibbonComplex(1, 2, 3, G=G, X=("v", "v"))
+    RibbonComplex(1, 2, 3, G=G, X=("v", "v"), cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("complex-*.json")
+    text = path.read_text()
+    short = json.loads(text)
+    short["matrices"]["5"] = short["matrices"]["5"][1:]
+    for bad in (text[:len(text) // 2], json.dumps({"version": 1}), json.dumps(short)):
+        path.write_text(bad)
+        cx = RibbonComplex(1, 2, 3, G=G, X=("v", "v"), cache_dir=str(tmp_path))
+        assert cx.matrices == cold.matrices
+        assert {k: [lg.code for lg in b] for k, b in cx.basis.items()} == \
+            {k: [lg.code for lg in b] for k, b in cold.basis.items()}
+        assert path.read_text() == text
+
+
+def euler_characteristic_moduli(g, m):
+    """chi(M_{g,m}) from chi(M_{0,3}) = 1, chi(M_{g,1}) = -B_{2g}/(2g) and
+    chi(M_{g,m+1}) = (2 - 2g - m) chi(M_{g,m}) (Harer-Zagier)."""
+    bernoulli = {2: Fraction(1, 6), 4: Fraction(-1, 30)}
+    chi, n = (Fraction(1), 3) if g == 0 else (-bernoulli[2 * g] / (2 * g), 1)
+    for j in range(n, m):
+        chi *= 2 - 2 * g - j
+    return chi
+
+
+def test_harer_zagier_euler_characteristic():
+    # sum over all classes, orientable or not, of (-1)^V / |Aut| equals
+    # chi(M_{g,m}) / m!: an independent check of enumeration and auts
+    for g, m in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)]:
+        total = Fraction(0)
+        for k in range(2 * g - 1 + m, 6 * g - 6 + 3 * m + 1):
+            for lg in unlabeled_as_classes(k, 3, genus=g, faces=m):
+                total += Fraction((-1) ** lg.graph.num_vertices, len(lg.auts))
+        assert total == euler_characteristic_moduli(g, m) / math.factorial(m), (g, m)

@@ -189,17 +189,12 @@ class CyclicAInfData:
         mt = self.tensors.get(tuple(seq))
         if mt is None:
             return {}
-        G = self.pairings[(i1, iL)]
-        ginv = invert(G)
+        idx = tuple(idx)
         out = {}
-        for b in range(self.dim(iL, i1)):
-            v = mt.get(tuple(idx) + (b,))
-            if not v:
-                continue
-            for a in range(self.dim(i1, iL)):
-                w = v * ginv[b][a]
-                if w:
-                    out[a] = out.get(a, Fraction(0)) + w
+        for (a, b), g in self.c_tensor(i1, iL).items():
+            v = mt.get(idx + (b,))
+            if v:
+                out[a] = out.get(a, Fraction(0)) + v * g
         return {a: v for a, v in out.items() if v}
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quiver import DoubleQuiver, QuiverError
-from .rational import QPoly
+from .rational import LinComb, QPoly
 
 
 class Path:
@@ -227,13 +227,10 @@ class NecklaceAlgebra:
                 # D_u applied to df/dv per Eq. (delta) ordering: D_e(df/de*) - D_{e*}(df/de)
                 for p in self.cyclic_derivative(f, v):
                     for (a, b) in self.double_derivation(p, u):
-                        key = (self._ms_of_path(a), self._ms_of_path(b))
+                        key = ((self.pr(a),), (self.pr(b),))
                         acc[key] = acc.get(key, 0) + s
         terms = {k: QPoly.const(c) for k, c in acc.items() if c}
         return TensorElement(self, 2, terms)
-
-    def _ms_of_path(self, p: Path) -> tuple:
-        return (self.pr(p),)
 
     def hamiltonian_action(self, f: Necklace, p: Path):
         """The derivation e -> -df/de*, e* -> df/de applied to p.
@@ -318,49 +315,17 @@ def _subsets(ms):
         yield (a, b)
 
 
-class SymElement:
+class SymElement(LinComb):
     """A Q[h]-linear combination of multisets of necklaces (element of Sym L[h])."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
 
     def __init__(self, alg: NecklaceAlgebra, terms=None):
         self.alg = alg
-        self.terms = {}
-        if terms:
-            for ms, c in terms.items():
-                if not isinstance(c, QPoly):
-                    c = QPoly.const(c)
-                if not c.is_zero():
-                    self.terms[ms] = c
+        super().__init__(terms)
 
-    def _add(self, ms, c):
-        cur = self.terms.get(ms)
-        self.terms[ms] = c if cur is None else cur + c
-
-    def _clean(self):
-        self.terms = {k: v for k, v in self.terms.items() if not v.is_zero()}
-        return self
-
-    def __add__(self, other):
-        out = SymElement(self.alg, dict(self.terms))
-        for ms, c in other.terms.items():
-            out._add(ms, c)
-        return out._clean()
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, v) -> "SymElement":
-        out = SymElement(self.alg)
-        for ms, c in self.terms.items():
-            out.terms[ms] = c.scale(v)
-        return out._clean()
-
-    def mul_qpoly(self, q: QPoly) -> "SymElement":
-        out = SymElement(self.alg)
-        for ms, c in self.terms.items():
-            out._add(ms, c * q)
-        return out._clean()
+    def _empty(self):
+        return SymElement(self.alg)
 
     def sym_product(self, other: "SymElement") -> "SymElement":
         """The plain symmetric product (h^0 part of the star product)."""
@@ -370,64 +335,23 @@ class SymElement:
                 out._add(self.alg.multiset(ms1 + ms2), c1 * c2)
         return out._clean()
 
-    def h_coefficient(self, k) -> "SymElement":
-        """The Sym L element multiplying h^k."""
-        out = SymElement(self.alg)
-        for ms, c in self.terms.items():
-            v = c.coeff(k)
-            if v:
-                out.terms[ms] = QPoly.const(v)
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SymElement) and self.terms == other.terms
-
     def __repr__(self):
         from .grammar import format_element
         return format_element(self)
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """Q[h]-combinations of pairs (or triples) of necklace multisets."""
 
-    __slots__ = ("alg", "arity", "terms")
+    __slots__ = ("alg", "arity")
 
     def __init__(self, alg: NecklaceAlgebra, arity: int, terms=None):
         self.alg = alg
         self.arity = arity
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not isinstance(c, QPoly):
-                    c = QPoly.const(c)
-                if not c.is_zero():
-                    self.terms[key] = c
+        super().__init__(terms)
 
-    def _add(self, key, c):
-        cur = self.terms.get(key)
-        self.terms[key] = c if cur is None else cur + c
-
-    def _clean(self):
-        self.terms = {k: v for k, v in self.terms.items() if not v.is_zero()}
-        return self
-
-    def __add__(self, other):
-        out = TensorElement(self.alg, self.arity, dict(self.terms))
-        for key, c in other.terms.items():
-            out._add(key, c)
-        return out._clean()
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, v) -> "TensorElement":
-        out = TensorElement(self.alg, self.arity)
-        for key, c in self.terms.items():
-            out.terms[key] = c.scale(v)
-        return out._clean()
+    def _empty(self):
+        return TensorElement(self.alg, self.arity)
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor factors (arity 2 only)."""
@@ -437,14 +361,6 @@ class TensorElement:
             out._add((b, a), c)
         return out._clean()
 
-    def h_coefficient(self, k) -> "TensorElement":
-        out = TensorElement(self.alg, self.arity)
-        for key, c in self.terms.items():
-            v = c.coeff(k)
-            if v:
-                out.terms[key] = QPoly.const(v)
-        return out
-
     def slot(self, i) -> "SymElement":
         """Apply the counit to every factor except slot i."""
         out = SymElement(self.alg)
@@ -453,12 +369,8 @@ class TensorElement:
                 out._add(key[i], c)
         return out._clean()
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.arity == other.arity
-                and self.terms == other.terms)
+        return super().__eq__(other) and self.arity == other.arity
 
     def __repr__(self):
         from .grammar import format_tensor

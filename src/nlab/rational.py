@@ -1,7 +1,10 @@
-"""Exact scalars: polynomials in the formal parameter h over the rationals.
+"""Exact scalars and the linear combinations built on them.
 
 All algebraic identities in this package are coefficient-wise in h, so h is
-never specialized to a number; every scalar is a QPoly.
+never specialized to a number; every scalar is a QPoly, a polynomial in the
+formal parameter h over the rationals.  Every element type (Sym L[h], its
+tensor powers, trace polynomials, operators) is a LinComb: a finite sum of
+keys with QPoly coefficients.
 """
 
 from __future__ import annotations
@@ -152,3 +155,71 @@ def monomial_str(mag: Fraction, k: int) -> str:
 
 ZERO = QPoly.zero()
 ONE = QPoly.one()
+
+
+class LinComb:
+    """A finite Q[h]-linear combination: `terms` maps keys to nonzero QPolys.
+
+    Subclasses fix what a key is and override `_empty` when their elements
+    carry context.  `terms` is a plain public dict.  `_add` accumulates in
+    place and may leave zero coefficients behind; `_clean` drops them, and
+    every public operation returns a cleaned element.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for key, c in terms.items():
+                if not isinstance(c, QPoly):
+                    c = QPoly.const(c)
+                if not c.is_zero():
+                    self.terms[key] = c
+
+    def _empty(self):
+        """A zero element of the same kind."""
+        return type(self)()
+
+    def _add(self, key, c):
+        cur = self.terms.get(key)
+        self.terms[key] = c if cur is None else cur + c
+
+    def _clean(self):
+        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+        return self
+
+    def __add__(self, other):
+        out = self._empty()
+        out.terms = dict(self.terms)
+        for key, c in other.terms.items():
+            out._add(key, c)
+        return out._clean()
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, v):
+        out = self._empty()
+        out.terms = {k: c.scale(v) for k, c in self.terms.items()}
+        return out._clean()
+
+    def mul_qpoly(self, q: QPoly):
+        out = self._empty()
+        out.terms = {k: c * q for k, c in self.terms.items()}
+        return out._clean()
+
+    def h_coefficient(self, k):
+        """The element multiplying h^k, with constant coefficients."""
+        out = self._empty()
+        for key, c in self.terms.items():
+            v = c.coeff(k)
+            if v:
+                out.terms[key] = QPoly.const(v)
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.terms == other.terms

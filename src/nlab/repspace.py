@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .necklace import Necklace, NecklaceAlgebra, SymElement
 from .quiver import QuiverError
-from .rational import QPoly
+from .rational import LinComb, QPoly
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -60,61 +60,31 @@ def mono_diff(m, var, order=1):
     return coeff, tuple(sorted(d.items()))
 
 
-class RepPolynomial:
+def _render(terms, factors):
+    """`(coefficient) monomial + ...` in key order; factors(key) lists its (var, exponent)s."""
+    if not terms:
+        return "0"
+    bits = []
+    for m in sorted(terms):
+        mono = "*".join("%s[%s][%d][%d]%s" % (v[0], v[1], v[2], v[3],
+                                              "" if e == 1 else "^%d" % e)
+                        for v, e in factors(m)) or "1"
+        bits.append("(%s) %s" % (terms[m].str(), mono))
+    return " + ".join(bits)
+
+
+class RepPolynomial(LinComb):
     """Exact commutative polynomial in matrix coordinates, Q[h] coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, QPoly):
-                    c = QPoly.const(c)
-                if not c.is_zero():
-                    self.terms[m] = c
-
-    @staticmethod
-    def zero():
-        return RepPolynomial()
+    __slots__ = ()
 
     @staticmethod
     def const(c):
-        c = c if isinstance(c, QPoly) else QPoly.const(c)
-        return RepPolynomial({(): c}) if not c.is_zero() else RepPolynomial()
+        return RepPolynomial({(): c})
 
     @staticmethod
     def var(v):
         return RepPolynomial({((v, 1),): QPoly.one()})
-
-    def _add(self, m, c):
-        cur = self.terms.get(m)
-        self.terms[m] = c if cur is None else cur + c
-
-    def _clean(self):
-        self.terms = {m: c for m, c in self.terms.items() if not c.is_zero()}
-        return self
-
-    def __add__(self, other):
-        out = RepPolynomial(dict(self.terms))
-        for m, c in other.terms.items():
-            out._add(m, c)
-        return out._clean()
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, v):
-        out = RepPolynomial()
-        for m, c in self.terms.items():
-            out.terms[m] = c.scale(v)
-        return out._clean()
-
-    def mul_qpoly(self, q: QPoly):
-        out = RepPolynomial()
-        for m, c in self.terms.items():
-            out._add(m, c * q)
-        return out._clean()
 
     def __mul__(self, other):
         out = RepPolynomial()
@@ -131,88 +101,24 @@ class RepPolynomial:
                 out._add(r[1], c.scale(r[0]))
         return out._clean()
 
-    def h_shift(self, k, scalar=1):
-        out = RepPolynomial()
-        q = QPoly({k: Fraction(scalar)})
-        for m, c in self.terms.items():
-            out.terms[m] = c * q
-        return out._clean()
-
-    def variables(self):
-        vs = set()
-        for m in self.terms:
-            vs.update(v for v, _ in m)
-        return vs
-
-    def degree(self):
-        return max((mono_degree(m) for m in self.terms), default=-1)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, RepPolynomial) and self.terms == other.terms
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            mono = "*".join("%s[%s][%d][%d]%s" % (v[0], v[1], v[2], v[3],
-                                                  "" if e == 1 else "^%d" % e)
-                            for v, e in m) or "1"
-            bits.append("(%s) %s" % (c.str(), mono))
-        return " + ".join(bits)
+        return _render(self.terms, lambda m: m)
 
 
-class DiffOperator:
+class DiffOperator(LinComb):
     """Normal-ordered element of D_Q: coordinate monomial times Y monomial."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, QPoly):
-                    c = QPoly.const(c)
-                if not c.is_zero():
-                    self.terms[m] = c
+    __slots__ = ()
 
     @staticmethod
     def const(c):
-        c = c if isinstance(c, QPoly) else QPoly.const(c)
-        return DiffOperator({((), ()): c}) if not c.is_zero() else DiffOperator()
+        return DiffOperator({((), ()): c})
 
     @staticmethod
     def generator(v):
         if v[0] == "M":
             return DiffOperator({(((v, 1),), ()): QPoly.one()})
         return DiffOperator({((), ((v, 1),)): QPoly.one()})
-
-    def _add(self, m, c):
-        cur = self.terms.get(m)
-        self.terms[m] = c if cur is None else cur + c
-
-    def _clean(self):
-        self.terms = {m: c for m, c in self.terms.items() if not c.is_zero()}
-        return self
-
-    def __add__(self, other):
-        out = DiffOperator(dict(self.terms))
-        for m, c in other.terms.items():
-            out._add(m, c)
-        return out._clean()
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, v):
-        out = DiffOperator()
-        for m, c in self.terms.items():
-            out.terms[m] = c.scale(v)
-        return out._clean()
 
     def __mul__(self, other):
         """Algebra product: self written to the left, other applied first."""
@@ -225,30 +131,8 @@ class DiffOperator:
                     out._add(key, base * QPoly({hpow: coeff}))
         return out._clean()
 
-    def mul_qpoly(self, q: QPoly):
-        out = DiffOperator()
-        for m, c in self.terms.items():
-            out._add(m, c * q)
-        return out._clean()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOperator) and self.terms == other.terms
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            cm, ym = m
-            mono = "*".join("%s[%s][%d][%d]%s" % (v[0], v[1], v[2], v[3],
-                                                  "" if e == 1 else "^%d" % e)
-                            for v, e in cm + ym) or "1"
-            bits.append("(%s) %s" % (c.str(), mono))
-        return " + ".join(bits)
+        return _render(self.terms, lambda m: m[0] + m[1])
 
 
 def _reorder(ymono, cmono):

@@ -217,8 +217,9 @@ class RibbonComplex:
     def _load(self, cache_dir):
         """Read bases and matrices from the cache.
 
-        A missing file, another version, a file that does not parse or one
-        whose matrix shapes disagree with its basis sizes is a miss.
+        A missing file, another version, a file that does not parse, one
+        whose matrix shapes disagree with its basis sizes or one whose
+        matrices fail d^2 = 0 is a miss.
         """
         if not cache_dir:
             return False
@@ -243,11 +244,13 @@ class RibbonComplex:
             matrices = {int(k): v for k, v in data["matrices"].items()}
             if not self._shapes_agree(basis, matrices):
                 return False
+            self.matrices = matrices
+            self.check_d_squared()  # raises RibbonError, a ValueError
         except (ValueError, LookupError, TypeError, AttributeError):
+            self.matrices = {}
             return False
         self.basis = basis
         self.index = {k: {lg.code: i for i, lg in enumerate(b)} for k, b in basis.items()}
-        self.matrices = matrices
         return True
 
     def _shapes_agree(self, basis, matrices):

@@ -21,6 +21,10 @@ class RibbonError(ValueError):
     pass
 
 
+def _is_dart_id(d):
+    return isinstance(d, (int, str)) and not isinstance(d, bool)
+
+
 def _orbits(perm):
     n = len(perm)
     seen = [False] * n
@@ -236,16 +240,35 @@ class RibbonGraph:
             return json_field(data, key, kind, "ribbon graph", error=RibbonError)
 
         darts = list(field("half_edges", list))
+        for d in darts:
+            if not _is_dart_id(d):
+                raise RibbonError("ribbon graph: half-edge %r is not an integer or string"
+                                  % (d,))
         index = {d: i for i, d in enumerate(darts)}
+
+        def dart(d, kind, entry):
+            if not _is_dart_id(d) or d not in index:
+                raise RibbonError("ribbon graph: %s entry %r names %r, which is not in "
+                                  "'half_edges'" % (kind, entry, d))
+            return index[d]
+
         n = len(darts)
         iota = [-1] * n
-        for a, b in field("iota", list):
-            iota[index[a]] = index[b]
-            iota[index[b]] = index[a]
+        for pair in field("iota", list):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise RibbonError("ribbon graph: iota entry %r is not a pair of half-edges"
+                                  % (pair,))
+            a, b = (dart(d, "iota", pair) for d in pair)
+            iota[a] = b
+            iota[b] = a
         gamma = [-1] * n
         for cyc in field("gamma", list):
-            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-                gamma[index[x]] = index[y]
+            if not isinstance(cyc, list):
+                raise RibbonError("ribbon graph: gamma entry %r is not a list of half-edges"
+                                  % (cyc,))
+            ds = [dart(d, "gamma", cyc) for d in cyc]
+            for x, y in zip(ds, ds[1:] + ds[:1]):
+                gamma[x] = y
         if -1 in iota or -1 in gamma:
             raise RibbonError("iota/gamma do not cover all half-edges")
         g = RibbonGraph(iota, gamma)
@@ -253,9 +276,14 @@ class RibbonGraph:
         if "labels" in data:
             labels = [None] * g.num_faces
             for key, lab in field("labels", dict).items():
-                if not key.startswith("face"):
-                    raise RibbonError("bad face key %r" % key)
-                labels[int(key[4:])] = lab
+                face = key[4:]
+                if not key.startswith("face") or not face.isdecimal() \
+                        or int(face) >= g.num_faces:
+                    raise RibbonError("bad face key %r (the graph has %d faces)"
+                                      % (key, g.num_faces))
+                if not isinstance(lab, str):
+                    raise RibbonError("face label %r of %r is not a string" % (lab, key))
+                labels[int(face)] = lab
             if None in labels:
                 raise RibbonError("missing face label")
         return g, labels

@@ -109,6 +109,34 @@ def test_trace_weyl_rho(capsys):
     assert code == 0 and "-h" in out
 
 
+# README examples that print through the element and operator reprs, with
+# their full stdout
+README_OUTPUTS = [
+    (["algebra", "star", "-q", q("loop.json"), "-l", "(e e*)", "-r", "(e e*)"],
+     "(e e*)&(e e*) - 1/4 h^2 I(v)&I(v)\n"),
+    (["algebra", "coprod", "-q", q("loop.json"), "-l", "(e e*)"],
+     "1 (x) (e e*) + (e e*) (x) 1\n"),
+    (["algebra", "bracket", "-q", q("twoloops.json"), "-l", "(a b)", "-r", "(a* b*)"],
+     "(a a*) + (b b*)\n"),
+    (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "2"],
+     "(1) M[e][1][1]*M[e*][1][1] + (1) M[e][1][2]*M[e*][2][1] + "
+     "(1) M[e][2][1]*M[e*][1][2] + (1) M[e][2][2]*M[e*][2][2]\n"),
+    (["moyal-classical", "-q", q("loop.json"), "-l", "(e e*)", "-r", "(e e*)",
+      "--dims", "1"],
+     "(-1/4 h^2) 1 + (1) M[e][1][1]^2*M[e*][1][1]^2\n"),
+    (["weyl", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1"],
+     "(-1/2 h) 1 + (1) M[e][1][1]*Y[e][1][1]\n"),
+    (["rho", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1", "--heights", "2,1"],
+     "(-h) 1 + (1) M[e][1][1]*Y[e][1][1]\n"),
+]
+
+
+def test_readme_element_outputs(capsys):
+    for args, expected in README_OUTPUTS:
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (0, expected, ""), args
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(["algebra", "star", "-q", q("loop.json"),
                             "-l", "(e"], capsys)
@@ -142,6 +170,7 @@ def test_console_script_entry():
 
 
 def test_malformed_input_exits_two(tmp_path, capsys):
+    ribbon = ["ribbon", "cochain", "-q", q("loop.json"), "--necklaces", "(e e*)", "--ribbon"]
     cases = [
         (["verify", "hopf", "-q"], {"vertices": ["v"]}, "'edges'"),
         (["verify", "hopf", "-q"],
@@ -149,9 +178,18 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         (["ainf", "check", "--data"],
          {"objects": ["v"], "adjacency": [["v", "v"]],
           "spaces": {"v,v": {"parities": [0]}}}, "'pairings'"),
-        (["ribbon", "cochain", "-q", q("loop.json"), "--necklaces", "(e e*)",
-          "--ribbon"], {"half_edges": [0, 1], "gamma": [[0, 1]]}, "'iota'"),
+        (ribbon, {"half_edges": [0, 1], "gamma": [[0, 1]]}, "'iota'"),
     ]
+    good = {"half_edges": [0, 1], "iota": [[0, 1]], "gamma": [[0, 1]]}
+    for change, key in [({"iota": [[0, 7]]}, "iota entry [0, 7] names 7"),
+                        ({"gamma": [[0, 9]]}, "gamma entry [0, 9] names 9"),
+                        ({"gamma": [0]}, "gamma entry 0"),
+                        ({"labels": {"face9": "v"}}, "'face9'"),
+                        ({"labels": {"face0": [1], "face1": "v"}}, "face label [1]"),
+                        ({"iota": [[0, 1, 1]]}, "iota entry [0, 1, 1]"),
+                        ({"iota": [0]}, "iota entry 0"),
+                        ({"half_edges": [[0], 1]}, "half-edge [0]")]:
+        cases.append((ribbon, dict(good, **change), key))
     for n, (args, data, key) in enumerate(cases):
         path = tmp_path / ("bad%d.json" % n)
         path.write_text(json.dumps(data))

@@ -1,4 +1,4 @@
-"""Property tests: QPoly arithmetic against a reference over plain dicts."""
+"""Property tests: QPoly and LinComb arithmetic against references over plain dicts."""
 
 import pytest
 
@@ -8,7 +8,10 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nlab.rational import ONE, ZERO, QPoly  # noqa: E402
+from nlab.necklace import NecklaceAlgebra  # noqa: E402
+from nlab.quiver import double, one_loop  # noqa: E402
+from nlab.rational import ONE, ZERO, LinComb, QPoly  # noqa: E402
+from nlab.repspace import RepPolynomial  # noqa: E402
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.one_of(
@@ -63,3 +66,63 @@ def test_unit_product_leaves_operand_unchanged(y, z):
         assert x * z == y * z and z * x == z * y and x.scale(3) == y.scale(3)
     assert y.c == before
     assert ONE.c == {0: 1}
+
+
+ALG = NecklaceAlgebra(double(one_loop()))
+LOOP = ALG.necklace(["e", "e*"])
+REP_KEYS = [(), ((("M", "e", 1, 1), 1),), ((("M", "e", 1, 1), 2), (("M", "e*", 1, 1), 1))]
+SYM_KEYS = [(), (LOOP,), (LOOP, LOOP), (ALG.idempotent("v"),)]
+
+
+def lincombs(make, keys):
+    """(element, reference dict with the zero coefficients dropped)."""
+    return st.dictionaries(st.sampled_from(keys), polys).map(
+        lambda d: (make(d), {k: ref(c) for k, c in d.items() if c}))
+
+
+rep_elements = lincombs(RepPolynomial, REP_KEYS)
+sym_elements = lincombs(ALG.element, SYM_KEYS)
+
+
+def lin_ref(x):
+    return {k: ref(c) for k, c in x.terms.items()}
+
+
+def lin_add(a, b, s=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = ref_add(out.get(k, {}), {e: s * v for e, v in c.items()})
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(rep_elements, rep_elements), st.tuples(sym_elements, sym_elements)),
+       polys, coeff, st.integers(0, 4))
+def test_lincomb_matches_reference(pair, q, v, k):
+    (x, rx), (y, ry) = pair
+    assert lin_ref(x) == rx
+    results = {
+        "add": (x + y, lin_add(rx, ry)),
+        "sub": (x - y, lin_add(rx, ry, -1)),
+        "scale": (x.scale(v), {m: {e: w * v for e, w in c.items()}
+                               for m, c in rx.items() if v}),
+        "mul_qpoly": (x.mul_qpoly(q), {m: ref_mul(c, ref(q)) for m, c in rx.items()
+                                       if ref_mul(c, ref(q))}),
+        "h_coefficient": (x.h_coefficient(k), {m: {0: c[k]} for m, c in rx.items()
+                                               if c.get(k)}),
+    }
+    for name, (out, expected) in results.items():
+        assert type(out) is type(x) and getattr(out, "alg", None) is getattr(x, "alg", None)
+        assert all(not c.is_zero() for c in out.terms.values()), name
+        assert lin_ref(out) == expected, name
+    assert (x - x).is_zero() and x - x == x.scale(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(SYM_KEYS), polys))
+def test_lincomb_kinds_differ(terms):
+    # equal terms in two different element kinds never compare equal
+    a, b, c = LinComb(terms), RepPolynomial(terms), ALG.element(terms)
+    assert a.terms == b.terms == c.terms
+    assert a != b and b != c and a != c
+    assert ALG.tensor(2, {}) != ALG.tensor(3, {})

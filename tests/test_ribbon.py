@@ -195,9 +195,15 @@ def test_size_guard():
         RibbonComplex(0, 4, 3, G=G, X=("v",) * 4, size_guard=2)
 
 
+def matmul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
 def test_complex_cache_validated_on_load(tmp_path):
-    # a truncated file, one without bases and one with a matrix one row
-    # short are misses: the complex is rebuilt and the file rewritten
+    # a truncated file, one without bases, one with a matrix one row short
+    # and one with an entry changed so that d^2 != 0 are misses: the
+    # complex is rebuilt and the file rewritten
     G = loop_graph()
     cold = RibbonComplex(1, 2, 3, G=G, X=("v", "v"))
     RibbonComplex(1, 2, 3, G=G, X=("v", "v"), cache_dir=str(tmp_path))
@@ -205,7 +211,14 @@ def test_complex_cache_validated_on_load(tmp_path):
     text = path.read_text()
     short = json.loads(text)
     short["matrices"]["5"] = short["matrices"]["5"][1:]
-    for bad in (text[:len(text) // 2], json.dumps({"version": 1}), json.dumps(short)):
+    broken = json.loads(text)
+    d4, d5 = broken["matrices"]["4"], broken["matrices"]["5"]
+    assert not any(any(row) for row in matmul(d4, d5))
+    t = next(t for t, row in enumerate(d5) if any(row))
+    d4[0][t] += 1
+    assert any(any(row) for row in matmul(d4, d5))
+    for bad in (text[:len(text) // 2], json.dumps({"version": 1}), json.dumps(short),
+                json.dumps(broken)):
         path.write_text(bad)
         cx = RibbonComplex(1, 2, 3, G=G, X=("v", "v"), cache_dir=str(tmp_path))
         assert cx.matrices == cold.matrices

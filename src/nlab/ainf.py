@@ -150,17 +150,6 @@ class CyclicAInfData:
             raise AInfError("tensor for cycle %s conflicts with a rotation" % (cycle,))
         self.tensors[cycle] = flat
 
-    def tensor_parity(self, cycle):
-        """Homogeneous parity of a stored tensor (None for zero tensors)."""
-        flat = self.tensors.get(cycle, {})
-        ps = set()
-        slots = self._slot_spaces(cycle)
-        for idx in flat:
-            ps.add(sum(self.parity(*slots[r], idx[r]) for r in range(len(idx))) % 2)
-        if len(ps) > 1:
-            raise AInfError("inhomogeneous tensor %s" % (cycle,))
-        return ps.pop() if ps else None
-
     def c_tensor(self, i, j):
         """Inverse-pairing element C in V_ij (x) V_ji: sum (G^{-1})_{ba} e_a (x) f_b."""
         hit = self._inverse_cache.get((i, j))
@@ -437,19 +426,20 @@ class WeightEngine:
             yield assign, coeff
 
 
-def _weight_task(payload):
-    data_blob, code, face_labels, auts = payload
-    data = load_data(data_blob)
-    from .ribbon.census import LabeledRibbonGraph
-    from .ribbon.graph import RibbonGraph
-    cg = RibbonGraph.from_code((tuple(code[0]), tuple(code[1]), tuple(code[2])))
-    lg = LabeledRibbonGraph(cg, tuple(face_labels), code,
-                            [tuple(a) for a in auts])
-    return WeightEngine(data).weight(lg) / len(lg.auts)
+_worker_engine = None
+
+
+def _start_worker(data):
+    global _worker_engine
+    _worker_engine = WeightEngine(data)
+
+
+def _weight_task(lg):
+    return _worker_engine.weight(lg) / len(lg.auts)
 
 
 def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
-                max_edges=None, cache_dir=None, jobs=1, data_blob=None):
+                max_edges=None, cache_dir=None, jobs=1):
     """The Kontsevich chain sum_Gamma W(Gamma, or)/|Aut Gamma| (Gamma, or).
 
     Returns (complex, chains, boundaries): chains maps each degree to the
@@ -457,29 +447,25 @@ def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
     vector one degree down (all exactly zero when the data satisfies the
     cyclic axioms; this is the desk-scale content of the cycle theorem).
     Weight computations for distinct graphs are independent; jobs > 1
-    spreads them over a process pool with a deterministic ordered merge.
+    spreads them over a process pool whose workers each receive the data
+    once, with a deterministic ordered merge.
     """
     from .ribbon.complexes import RibbonComplex
 
+    # data the engine rejects must fail here: a pool restarts a worker whose
+    # initializer raises, forever
     eng = WeightEngine(data)
     cx = RibbonComplex(genus, faces, min_valence, G=data.G, X=tuple(X),
                        max_edges=max_edges, cache_dir=cache_dir)
-    chains = {}
-    if jobs > 1 and data_blob is not None:
+    classes = [lg for k in sorted(cx.basis) for lg in cx.basis[k]]
+    if jobs > 1:
         import multiprocessing
-        tasks = []
-        slots = []
-        for k, basis in sorted(cx.basis.items()):
-            chains[k] = [None] * len(basis)
-            for i, lg in enumerate(basis):
-                tasks.append((data_blob, lg.code, lg.face_labels, lg.auts))
-                slots.append((k, i))
-        with multiprocessing.Pool(jobs) as pool:
-            for (k, i), w in zip(slots, pool.map(_weight_task, tasks)):
-                chains[k][i] = w
+        with multiprocessing.Pool(jobs, _start_worker, (data,)) as pool:
+            weights = pool.map(_weight_task, classes)
     else:
-        for k, basis in cx.basis.items():
-            chains[k] = [eng.weight(lg) / len(lg.auts) for lg in basis]
+        weights = [eng.weight(lg) / len(lg.auts) for lg in classes]
+    it = iter(weights)
+    chains = {k: [next(it) for _ in cx.basis[k]] for k in sorted(cx.basis)}
     boundaries = {}
     for k in sorted(cx.matrices):
         mat, vec = cx.matrices[k], chains.get(k, [])

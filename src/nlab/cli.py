@@ -223,20 +223,13 @@ def cmd_ribbon(args):
         return cmd_ribbon_cochain(args)
     if args.op == "enum":
         # every connected iso class, including nonorientable ones
-        from .ribbon.census import labeled_classes, unlabeled_as_classes
-        from .ribbon.complexes import degree_range
+        from .ribbon.complexes import degree_range, family_classes
         G, X = _ribbon_family(args)
         kmin, kmax = degree_range(args.genus, args.faces, args.min_valence,
-                                  args.max_edges)
+                                  args.max_edges, G, X)
         out = []
         for k in range(kmin, kmax + 1):
-            if G is not None:
-                classes = labeled_classes(k, args.min_valence, G, X,
-                                          genus=args.genus)
-            else:
-                classes = unlabeled_as_classes(k, args.min_valence,
-                                               genus=args.genus, faces=args.faces)
-            for lg in classes:
+            for lg in family_classes(k, args.genus, args.faces, args.min_valence, G, X):
                 g = lg.graph
                 out.append({
                     "edges": k, "vertices": g.num_vertices, "faces": g.num_faces,
@@ -275,7 +268,7 @@ def cmd_ribbon(args):
 
 
 def cmd_ribbon_cochain(args):
-    from .ribbon.census import canonical_labeled, unlabeled_class
+    from .ribbon.census import canonical_labeled, label_key
     from .ribbon.cochain import GraphCochain
     if not (args.ribbon and args.quiver and args.necklaces):
         raise QuiverError("cochain needs --ribbon, -q and --necklaces")
@@ -283,12 +276,8 @@ def cmd_ribbon_cochain(args):
         graph, labels = RibbonGraph.from_json(f.read())
     q = Quiver.load(args.quiver).multiply(args.mult)
     alg = NecklaceAlgebra(double(q))
-    if labels is None:
-        lg = unlabeled_class(graph)
-    else:
-        key = {v: i + 1 for i, v in enumerate(sorted(set(labels)))}
-        lg = canonical_labeled(graph, labels, key)
-    coch = GraphCochain(lg, alg)
+    labels = labels or (None,) * graph.num_faces
+    coch = GraphCochain(canonical_labeled(graph, labels, label_key(labels)), alg)
     necks = []
     for chunk in args.necklaces.split(";"):
         el = parse_element(alg, chunk.strip())
@@ -321,13 +310,10 @@ def cmd_ainf(args):
     if args.genus is None or args.faces is None or not args.labels:
         raise QuiverError("cycle needs --genus, --faces, --labels")
     X = tuple(x.strip() for x in args.labels.split(","))
-    with open(args.data) as f:
-        blob = f.read()
     cx, chains, boundaries = build_cycle(data, args.genus, args.faces, X,
                                          min_valence=args.min_valence,
                                          max_edges=args.max_edges,
-                                         cache_dir=args.cache_dir,
-                                         jobs=args.jobs, data_blob=blob)
+                                         cache_dir=args.cache_dir, jobs=args.jobs)
     ok = all(not any(v) for v in boundaries.values())
     if args.format == "json":
         print(json.dumps({

@@ -54,7 +54,7 @@ def canonical_data(iota, gamma, labels):
     return best_code, best_perms
 
 
-def _is_connected(iota, gamma):
+def is_connected(iota, gamma):
     n = len(iota)
     seen = [False] * n
     stack = [0]
@@ -109,7 +109,7 @@ def scan_pairings(valences, want_genus, want_faces):
     found = {}
 
     def emit():
-        if not _is_connected(iota, gamma):
+        if not is_connected(iota, gamma):
             return
         faces = _count_faces(iota, gamma)
         genus2 = 2 - (nvert - nedge + faces)

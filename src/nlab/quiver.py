@@ -34,7 +34,7 @@ class Quiver:
     """A finite quiver: ordered vertex ids and edge records (id, tail, head)."""
 
     def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
+        self.vertices = tuple(str(v) for v in vertices)
         self.edges = tuple((str(e), str(t), str(h)) for (e, t, h) in edges)
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):

@@ -190,6 +190,8 @@ class RepSpace:
         for v in self.dq.vertices:
             if v not in self.dims:
                 raise QuiverError("dimension vector misses vertex %r" % v)
+            if self.dims[v] < 0:
+                raise QuiverError("negative dimension %d at vertex %r" % (self.dims[v], v))
         self._phi_memo = {}
 
     # trace representation --------------------------------------------------

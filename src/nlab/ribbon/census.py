@@ -5,7 +5,8 @@ generated by vertex splitting from the one-vertex maps, deduplicated by
 canonical form.  Face labelings by vertices of an adjacency graph G are
 layered on top: every edge must separate faces whose labels are adjacent
 in G, the label multiset is fixed, and labeled classes are deduplicated
-by the label-aware canonical form.
+by the label-aware canonical form.  An unlabeled class is the one-object
+case: every face carries the label None, which keys to 0.
 """
 
 from __future__ import annotations
@@ -126,20 +127,30 @@ def canonical_class(graph: RibbonGraph, dart_labels=None):
     return code, RibbonGraph.from_code(code), p0, auts
 
 
-def unlabeled_class(graph: RibbonGraph) -> LabeledRibbonGraph:
-    """A graph's canonical class with trivial labels."""
-    code, cg, _, auts = canonical_class(graph)
-    return LabeledRibbonGraph(cg, (None,) * cg.num_faces, code, auts)
+def label_key(labels):
+    """The fixed injection label -> int used inside canonical codes.
 
-
-def canonical_labeled(graph: RibbonGraph, face_labels, label_key) -> LabeledRibbonGraph:
-    """Rebuild a labeled graph in its canonical form.
-
-    label_key: label -> int, a fixed injection used inside the code.
+    None (the one object of an unlabeled family) maps to 0, the other
+    labels to 1, 2, ... in sorted order.
     """
-    dart_labels = [label_key[face_labels[graph.face_of(d)]] for d in range(graph.n)]
-    code, cg, _, auts = canonical_class(graph, dart_labels)
-    key_to_label = {v: k for k, v in label_key.items()}
+    key = {v: i + 1 for i, v in enumerate(sorted(set(labels) - {None}))}
+    key[None] = 0
+    return key
+
+
+def dart_keys(graph: RibbonGraph, face_labels, key):
+    """Per-dart integers: the key of the label of each dart's face."""
+    keys = [0] * graph.n
+    for cyc, lab in zip(graph.faces, face_labels):
+        for d in cyc:
+            keys[d] = key[lab]
+    return keys
+
+
+def canonical_labeled(graph: RibbonGraph, face_labels, key) -> LabeledRibbonGraph:
+    """Rebuild a labeled graph in its canonical form; key is a label_key."""
+    code, cg, _, auts = canonical_class(graph, dart_keys(graph, face_labels, key))
+    key_to_label = {v: k for k, v in key.items()}
     lab = [key_to_label[code[2][cyc[0]]] for cyc in cg.faces]
     return LabeledRibbonGraph(cg, lab, code, auts)
 
@@ -172,27 +183,24 @@ def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus=None):
     genus=None takes every genus the edge and face counts allow.
     """
     X = tuple(sorted(X))
-    label_key = {v: i + 1 for i, v in enumerate(sorted(set(G.vertices)))}
+    key = label_key(G.vertices)
     genera = [genus] if genus is not None else range((num_edges + 1 - len(X)) // 2 + 1)
     out = {}
     for g in genera:
         for graph in iso_classes(num_edges, min_valence, g, len(X)):
             for lab in label_assignments(graph, G, X):
-                lg = canonical_labeled(graph, lab, label_key)
+                lg = canonical_labeled(graph, lab, key)
                 out.setdefault(lg.code, lg)
     return [out[c] for c in sorted(out)]
 
 
 def unlabeled_as_classes(num_edges, min_valence, genus, faces):
-    """Unlabeled classes wrapped with trivial labels (single-label complexes)."""
-    return [unlabeled_class(graph)
+    """Unlabeled classes: the one-object case, every face labeled None."""
+    key = label_key(())
+    return [canonical_labeled(graph, (None,) * faces, key)
             for graph in iso_classes(num_edges, min_valence, genus, faces)]
 
 
 def polygon_class(k, face_labels=(None, None)):
     """The k-gon as a (possibly labeled) class."""
-    g = polygon(k)
-    if face_labels == (None, None):
-        return unlabeled_class(g)
-    key = {v: i + 1 for i, v in enumerate(sorted(set(face_labels)))}
-    return canonical_labeled(g, face_labels, key)
+    return canonical_labeled(polygon(k), face_labels, label_key(face_labels))

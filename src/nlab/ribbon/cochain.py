@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from ..linalg import perm_sign
 from ..necklace import NecklaceAlgebra
 from .census import LabeledRibbonGraph
 from .orientation import OrientationBridge
@@ -64,7 +65,7 @@ class GraphCochain:
             return Fraction(0)
         total = Fraction(0)
         for perm in permutations(range(len(necklaces))):
-            sgn = _perm_parity(perm)
+            sgn = perm_sign(perm)
             tup = [necklaces[perm[v]] for v in range(len(necklaces))]
             total += sgn * self.evaluate_tuple(tup, edge_flips)
         return total
@@ -114,22 +115,6 @@ class GraphCochain:
                 return Fraction(0)
             val *= s
         return val
-
-
-def _perm_parity(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def ce_boundary(alg: NecklaceAlgebra, necklaces):

@@ -21,10 +21,10 @@ import json
 import os
 
 from ..linalg import perm_sign, rank
-from .census import (LabeledRibbonGraph, canonical_class, labeled_classes,
-                     unlabeled_as_classes)
+from .census import (LabeledRibbonGraph, canonical_class, dart_keys, label_key,
+                     labeled_classes, unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
-from .orientation import is_orientable
+from .orientation import ef_sign, is_orientable
 
 CACHE_VERSION = 1
 
@@ -39,16 +39,42 @@ def bottom_degree(g, m):
     return 2 * g - 1 + m
 
 
-def degree_range(g, m, min_valence, max_edges=None):
-    """(kmin, kmax) of a family: bottom degree to top degree, capped at max_edges."""
-    top = top_degree(g, m, min_valence)
+def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
+    """(kmin, kmax) of a (g, m [, G, X]) family: bottom degree to top degree,
+    capped at max_edges.
+
+    Raises RibbonError unless the family exists.  X, when given, is the face
+    label multiset: one vertex of G per face.
+    """
+    if genus < 0:
+        raise RibbonError("genus must be >= 0")
+    if faces < 1:
+        raise RibbonError("need at least one face")
+    if min_valence >= 3 and 2 - 2 * genus - faces >= 0:
+        raise RibbonError("unstable (g, m): no valence>=3 complex")
+    if (G is None) != (X is None):
+        raise RibbonError("labeled complexes need both G and X")
+    if X is not None:
+        if len(X) != faces:
+            raise RibbonError("label multiset size must equal the face count")
+        for x in X:
+            if x not in G.vertices:
+                raise RibbonError("label %r is not a vertex of the adjacency graph" % (x,))
+    top = top_degree(genus, faces, min_valence)
     if top is None:
         if max_edges is None:
             raise RibbonError("valence-2 families need max_edges")
         top = max_edges
     elif max_edges is not None:
         top = min(top, max_edges)
-    return bottom_degree(g, m), top
+    return bottom_degree(genus, faces), top
+
+
+def family_classes(k, genus, faces, min_valence, G=None, X=None):
+    """Every connected class of degree k in a family, orientable or not."""
+    if G is not None:
+        return labeled_classes(k, min_valence, G, X, genus=genus)
+    return unlabeled_as_classes(k, min_valence, genus=genus, faces=faces)
 
 
 class RibbonComplex:
@@ -58,20 +84,12 @@ class RibbonComplex:
 
     def __init__(self, genus, faces, min_valence, G=None, X=None,
                  max_edges=None, cache_dir=None, size_guard=None):
-        if faces < 1:
-            raise RibbonError("need at least one face")
-        if min_valence >= 3 and 2 - 2 * genus - faces >= 0:
-            raise RibbonError("unstable (g, m): no valence>=3 complex")
+        self.kmin, self.kmax = degree_range(genus, faces, min_valence, max_edges, G, X)
         self.genus = genus
         self.faces = faces
         self.min_valence = min_valence
         self.G = G
         self.X = tuple(sorted(X)) if X is not None else None
-        if (G is None) != (X is None):
-            raise RibbonError("labeled complexes need both G and X")
-        if X is not None and len(self.X) != faces:
-            raise RibbonError("label multiset size must equal the face count")
-        self.kmin, self.kmax = degree_range(genus, faces, min_valence, max_edges)
         self.basis = {}       # degree -> list of LabeledRibbonGraph (orientable)
         self.index = {}       # degree -> {code: position}
         self.matrices = {}    # degree k -> boundary C_k -> C_{k-1} (row-major)
@@ -82,17 +100,12 @@ class RibbonComplex:
 
     # -- construction -----------------------------------------------------------
 
-    def _classes(self, k):
-        if self.G is not None:
-            return labeled_classes(k, self.min_valence, self.G, self.X,
-                                   genus=self.genus)
-        return unlabeled_as_classes(k, self.min_valence, genus=self.genus,
-                                    faces=self.faces)
-
     def _build(self):
         total = 0
         for k in range(self.kmin, self.kmax + 1):
-            basis = [lg for lg in self._classes(k) if lg.is_orientable()]
+            basis = [lg for lg in family_classes(k, self.genus, self.faces,
+                                                 self.min_valence, self.G, self.X)
+                     if lg.is_orientable()]
             total += len(basis)
             if total > self._size_guard:
                 raise RibbonError("size guard exceeded (%d basis elements); "
@@ -111,15 +124,13 @@ class RibbonComplex:
         mat = [[0] * cols for _ in range(rows)]
         if not cols:
             return mat
-        label_key = None
-        if self.G is not None:
-            label_key = {v: i + 1 for i, v in enumerate(sorted(set(self.G.vertices)))}
+        key = label_key(self.G.vertices if self.G is not None else ())
         for col, lg in enumerate(self.basis[k]):
-            for target, coeff in self._contractions(lg, k, label_key):
+            for target, coeff in self._contractions(lg, k, key):
                 mat[target][col] += coeff
         return mat
 
-    def _contractions(self, lg: LabeledRibbonGraph, k, label_key):
+    def _contractions(self, lg: LabeledRibbonGraph, k, key):
         g = lg.graph
         for i in range(g.num_edges):
             if g.is_loop(i):
@@ -130,27 +141,18 @@ class RibbonComplex:
             for cyc in g.faces:
                 d = next(d for d in cyc if d in dart_map)
                 face_img.append(contracted.face_of(dart_map[d]))
-            face_sign = perm_sign(face_img)
-            if self.G is not None:
-                labels = [None] * contracted.num_faces
-                for old_f, new_f in enumerate(face_img):
-                    labels[new_f] = lg.face_labels[old_f]
-                dart_labels = [label_key[labels[contracted.face_of(d)]]
-                               for d in range(contracted.n)]
-            else:
-                dart_labels = [0] * contracted.n
-            code, cg, p0, auts = canonical_class(contracted, dart_labels)
+            labels = [None] * contracted.num_faces
+            for old_f, new_f in enumerate(face_img):
+                labels[new_f] = lg.face_labels[old_f]
+            code, cg, p0, auts = canonical_class(contracted,
+                                                 dart_keys(contracted, labels, key))
             pos = self.index[k - 1].get(code)
             if pos is None:
                 if is_orientable(cg, auts):
                     raise RibbonError("boundary left the enumerated basis")
                 continue
-            # sign of the canonical relabeling on edges and faces
-            edge_img = [cg.edge_of(p0[a]) for (a, b) in contracted.edges]
-            f2_img = [cg.face_of(p0[cyc[0]]) for cyc in contracted.faces]
-            relabel_sign = perm_sign(edge_img) * perm_sign(f2_img)
-            sign = (-1) ** i * face_sign * relabel_sign
-            yield pos, sign
+            # the canonical relabeling acts on edges and faces too
+            yield pos, (-1) ** i * perm_sign(face_img) * ef_sign(contracted, p0, cg)
 
     # -- exact homology ------------------------------------------------------------
 
@@ -238,9 +240,8 @@ class RibbonComplex:
                     code = (tuple(item["gamma"]), tuple(item["iota"]), tuple(item["lab"]))
                     cg = RibbonGraph.from_code(code)
                     auts = [tuple(p) for p in item["auts"]]
-                    labels = tuple(item["face_labels"]) if self.G is not None \
-                        else (None,) * cg.num_faces
-                    basis[int(k_str)].append(LabeledRibbonGraph(cg, labels, code, auts))
+                    basis[int(k_str)].append(
+                        LabeledRibbonGraph(cg, item["face_labels"], code, auts))
             matrices = {int(k): v for k, v in data["matrices"].items()}
             if not self._shapes_agree(basis, matrices):
                 return False

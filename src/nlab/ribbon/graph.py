@@ -122,7 +122,7 @@ class RibbonGraph:
         return len(self.vertices)
 
     def genus(self):
-        if not self.is_connected():
+        if not kernels.is_connected(self.iota, self.gamma):
             raise RibbonError("disconnected ribbon graph")
         chi = self.num_vertices - self.num_edges + self.num_faces
         if chi % 2:
@@ -134,20 +134,6 @@ class RibbonGraph:
 
     def valences(self):
         return tuple(sorted(len(v) for v in self.vertices))
-
-    def is_connected(self):
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        k = 1
-        while stack:
-            d = stack.pop()
-            for nb in (self.gamma[d], self.iota[d]):
-                if not seen[nb]:
-                    seen[nb] = True
-                    k += 1
-                    stack.append(nb)
-        return k == self.n
 
     def is_loop(self, edge_index):
         a, b = self.edges[edge_index]

@@ -30,10 +30,14 @@ from ..linalg import det_sign, perm_sign, pfaffian, rank, relative_perm_sign
 from .graph import RibbonGraph, RibbonError
 
 
-def aut_sign_ef(graph: RibbonGraph, perm) -> int:
-    """Sign of an automorphism on det(R^E) x det(R^F)."""
-    edge_img = [graph.edge_of(perm[a]) for (a, b) in graph.edges]
-    face_img = [graph.face_of(perm[cyc[0]]) for cyc in graph.faces]
+def ef_sign(graph: RibbonGraph, perm, target: RibbonGraph) -> int:
+    """Sign of a dart bijection graph -> target on det(R^E) x det(R^F).
+
+    Edges and faces of both graphs are taken in index order; with
+    target = graph, perm is an automorphism acting on the EF orientation.
+    """
+    edge_img = [target.edge_of(perm[a]) for (a, b) in graph.edges]
+    face_img = [target.face_of(perm[cyc[0]]) for cyc in graph.faces]
     return perm_sign(edge_img) * perm_sign(face_img)
 
 
@@ -49,19 +53,7 @@ def aut_sign_vertex_edge(graph: RibbonGraph, perm) -> int:
 
 
 def is_orientable(graph: RibbonGraph, auts) -> bool:
-    return all(aut_sign_ef(graph, p) == 1 for p in auts)
-
-
-def orientability(graph: RibbonGraph, auts):
-    """(flag, orientation): the reference orientation when orientable.
-
-    The representative orientation is the pair (edge order, face order) in
-    index order; the other class is its negative.
-    """
-    if is_orientable(graph, auts):
-        return True, (tuple(range(graph.num_edges)),
-                      tuple(range(graph.num_faces)))
-    return False, None
+    return all(ef_sign(graph, p, graph) == 1 for p in auts)
 
 
 class OrientationBridge:
@@ -109,9 +101,6 @@ class OrientationBridge:
                 d = g.gamma[d]
         s *= relative_perm_sign(ref_seq, target)
         return s
-
-    def ef_value(self, edge_order, face_order) -> int:
-        return (perm_sign(list(edge_order)) * perm_sign(list(face_order)))
 
     # -- torsion of the based cellular complex -----------------------------------
 

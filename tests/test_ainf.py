@@ -198,5 +198,5 @@ def test_build_cycle_jobs_matches_serial():
     })
     data = load_data(blob)
     _, serial, _ = build_cycle(data, 0, 3, ("v",) * 3)
-    _, parallel, _ = build_cycle(data, 0, 3, ("v",) * 3, jobs=2, data_blob=blob)
+    _, parallel, _ = build_cycle(data, 0, 3, ("v",) * 3, jobs=2)
     assert serial == parallel

@@ -137,6 +137,52 @@ def test_readme_element_outputs(capsys):
         assert (code, out, err) == (0, expected, ""), args
 
 
+TWOVERTEX = ["--graph", q("twovertex.json")]
+
+# unlabeled and labeled ribbon families, the README cochain example and a
+# two-object A-infinity cycle, with their full stdout
+RIBBON_OUTPUTS = [
+    (["ribbon", "enum", "--genus", "1", "--faces", "1", "--format", "json"],
+     json.dumps([
+         {"edges": 2, "vertices": 1, "faces": 1, "genus": 1, "valences": [4],
+          "aut_order": 4, "orientable": False, "gamma": [[0, 1, 2, 3]],
+          "iota": [[0, 2], [1, 3]], "labels": [None]},
+         {"edges": 3, "vertices": 2, "faces": 1, "genus": 1, "valences": [3, 3],
+          "aut_order": 6, "orientable": True, "gamma": [[0, 1, 3], [2, 4, 5]],
+          "iota": [[0, 2], [1, 4], [3, 5]], "labels": [None]},
+     ], indent=2) + "\n"),
+    (["ribbon", "enum", "--genus", "0", "--faces", "3", *TWOVERTEX,
+      "--labels", "v1,v1,v2", "--max-edges", "4"],
+     "edges=2 vertices=1 valences=[4] |Aut|=1 orientable=True labels=['v1', 'v1', 'v2']\n"
+     "edges=2 vertices=1 valences=[4] |Aut|=2 orientable=True labels=['v2', 'v1', 'v1']\n"
+     "edges=3 vertices=2 valences=[3, 3] |Aut|=1 orientable=True labels=['v1', 'v1', 'v2']\n"
+     "edges=3 vertices=2 valences=[3, 3] |Aut|=2 orientable=True labels=['v1', 'v1', 'v2']\n"),
+    (["ribbon", "boundary", "--genus", "1", "--faces", "2", *TWOVERTEX,
+      "--labels", "v1,v2"],
+     "# d: degree 4 -> 3  (2 x 5)\n-1\t2\t-1\t0\t2\n0\t0\t0\t1\t0\n"
+     "# d: degree 5 -> 4  (5 x 7)\n-2\t1\t0\t0\t0\t0\t0\n-1\t0\t0\t2\t0\t0\t0\n"
+     "0\t-1\t0\t0\t0\t0\t0\n0\t0\t0\t0\t0\t0\t0\n0\t0\t0\t-2\t0\t0\t0\n"
+     "# d: degree 6 -> 5  (7 x 4)\n0\t0\t0\t0\n0\t0\t0\t0\n-1\t2\t0\t0\n0\t0\t0\t0\n"
+     "0\t0\t-2\t0\n0\t2\t0\t3\n0\t0\t4\t3\n"),
+    (["ribbon", "cochain", "--ribbon", q("p3.json"), "-q", q("loop.json"),
+      "--mult", "2", "--necklaces", "(e#1 e#2*);(e#2 e#1*);(e#1 e#1*)"],
+     "1\n"),
+    (["ainf", "cycle", "--data", q("matrix_units.json"), "--genus", "0",
+      "--faces", "4", "--labels", "p,p,q,q"],
+     "degree 3: 0 0 0 0\n"
+     "degree 4: " + " ".join(["0"] * 22) + "\n"
+     "degree 5: " + " ".join(["0"] * 38) + "\n"
+     "degree 6: -1 -1/2 -1 -1/2 1 1/2 1 1/2 -1 -1 1 1 1 1 1 1 -1 -1/4 -1/4 1/2\n"
+     "boundary of every chain is zero: True\n"),
+]
+
+
+def test_ribbon_outputs_pinned(capsys):
+    for args, expected in RIBBON_OUTPUTS:
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (0, expected, ""), args
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(["algebra", "star", "-q", q("loop.json"),
                             "-l", "(e"], capsys)
@@ -147,6 +193,19 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(["ribbon", "homology", "--genus", "0",
                             "--faces", "2", "--min-valence", "3"], capsys)
     assert code == 2  # unstable (g, m)
+    # families that cannot exist, and a negative dimension
+    for args, key in [
+        (["ribbon", "homology", "--genus", "-1", "--faces", "5"], "genus"),
+        (["ribbon", "enum", "--genus", "-1", "--faces", "3"], "genus"),
+        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
+          "--labels", "v,v,w"], "'w'"),
+        (["ribbon", "homology", "--genus", "0", "--faces", "3", *TWOVERTEX,
+          "--labels", "v1,v1,zz"], "'zz'"),
+        (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "-1"], "negative"),
+    ]:
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
 
 
 def test_ribbon_cochain_cli(tmp_path, capsys):

@@ -3,8 +3,8 @@ import random
 from nlab.linalg import perm_sign
 from nlab.ribbon.census import iso_classes, unlabeled_as_classes
 from nlab.ribbon.graph import RibbonGraph
-from nlab.ribbon.orientation import (OrientationBridge, aut_sign_ef,
-                                     aut_sign_vertex_edge)
+from nlab.ribbon.orientation import (OrientationBridge, aut_sign_vertex_edge,
+                                     ef_sign)
 
 
 def sample_graphs():
@@ -19,7 +19,8 @@ def test_aut_signs_agree_across_representations():
     for lg_cls in (unlabeled_as_classes(3, 2, genus=0, faces=3) +
                    unlabeled_as_classes(4, 2, genus=1, faces=1)):
         for a in lg_cls.auts:
-            assert aut_sign_ef(lg_cls.graph, a) == aut_sign_vertex_edge(lg_cls.graph, a)
+            g = lg_cls.graph
+            assert ef_sign(g, a, g) == aut_sign_vertex_edge(g, a)
 
 
 def test_bridge_equivariance_under_relabeling():

@@ -63,3 +63,9 @@ def test_validation():
         Quiver(["v"], [("e*", "v", "v")])
     with pytest.raises(QuiverError):
         Quiver(["v"], [("e", "v", "v"), ("e", "v", "v")])
+
+
+def test_integer_ids_are_strings():
+    q = Quiver.from_json('{"vertices": [1], "edges": [{"id": "e", "tail": 1, "head": 1}]}')
+    assert q.vertices == ("1",) and q.edges == (("e", "1", "1"),)
+    assert adjacency(q).has_loop("1")

@@ -28,7 +28,6 @@ from .ribbon.graph import RibbonGraph, RibbonError
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.add_argument("--cache-dir", default=os.environ.get("NLAB_CACHE"))
 
@@ -88,6 +87,8 @@ def build_parser():
     p.add_argument("--labels")
     p.add_argument("--min-valence", type=int, default=3)
     p.add_argument("--max-edges", type=int)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the weights of `ainf cycle`")
     _add_common(p)
     return ap
 

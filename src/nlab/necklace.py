@@ -73,12 +73,17 @@ class Path:
 class Necklace:
     """A cyclic edge word in minimal rotation, or a vertex idempotent."""
 
-    __slots__ = ("word", "vertex", "_key")
+    __slots__ = ("word", "vertex", "_key", "_hash")
 
     def __init__(self, word, vertex, key):
         self.word = word
         self.vertex = vertex
         self._key = key
+        self._hash = hash(key)
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy _hash
+        return (Necklace, (self.word, self.vertex, self._key))
 
     def is_idempotent(self):
         return not self.word
@@ -96,7 +101,7 @@ class Necklace:
         return self._key < other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         if self.word:

@@ -2,7 +2,9 @@
 
 All algebraic identities in this package are coefficient-wise in h, so h is
 never specialized to a number; every scalar is a QPoly, a polynomial in the
-formal parameter h over the rationals.  Every element type (Sym L[h], its
+formal parameter h over the rationals.  Its coefficients are exact: an `int`
+when the value was built from integers, a `Fraction` otherwise; the two
+compare, hash and print alike.  Every element type (Sym L[h], its
 tensor powers, trace polynomials, operators) is a LinComb: a finite sum of
 keys with QPoly coefficients.
 """
@@ -15,7 +17,11 @@ _UNIT = {0: 1}  # coefficient dict of the unit polynomial
 
 
 class QPoly:
-    """Polynomial in h with Fraction coefficients, stored sparsely.
+    """Polynomial in h with exact coefficients, stored sparsely.
+
+    A coefficient is an `int` or a `Fraction`: integer input stays an `int`,
+    since `1 == Fraction(1)` with equal hashes, so `==`, `hash` and `str` do
+    not depend on which of the two a coefficient is.
 
     Instances are immutable and may be shared between results: a product with
     the unit polynomial returns the other operand itself, not a copy.  Never
@@ -25,11 +31,12 @@ class QPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        # coeffs: dict {exponent: Fraction-like}; zeros are dropped.
+        # coeffs: dict {exponent: int or Fraction-like}; zeros are dropped.
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                if type(v) is not int:
+                    v = Fraction(v)
                 if v:
                     c[int(k)] = v
         self.c = c
@@ -44,18 +51,18 @@ class QPoly:
 
     @staticmethod
     def const(v) -> "QPoly":
-        return QPoly({0: Fraction(v)})
+        return QPoly({0: v})
 
     @staticmethod
     def h_power(k, coeff=1) -> "QPoly":
-        return QPoly({k: Fraction(coeff)})
+        return QPoly({k: coeff})
 
     def is_zero(self):
         return not self.c
 
-    def coeff(self, k) -> Fraction:
-        """Coefficient of h^k."""
-        return self.c.get(k, Fraction(0))
+    def coeff(self, k):
+        """Coefficient of h^k, an int or a Fraction."""
+        return self.c.get(k, 0)
 
     def degree(self):
         return max(self.c) if self.c else -1
@@ -101,7 +108,8 @@ class QPoly:
         return self.scale(other)
 
     def scale(self, v) -> "QPoly":
-        v = Fraction(v)
+        if type(v) is not int:
+            v = Fraction(v)
         if not v:
             return QPoly()
         out = QPoly()
@@ -144,7 +152,7 @@ class QPoly:
         return " ".join(out)
 
 
-def monomial_str(mag: Fraction, k: int) -> str:
+def monomial_str(mag, k: int) -> str:
     if k == 0:
         return str(mag)
     hpart = "h" if k == 1 else "h^%d" % k
@@ -161,9 +169,11 @@ class LinComb:
     """A finite Q[h]-linear combination: `terms` maps keys to nonzero QPolys.
 
     Subclasses fix what a key is and override `_empty` when their elements
-    carry context.  `terms` is a plain public dict.  `_add` accumulates in
-    place and may leave zero coefficients behind; `_clean` drops them, and
-    every public operation returns a cleaned element.
+    carry context.  `terms` is a plain public dict.  `_add` and `_add_all`
+    accumulate in place and may leave zero coefficients behind; `_clean`
+    drops them, and every public operation returns a cleaned element.  Only
+    accumulate into a fresh element: one that a memo or a caller holds must
+    not change.
     """
 
     __slots__ = ("terms",)
@@ -185,6 +195,15 @@ class LinComb:
         cur = self.terms.get(key)
         self.terms[key] = c if cur is None else cur + c
 
+    def _add_all(self, other, q=None):
+        """`_add` every term of other, times the QPoly q when given."""
+        terms = self.terms
+        for key, c in other.terms.items():
+            if q is not None:
+                c = c * q
+            cur = terms.get(key)
+            terms[key] = c if cur is None else cur + c
+
     def _clean(self):
         self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
         return self
@@ -192,8 +211,7 @@ class LinComb:
     def __add__(self, other):
         out = self._empty()
         out.terms = dict(self.terms)
-        for key, c in other.terms.items():
-            out._add(key, c)
+        out._add_all(other)
         return out._clean()
 
     def __sub__(self, other):

@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .necklace import Necklace, NecklaceAlgebra, SymElement
 from .quiver import QuiverError
-from .rational import LinComb, QPoly
+from .rational import ONE, LinComb, QPoly
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -128,7 +128,10 @@ class DiffOperator(LinComb):
                 base = k1 * k2
                 for cm, ym, coeff, hpow in _reorder(y1, c2):
                     key = (mono_mul(c1, cm), mono_mul(ym, y2))
-                    out._add(key, base * QPoly({hpow: coeff}))
+                    if coeff != 1 or hpow:
+                        out._add(key, base * QPoly({hpow: coeff}))
+                    else:
+                        out._add(key, base)
         return out._clean()
 
     def __repr__(self):
@@ -142,10 +145,10 @@ def _reorder(ymono, cmono):
 
         Y^a . m = sum_b  prod C(a_v, b_v) (-h)^{|b|} (d^b m) Y^{a-b}.
 
-    Yields (coordinate monomial, Y monomial, rational coefficient, h power).
+    Yields (coordinate monomial, Y monomial, integer coefficient, h power).
     """
     if not ymono or not cmono:
-        yield (cmono, ymono, Fraction(1), 0)
+        yield (cmono, ymono, 1, 0)
         return
     cdict = dict(cmono)
     alpha = list(ymono)
@@ -155,7 +158,7 @@ def _reorder(ymono, cmono):
         cap = min(a, cdict.get(tv, 0))
         ranges.append(range(cap + 1))
     for beta in product(*ranges):
-        coeff = Fraction(1)
+        coeff = 1
         m = cmono
         ok = True
         total = 0
@@ -174,8 +177,7 @@ def _reorder(ymono, cmono):
         if not ok:
             continue
         rest = tuple((v, a - b) for (v, a), b in zip(alpha, beta) if a - b)
-        sign = Fraction(-1) ** total
-        yield (m, rest, coeff * sign, total)
+        yield (m, rest, -coeff if total % 2 else coeff, total)
 
 
 # -- the oracles -------------------------------------------------------------
@@ -192,34 +194,45 @@ class RepSpace:
                 raise QuiverError("dimension vector misses vertex %r" % v)
             if self.dims[v] < 0:
                 raise QuiverError("negative dimension %d at vertex %r" % (self.dims[v], v))
-        self._phi_memo = {}
+        self._phi_memo = {}    # sorted letters -> their ordering average
+        self._trace_memo = {}  # necklace -> trace_necklace value
 
     # trace representation --------------------------------------------------
 
     def trace_necklace(self, n: Necklace) -> RepPolynomial:
+        """Trace of a necklace's word, memoized; the result is shared, never
+        accumulate into it."""
+        hit = self._trace_memo.get(n)
+        if hit is None:
+            hit = self._trace_memo[n] = self._trace_word(n)
+        return hit
+
+    def _trace_word(self, n: Necklace) -> RepPolynomial:
         if n.is_idempotent():
             return RepPolynomial.const(self.dims[n.vertex])
         word = n.word
         m = len(word)
         ranges = [range(1, self.dims[self.dq.tail[e]] + 1) for e in word]
         out = RepPolynomial()
+        shared = {}  # one object per distinct coordinate and (coordinate, exponent)
         for idx in product(*ranges):
-            mono = ()
+            mono = {}
             for r, e in enumerate(word):
-                row = idx[(r + 1) % m]
-                col = idx[r]
-                mono = mono_mul(mono, ((("M", e, row, col), 1),))
-            out._add(mono, QPoly.one())
+                v = ("M", e, idx[(r + 1) % m], idx[r])
+                v = shared.setdefault(v, v)
+                mono[v] = mono.get(v, 0) + 1
+            out._add(tuple(sorted(shared.setdefault(p, p) for p in mono.items())), ONE)
         return out._clean()
 
     def trace_rep(self, P: SymElement) -> RepPolynomial:
         out = RepPolynomial()
         for ms, c in P.terms.items():
-            poly = RepPolynomial.const(1)
+            poly = None
             for n in ms:
-                poly = poly * self.trace_necklace(n)
-            out = out + poly.mul_qpoly(c)
-        return out
+                t = self.trace_necklace(n)
+                poly = t if poly is None else poly * t
+            out._add_all(poly if poly is not None else RepPolynomial.const(1), c)
+        return out._clean()
 
     # classical Moyal product ------------------------------------------------
 
@@ -275,8 +288,9 @@ class RepSpace:
     def poisson_classical(self, f: RepPolynomial, g: RepPolynomial) -> RepPolynomial:
         out = RepPolynomial()
         for x, y in self.canonical_pairs():
-            out = out + f.diff(x) * g.diff(y) - f.diff(y) * g.diff(x)
-        return out
+            out._add_all(f.diff(x) * g.diff(y))
+            out._add_all(f.diff(y) * g.diff(x), QPoly.const(-1))
+        return out._clean()
 
     # Weyl symmetrization ------------------------------------------------------
 
@@ -310,8 +324,9 @@ class RepSpace:
                 mult = letters.count(t)
                 rest = list(letters)
                 rest.remove(t)
-                res = res + (self._average(rest) * DiffOperator.generator(t)).scale(
-                    Fraction(mult, n))
+                res._add_all(self._average(rest) * DiffOperator.generator(t),
+                             QPoly.const(Fraction(mult, n)))
+            res._clean()
         self._phi_memo[key] = res
         return res
 
@@ -321,8 +336,8 @@ class RepSpace:
             letters = []
             for v, e in m:
                 letters.extend([self._to_generator(v)] * e)
-            out = out + self._average(letters).mul_qpoly(c)
-        return out
+            out._add_all(self._average(letters), c)
+        return out._clean()
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:
         """Inverse of weyl_symmetrize; degree-descending elimination."""
@@ -342,9 +357,9 @@ class RepSpace:
                         mono = mono_mul(mono, ((("M", v[1] + "*", v[2], v[3]), e),))
                     top._add(mono, c)
             top._clean()
-            f = f + top
+            f._add_all(top)
             rem = rem - self.weyl_symmetrize(top)
-        return f
+        return f._clean()
 
     # height words ---------------------------------------------------------------
 
@@ -368,7 +383,7 @@ class RepSpace:
             term = DiffOperator.const(1)
             for _, gen in ordered:
                 term = term * DiffOperator.generator(gen)
-            out = out + term
+            out._add_all(term)
         return out.scale(scalar)
 
     def _index_expansions(self, ms):
@@ -414,8 +429,8 @@ class RepSpace:
         if isinstance(P, SymElement):
             out = DiffOperator()
             for ms, c in P.terms.items():
-                out = out + self._phi_ms(ms).mul_qpoly(c)
-            return out
+                out._add_all(self._phi_ms(ms), c)
+            return out._clean()
         return self._phi_ms(P)
 
     def _phi_ms(self, ms) -> DiffOperator:
@@ -425,5 +440,5 @@ class RepSpace:
                 scalar *= self.dims[n.vertex]
         out = DiffOperator()
         for letters_by_pos in self._index_expansions(ms):
-            out = out + self._average([gen for _, gen in letters_by_pos])
+            out._add_all(self._average([gen for _, gen in letters_by_pos]))
         return out.scale(scalar)

@@ -124,11 +124,15 @@ class RibbonComplex:
         mat = [[0] * cols for _ in range(rows)]
         if not cols:
             return mat
-        key = label_key(self.G.vertices if self.G is not None else ())
+        key = self._label_key()
         for col, lg in enumerate(self.basis[k]):
             for target, coeff in self._contractions(lg, k, key):
                 mat[target][col] += coeff
         return mat
+
+    def _label_key(self):
+        """The label_key of the family's codes: G's vertices, or None alone."""
+        return label_key(self.G.vertices if self.G is not None else ())
 
     def _contractions(self, lg: LabeledRibbonGraph, k, key):
         g = lg.graph
@@ -220,8 +224,9 @@ class RibbonComplex:
         """Read bases and matrices from the cache.
 
         A missing file, another version, a file that does not parse, one
-        whose matrix shapes disagree with its basis sizes or one whose
-        matrices fail d^2 = 0 is a miss.
+        whose face labels are not this family's, one whose matrix shapes
+        disagree with its basis sizes or one whose matrices fail d^2 = 0 is
+        a miss.
         """
         if not cache_dir:
             return False
@@ -233,15 +238,21 @@ class RibbonComplex:
                 data = json.load(f)
             if data.get("version") != CACHE_VERSION:
                 return False
+            key = self._label_key()
+            labels = self.X if self.X is not None else (None,) * self.faces
             basis = {}
             for k_str, items in data["basis"].items():
                 basis[int(k_str)] = []
                 for item in items:
                     code = (tuple(item["gamma"]), tuple(item["iota"]), tuple(item["lab"]))
                     cg = RibbonGraph.from_code(code)
+                    face_labels = item["face_labels"]
+                    if (sorted(face_labels, key=str) != list(labels)
+                            or code[2] != tuple(dart_keys(cg, face_labels, key))):
+                        return False
                     auts = [tuple(p) for p in item["auts"]]
                     basis[int(k_str)].append(
-                        LabeledRibbonGraph(cg, item["face_labels"], code, auts))
+                        LabeledRibbonGraph(cg, face_labels, code, auts))
             matrices = {int(k): v for k, v in data["matrices"].items()}
             if not self._shapes_agree(basis, matrices):
                 return False

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from nlab.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples-data")
@@ -206,6 +208,10 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args
         assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
+    # --jobs belongs to `ainf` alone: elsewhere it is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hopf", "-q", q("loop.json"), "--jobs", "4"])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
 
 
 def test_ribbon_cochain_cli(tmp_path, capsys):

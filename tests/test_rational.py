@@ -126,3 +126,28 @@ def test_lincomb_kinds_differ(terms):
     assert a.terms == b.terms == c.terms
     assert a != b and b != c and a != c
     assert ALG.tensor(2, {}) != ALG.tensor(3, {})
+
+
+int_coeffs = st.dictionaries(st.integers(0, 4), st.integers(-6, 6), max_size=4)
+
+
+def as_fractions(d):
+    return {k: Fraction(v) for k, v in d.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_coeffs, int_coeffs, st.integers(-3, 3))
+def test_int_and_fraction_coefficients_agree(a, b, v):
+    # integral input stays int; it compares, hashes, prints and multiplies
+    # exactly like the same values given as Fractions
+    pi, pf = QPoly(a), QPoly(as_fractions(a))
+    qi, qf = QPoly(b), QPoly(as_fractions(b))
+    assert all(type(c) is int for c in pi.c.values())
+    assert all(type(c) is Fraction for c in pf.c.values())
+    assert pi == pf and hash(pi) == hash(pf) and pi.str() == pf.str()
+    assert all(pi.coeff(k) == pf.coeff(k) for k in range(6))
+    for x, y in ((pi * qi, pf * qf), (pi * qf, pf * qi), (qi * pi, qf * pf),
+                 (pi + qi, pf + qf), (pi - qi, pf - qf),
+                 (pi.scale(v), pf.scale(Fraction(v)))):
+        assert x == y and hash(x) == hash(y) and x.str() == y.str()
+        assert x.c == ref(y)

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial
 
 from nlab.grammar import parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, double, one_loop, two_loops
 from nlab.rational import QPoly
-from nlab.repspace import DiffOperator, RepPolynomial, RepSpace
+from nlab.repspace import DiffOperator, RepPolynomial, RepSpace, _reorder
 
 
 def setup(q=None, dims=1):
@@ -185,3 +188,57 @@ def test_two_vertex_dimension_vector():
     st = H.star(P, P)
     assert rs.trace_rep(st) == rs.moyal_star_classical(rs.trace_rep(P),
                                                        rs.trace_rep(P))
+
+
+def _reorder_reference(ymono, cmono):
+    """Y^a . m by the Leibniz rule with Fraction arithmetic, as
+    {(coordinate monomial, Y monomial, h power): coefficient}."""
+    cexp = dict(cmono)
+    out = {}
+    for beta in product(*[range(a + 1) for _, a in ymono]):
+        coeff, left = Fraction(1), dict(cexp)
+        for (v, a), b in zip(ymono, beta):
+            x = ("M", v[1], v[3], v[2])
+            e = left.get(x, 0)
+            if b > e:
+                break
+            coeff *= Fraction(comb(a, b)) * Fraction(factorial(e), factorial(e - b))
+            left[x] = e - b
+        else:
+            total = sum(beta)
+            cm = tuple(sorted((x, e) for x, e in left.items() if e))
+            ym = tuple((v, a - b) for (v, a), b in zip(ymono, beta) if a - b)
+            out[(cm, ym, total)] = coeff * Fraction(-1) ** total
+    return out
+
+
+def test_reorder_integer_coefficients_match_fraction_reference():
+    rng = random.Random(7)
+    coords = [(e, i, j) for e in ("a", "b") for i in (1, 2) for j in (1, 2)]
+    for _ in range(300):
+        ys = rng.sample(coords, rng.randint(0, 3))
+        cs = rng.sample(coords, rng.randint(0, 3))
+        ymono = tuple(sorted((("Y",) + v, rng.randint(1, 3)) for v in ys))
+        cmono = tuple(sorted((("M", e, j, i), rng.randint(1, 3)) for e, i, j in cs))
+        got = {}
+        for cm, ym, coeff, hpow in _reorder(ymono, cmono):
+            assert type(coeff) is int
+            got[(cm, ym, hpow)] = coeff
+        assert got == _reorder_reference(ymono, cmono), (ymono, cmono)
+
+
+def test_trace_memo_is_never_mutated():
+    alg, rs = setup(q=two_loops(), dims=2)
+    P = parse_element(alg, "(a a*)&(a a*) + 2 (a a* b b*) + h (b) + (a)&(b)&I(v) - 1/3 (b b*)")
+    first = rs.trace_rep(P)
+    snapshot = {n: dict(t.terms) for n, t in rs._trace_memo.items()}
+    assert len(snapshot) == 6
+    R = parse_element(alg, "(a a*) + (b b*)")
+    rs.moyal_star_classical(first, rs.trace_rep(R))
+    rs.weyl_unsymmetrize(rs.weyl_symmetrize(first))
+    second = rs.trace_rep(P)
+    assert second == first and second is not first
+    assert second == RepSpace(alg, {"v": 2}).trace_rep(P)
+    assert {n: t.terms for n, t in rs._trace_memo.items()} == snapshot
+    n = alg.necklace(["a", "a*"])
+    assert rs.trace_necklace(n) is rs.trace_necklace(n)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nlab.quiver import Quiver, adjacency
+from nlab.quiver import AdjacencyGraph, Quiver, adjacency
 from nlab.ribbon.census import (iso_classes, labeled_classes, partitions,
                                 polygon_class, unlabeled_as_classes)
 from nlab.ribbon.complexes import RibbonComplex, top_degree
@@ -225,6 +225,41 @@ def test_complex_cache_validated_on_load(tmp_path):
         assert {k: [lg.code for lg in b] for k, b in cx.basis.items()} == \
             {k: [lg.code for lg in b] for k, b in cold.basis.items()}
         assert path.read_text() == text
+
+
+def test_complex_cache_face_labels_validated_on_load(tmp_path, monkeypatch):
+    # stored face labels must be the family's multiset (all None when
+    # unlabeled) and agree with the code's per-dart label keys; anything
+    # else is a miss that rebuilds, while an intact file is a hit
+    G = AdjacencyGraph(["p", "q"], [("p", "q"), ("p", "p"), ("q", "q")])
+
+    def rotated(labels):
+        return labels[1:] + labels[:1]
+
+    for family, corruptions in [
+        (dict(G=G, X=("p", "p", "q")), [lambda labels: ["zz"] * len(labels), rotated,
+                                         lambda labels: labels[:-1]]),
+        (dict(), [lambda labels: ["v"] * len(labels), lambda labels: labels + [None]]),
+    ]:
+        cache = tmp_path / str(len(family))
+        cold = RibbonComplex(0, 3, 3, **family)
+        RibbonComplex(0, 3, 3, cache_dir=str(cache), **family)
+        (path,) = cache.glob("complex-*.json")
+        text = path.read_text()
+        for corrupt in corruptions:
+            bad = json.loads(text)
+            for items in bad["basis"].values():
+                for item in items:
+                    item["face_labels"] = corrupt(item["face_labels"])
+            path.write_text(json.dumps(bad))
+            cx = RibbonComplex(0, 3, 3, cache_dir=str(cache), **family)
+            assert {k: [(lg.code, lg.face_labels) for lg in b] for k, b in cx.basis.items()} == \
+                {k: [(lg.code, lg.face_labels) for lg in b] for k, b in cold.basis.items()}
+            assert path.read_text() == text
+        with monkeypatch.context() as m:
+            m.setattr(RibbonComplex, "_build", lambda self: pytest.fail("cache miss"))
+            assert RibbonComplex(0, 3, 3, cache_dir=str(cache), **family).matrices == \
+                cold.matrices
 
 
 def euler_characteristic_moduli(g, m):

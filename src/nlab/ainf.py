@@ -40,10 +40,6 @@ class AInfError(ValueError):
     pass
 
 
-def _pair_key(i, j):
-    return "%s,%s" % (i, j)
-
-
 class CyclicAInfData:
     """Hom spaces, pairings and cyclic product tensors over a graph G."""
 

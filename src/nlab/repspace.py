@@ -2,7 +2,7 @@
 
 Coordinates on Rep_l(double quiver) are (M_e)_{ij} with the row index
 running over the head vertex and the column over the tail, 1-based.  For a
-base edge e the reversed coordinate is quantized as
+base edge e the reversed coordinate (M_{e*})_{ij} is quantized as
 
     Y_{e,ij}  :=  -h d/d(M_e)_{ji}
 
@@ -16,8 +16,10 @@ factors left of all Y factors).  Three independent computations live here:
     representation of height words (factors composed with height 1 leftmost),
     and the average over all height assignments.
 
-Monomial letters are var keys ("M", e, i, j) or ("Y", e, i, j); a monomial
-is a sorted tuple of (var, exponent) pairs.
+The only letter is ("M", e, i, j), for any edge e of the double quiver: a
+reversed edge's letter is both the Weyl symbol (M_{e*})_{ij} and the operator
+Y_{e,ij}, printed Y[e][i][j].  `partner` pairs the letters.  A monomial is a
+sorted tuple of (letter, exponent) pairs.
 """
 
 from __future__ import annotations
@@ -27,11 +29,19 @@ from itertools import product
 from math import comb, factorial
 
 from .necklace import Necklace, NecklaceAlgebra, SymElement
-from .quiver import QuiverError
+from .quiver import QuiverError, reverse_id
 from .rational import ONE, LinComb, QPoly
 
 
 # -- monomial helpers -------------------------------------------------------
+
+def partner(v):
+    """(the letter paired with v, its sign).  The bivector pairs (M_e)_{ij}
+    with (M_{e*})_{ji}, with sign +1 from a base edge's letter and -1 from a
+    reversed edge's; Y_{e,ij} = ("M", e*, i, j) acts as -h d/d(its partner)."""
+    _, e, i, j = v
+    return ("M", reverse_id(e), j, i), (-1 if e.endswith("*") else 1)
+
 
 def mono_mul(m1, m2):
     d = dict(m1)
@@ -116,7 +126,10 @@ class DiffOperator(LinComb):
 
     @staticmethod
     def generator(v):
-        if v[0] == "M":
+        """The coordinate of a base edge's letter, Y of a reversed edge's."""
+        if v[0] != "M":
+            raise ValueError("operator letters are ('M', edge, i, j), not %r" % (v,))
+        if partner(v)[1] > 0:
             return DiffOperator({(((v, 1),), ()): QPoly.one()})
         return DiffOperator({((), ((v, 1),)): QPoly.one()})
 
@@ -135,13 +148,19 @@ class DiffOperator(LinComb):
         return out._clean()
 
     def __repr__(self):
-        return _render(self.terms, lambda m: m[0] + m[1])
+        # Y letters print as Y[e][i][j] and sort in that form (as letters,
+        # e#1* sorts before e*)
+        shown = {(cm, tuple(sorted((("Y", reverse_id(v[1]), v[2], v[3]), e)
+                                   for v, e in ym))): c
+                 for (cm, ym), c in self.terms.items()}
+        return _render(shown, lambda m: m[0] + m[1])
 
 
 def _reorder(ymono, cmono):
     """Move a Y monomial left past a coordinate monomial.
 
-    Y_{e,ij} acts as -h d/d(M_e)_{ji}; the multi-variable Leibniz rule gives
+    Y_{e,ij} acts as -h d/d(M_e)_{ji}, its letter's partner; the
+    multi-variable Leibniz rule gives
 
         Y^a . m = sum_b  prod C(a_v, b_v) (-h)^{|b|} (d^b m) Y^{a-b}.
 
@@ -151,32 +170,18 @@ def _reorder(ymono, cmono):
         yield (cmono, ymono, 1, 0)
         return
     cdict = dict(cmono)
-    alpha = list(ymono)
-    ranges = []
-    for (v, a) in alpha:
-        tv = ("M", v[1], v[3], v[2])
-        cap = min(a, cdict.get(tv, 0))
-        ranges.append(range(cap + 1))
+    alpha = [(partner(v)[0], a) for v, a in ymono]
+    ranges = [range(min(a, cdict.get(tv, 0)) + 1) for tv, a in alpha]
     for beta in product(*ranges):
         coeff = 1
         m = cmono
-        ok = True
-        total = 0
-        for (v, a), b in zip(alpha, beta):
-            if not b:
-                continue
-            total += b
-            coeff *= comb(a, b)
-            tv = ("M", v[1], v[3], v[2])
-            r = mono_diff(m, tv, b)
-            if r is None:
-                ok = False
-                break
-            coeff *= r[0]
-            m = r[1]
-        if not ok:
-            continue
-        rest = tuple((v, a - b) for (v, a), b in zip(alpha, beta) if a - b)
+        for (tv, a), b in zip(alpha, beta):
+            if b:  # tv is a distinct coordinate for each Y letter, so b <= its exponent
+                r = mono_diff(m, tv, b)
+                coeff *= comb(a, b) * r[0]
+                m = r[1]
+        total = sum(beta)
+        rest = tuple((v, a - b) for (v, a), b in zip(ymono, beta) if a - b)
         yield (m, rest, -coeff if total % 2 else coeff, total)
 
 
@@ -207,19 +212,29 @@ class RepSpace:
             hit = self._trace_memo[n] = self._trace_word(n)
         return hit
 
+    def _expand(self, word):
+        """The letters of a closed word, one list per index tuple: word[r]
+        gives ("M", word[r], idx[r+1], idx[r]).  Each distinct letter is one
+        shared tuple; the empty word gives one empty list."""
+        m = len(word)
+        shared = {}
+        out = []
+        for idx in product(*[range(1, self.dims[self.dq.tail[e]] + 1) for e in word]):
+            letters = []
+            for r, e in enumerate(word):
+                v = ("M", e, idx[(r + 1) % m], idx[r])
+                letters.append(shared.setdefault(v, v))
+            out.append(letters)
+        return out
+
     def _trace_word(self, n: Necklace) -> RepPolynomial:
         if n.is_idempotent():
             return RepPolynomial.const(self.dims[n.vertex])
-        word = n.word
-        m = len(word)
-        ranges = [range(1, self.dims[self.dq.tail[e]] + 1) for e in word]
         out = RepPolynomial()
-        shared = {}  # one object per distinct coordinate and (coordinate, exponent)
-        for idx in product(*ranges):
+        shared = {}  # one object per distinct (letter, exponent)
+        for letters in self._expand(n.word):
             mono = {}
-            for r, e in enumerate(word):
-                v = ("M", e, idx[(r + 1) % m], idx[r])
-                v = shared.setdefault(v, v)
+            for v in letters:
                 mono[v] = mono.get(v, 0) + 1
             out._add(tuple(sorted(shared.setdefault(p, p) for p in mono.items())), ONE)
         return out._clean()
@@ -236,78 +251,55 @@ class RepSpace:
 
     # classical Moyal product ------------------------------------------------
 
-    def canonical_pairs(self):
-        """(x, y) coordinate pairs carrying the bivector: x = (M_e)_{ij},
-        y = (M_{e*})_{ji} for base edges e."""
-        pairs = []
-        for e in self.dq.base_edges:
-            lh = self.dims[self.dq.head[e]]
-            lt = self.dims[self.dq.tail[e]]
-            for i in range(1, lh + 1):
-                for j in range(1, lt + 1):
-                    pairs.append((("M", e, i, j), ("M", e + "*", j, i)))
-        return pairs
-
-    def _pi(self, pair_terms, pairs):
+    @staticmethod
+    def _pi(pair_terms):
         """Apply the bivector to an element of k[Rep] (x) k[Rep]."""
         out = {}
         for (m1, m2), c in pair_terms.items():
-            for x, y in pairs:
-                for (u, v, s) in ((x, y, 1), (y, x, -1)):
-                    r1 = mono_diff(m1, u)
-                    if not r1:
-                        continue
-                    r2 = mono_diff(m2, v)
-                    if not r2:
-                        continue
-                    key = (r1[1], r2[1])
-                    add = c.scale(s * r1[0] * r2[0])
-                    cur = out.get(key)
-                    out[key] = add if cur is None else cur + add
+            d2 = dict(m2)
+            for u, a in m1:
+                w, s = partner(u)
+                b = d2.get(w)
+                if b is None:
+                    continue
+                key = (mono_diff(m1, u)[1], mono_diff(m2, w)[1])
+                add = c.scale(s * a * b)
+                cur = out.get(key)
+                out[key] = add if cur is None else cur + add
         return {k: v for k, v in out.items() if not v.is_zero()}
 
+    @staticmethod
+    def _tensor(f, g):
+        """f (x) g as {(m1, m2): coefficient}."""
+        return {(m1, m2): c1 * c2 for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()}
+
     def moyal_star_classical(self, f: RepPolynomial, g: RepPolynomial) -> RepPolynomial:
-        pairs = self.canonical_pairs()
-        cur = {}
-        for m1, c1 in f.terms.items():
-            for m2, c2 in g.terms.items():
-                key = (m1, m2)
-                c = c1 * c2
-                old = cur.get(key)
-                cur[key] = c if old is None else old + c
+        cur = self._tensor(f, g)
         out = RepPolynomial()
         d = 0
         while cur:
             scalar = QPoly({d: Fraction(1, 2 ** d * factorial(d))})
             for (m1, m2), c in cur.items():
                 out._add(mono_mul(m1, m2), c * scalar)
-            cur = self._pi(cur, pairs)
+            cur = self._pi(cur)
             d += 1
         return out._clean()
 
     def poisson_classical(self, f: RepPolynomial, g: RepPolynomial) -> RepPolynomial:
         out = RepPolynomial()
-        for x, y in self.canonical_pairs():
-            out._add_all(f.diff(x) * g.diff(y))
-            out._add_all(f.diff(y) * g.diff(x), QPoly.const(-1))
+        for (m1, m2), c in self._pi(self._tensor(f, g)).items():
+            out._add(mono_mul(m1, m2), c)
         return out._clean()
 
     # Weyl symmetrization ------------------------------------------------------
 
-    @staticmethod
-    def _to_generator(v):
-        # coordinate of a reversed edge becomes the Y generator: ("M", e*, i, j) -> Y_{e,ij}
-        if v[0] == "M" and v[1].endswith("*"):
-            return ("Y", v[1][:-1], v[2], v[3])
-        return v
-
     def _average(self, letters):
-        """Average of the letters' compositions over all orderings.
+        """Average of the compositions of a sorted letter list over all orderings.
 
         Recursion on the letter multiset: orderings ending with letter t
         contribute Av(rest) * t with weight mult(t)/n.
         """
-        key = tuple(sorted(letters))
+        key = tuple(letters)
         hit = self._phi_memo.get(key)
         if hit is not None:
             return hit
@@ -316,16 +308,11 @@ class RepSpace:
         else:
             n = len(letters)
             res = DiffOperator()
-            seen = set()
-            for i, t in enumerate(letters):
-                if t in seen:
-                    continue
-                seen.add(t)
-                mult = letters.count(t)
+            for t in dict.fromkeys(letters):
                 rest = list(letters)
                 rest.remove(t)
                 res._add_all(self._average(rest) * DiffOperator.generator(t),
-                             QPoly.const(Fraction(mult, n)))
+                             QPoly.const(Fraction(letters.count(t), n)))
             res._clean()
         self._phi_memo[key] = res
         return res
@@ -333,10 +320,7 @@ class RepSpace:
     def weyl_symmetrize(self, f: RepPolynomial) -> DiffOperator:
         out = DiffOperator()
         for m, c in f.terms.items():
-            letters = []
-            for v, e in m:
-                letters.extend([self._to_generator(v)] * e)
-            out._add_all(self._average(letters), c)
+            out._add_all(self._average([v for v, e in m for _ in range(e)]), c)
         return out._clean()
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:
@@ -352,10 +336,7 @@ class RepSpace:
             top = RepPolynomial()
             for (cm, ym), c in rem.terms.items():
                 if mono_degree(cm) + mono_degree(ym) == deg:
-                    mono = cm
-                    for v, e in ym:
-                        mono = mono_mul(mono, ((("M", v[1] + "*", v[2], v[3]), e),))
-                    top._add(mono, c)
+                    top._add(mono_mul(cm, ym), c)
             top._clean()
             f._add_all(top)
             rem = rem - self.weyl_symmetrize(top)
@@ -373,52 +354,26 @@ class RepSpace:
         positions = [(i, j) for i, n in enumerate(ms) for j in range(len(n.word))]
         if sorted(heights.values()) != list(range(1, len(positions) + 1)):
             raise QuiverError("heights must be a bijection onto 1..N")
-        scalar = 1
-        for n in ms:
-            if n.is_idempotent():
-                scalar *= self.dims[n.vertex]
+        scalar, expansions = self._height_letters(ms)
         out = DiffOperator()
-        for letters_by_pos in self._index_expansions(ms):
-            ordered = sorted(letters_by_pos, key=lambda t: heights[t[0]])
+        for letters in expansions:
             term = DiffOperator.const(1)
-            for _, gen in ordered:
-                term = term * DiffOperator.generator(gen)
+            for _, v in sorted(letters, key=lambda t: heights[t[0]]):
+                term = term * DiffOperator.generator(v)
             out._add_all(term)
         return out.scale(scalar)
 
-    def _index_expansions(self, ms):
-        """Yield, per joint index tuple, the list of ((i,j), generator) letters."""
-        necklaces = [n for n in ms if not n.is_idempotent()]
+    def _height_letters(self, ms):
+        """The product of ms's idempotent dimensions, and one list of
+        ((necklace, position), letter) pairs per joint index tuple of its words."""
+        scalar = 1
         per = []
-        for n in necklaces:
-            word = n.word
-            m = len(word)
-            ranges = [range(1, self.dims[self.dq.tail[e]] + 1) for e in word]
-            opts = []
-            for idx in product(*ranges):
-                letters = []
-                for r, e in enumerate(word):
-                    row, col = idx[(r + 1) % m], idx[r]
-                    if self.dq.is_base(e):
-                        gen = ("M", e, row, col)
-                    else:
-                        gen = ("Y", e[:-1], row, col)
-                    letters.append((r, gen))
-                opts.append(letters)
-            per.append(opts)
-        pos_of = {}
-        k = 0
         for i, n in enumerate(ms):
-            if not n.is_idempotent():
-                pos_of[k] = i
-                k += 1
-        for combo in product(*per) if per else [()]:
-            letters = []
-            for which, lst in enumerate(combo):
-                i = pos_of[which]
-                for r, gen in lst:
-                    letters.append(((i, r), gen))
-            yield letters
+            if n.is_idempotent():
+                scalar *= self.dims[n.vertex]
+            per.append([[((i, r), v) for r, v in enumerate(letters)]
+                        for letters in self._expand(n.word)])
+        return scalar, ([x for part in combo for x in part] for combo in product(*per))
 
     def phi_w_realized(self, P) -> DiffOperator:
         """(1/N!) sum over height assignments of rho, per multiset term.
@@ -434,11 +389,8 @@ class RepSpace:
         return self._phi_ms(P)
 
     def _phi_ms(self, ms) -> DiffOperator:
-        scalar = 1
-        for n in ms:
-            if n.is_idempotent():
-                scalar *= self.dims[n.vertex]
+        scalar, expansions = self._height_letters(ms)
         out = DiffOperator()
-        for letters_by_pos in self._index_expansions(ms):
-            out._add_all(self._average([gen for _, gen in letters_by_pos]))
+        for letters in expansions:
+            out._add_all(self._average(sorted(v for _, v in letters)))
         return out.scale(scalar)

@@ -75,17 +75,8 @@ class GraphCochain:
         g = self.lg.graph
         options = []
         for cyc, n in zip(g.vertices, necklaces):
-            darts = []
-            d = cyc[0]
-            for _ in range(len(cyc)):
-                darts.append(d)
-                d = g.gamma[d]
             word = n.word
-            rots = []
-            for r in range(len(word)):
-                rot = word[r:] + word[:r]
-                rots.append(dict(zip(darts, rot)))
-            options.append(rots)
+            options.append([dict(zip(cyc, word[r:] + word[:r])) for r in range(len(word))])
         out = [{}]
         for rots in options:
             nxt = []

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 
+from .. import __version__
 from ..linalg import perm_sign, rank
 from .census import (LabeledRibbonGraph, canonical_class, dart_keys, label_key,
                      labeled_classes, unlabeled_as_classes)
@@ -207,6 +208,7 @@ class RibbonComplex:
     def _cache_key(self):
         ident = {
             "v": CACHE_VERSION,
+            "nlab": __version__,
             "genus": self.genus,
             "faces": self.faces,
             "min_valence": self.min_valence,

@@ -79,10 +79,6 @@ def random_element(alg: NecklaceAlgebra, rng: random.Random, total):
     return alg.single(parts)
 
 
-def _fmt(P):
-    return format_element(P)
-
-
 class Check:
     """One named property; failures carry a minimal counterexample string."""
 
@@ -122,7 +118,7 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     c_s2 = Check("S^2 = Id and S eigenvalues")
 
     def rerun(op, *exprs):
-        flags = " ".join('%s "%s"' % (f, _fmt(e)) for f, e in
+        flags = " ".join('%s "%s"' % (f, format_element(e)) for f, e in
                          zip(("-l", "-r", "-s"), exprs))
         return "nlab algebra %s -q %s %s" % (op, quiver_path, flags)
 
@@ -184,7 +180,7 @@ def limit_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     c_cobr = Check("h^1 of Delta - Delta^op = delta")
 
     def rerun(op, *exprs):
-        flags = " ".join('%s "%s"' % (f, _fmt(e)) for f, e in zip(("-l", "-r"), exprs))
+        flags = " ".join('%s "%s"' % (f, format_element(e)) for f, e in zip(("-l", "-r"), exprs))
         return "nlab algebra %s -q %s %s" % (op, quiver_path, flags)
 
     for (P, R) in pairs:
@@ -227,17 +223,18 @@ def diagram_checks(alg: NecklaceAlgebra, dims_list, max_len=4,
             classical = rs.moyal_star_classical(tp, tr)
             c_tr.record(rs.trace_rep(H.star(P, R)) == classical,
                         lambda P=P, R=R: 'nlab trace -q %s -l "%s" (star with "%s")'
-                        % (quiver_path, _fmt(P), _fmt(R)))
+                        % (quiver_path, format_element(P), format_element(R)))
             prod = rs.weyl_symmetrize(tp) * rs.weyl_symmetrize(tr)
             c_weyl.record(rs.weyl_symmetrize(classical) == prod,
-                          lambda P=P, R=R: 'nlab weyl -q %s -l "%s"' % (quiver_path, _fmt(P)))
+                          lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path,
+                                                                   format_element(P)))
         for P in singles:
             tr = rs.trace_rep(P)
             sym = rs.weyl_symmetrize(tr)
             c_phi.record(rs.phi_w_realized(P) == sym,
-                         lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, _fmt(P)))
+                         lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, format_element(P)))
             c_rt.record(rs.weyl_unsymmetrize(sym) == tr,
-                        lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, _fmt(P)))
+                        lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, format_element(P)))
     return out
 
 

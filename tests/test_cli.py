@@ -185,6 +185,95 @@ def test_ribbon_outputs_pinned(capsys):
         assert (code, out, err) == (0, expected, ""), args
 
 
+# Operator and Moyal outputs on two loops at dims 2 and on a quiver whose
+# edges e and e#1 order differently from their reversals e* and e#1*, with
+# their full stdout: they pin the display order of Y factors and terms
+OPERATOR_OUTPUTS = [
+    ("twoloops", ["weyl", "-l", "(a* a b*)", "--dims", "2"],
+     "(-h) Y[b][1][1] + (-h) Y[b][2][2] + "
+     "(1) M[a][1][1]*Y[a][1][1]*Y[b][1][1] + "
+     "(1) M[a][1][1]*Y[a][1][2]*Y[b][2][1] + "
+     "(1) M[a][1][2]*Y[a][2][1]*Y[b][1][1] + "
+     "(1) M[a][1][2]*Y[a][2][2]*Y[b][2][1] + "
+     "(1) M[a][2][1]*Y[a][1][1]*Y[b][1][2] + "
+     "(1) M[a][2][1]*Y[a][1][2]*Y[b][2][2] + "
+     "(1) M[a][2][2]*Y[a][2][1]*Y[b][1][2] + "
+     "(1) M[a][2][2]*Y[a][2][2]*Y[b][2][2]\n"),
+    ("twoloops", ["rho", "-l", "(a a* b b*)", "--dims", "2", "--heights", "3,1,4,2"],
+     "(8 h^2) 1 + (-2 h) M[a][1][1]*Y[a][1][1] + "
+     "(1) M[a][1][1]*M[b][1][1]*Y[a][1][1]*Y[b][1][1] + "
+     "(1) M[a][1][1]*M[b][1][2]*Y[a][2][1]*Y[b][1][1] + "
+     "(1) M[a][1][1]*M[b][2][1]*Y[a][1][1]*Y[b][1][2] + "
+     "(1) M[a][1][1]*M[b][2][2]*Y[a][2][1]*Y[b][1][2] + "
+     "(-2 h) M[a][1][2]*Y[a][2][1] + "
+     "(1) M[a][1][2]*M[b][1][1]*Y[a][1][1]*Y[b][2][1] + "
+     "(1) M[a][1][2]*M[b][1][2]*Y[a][2][1]*Y[b][2][1] + "
+     "(1) M[a][1][2]*M[b][2][1]*Y[a][1][1]*Y[b][2][2] + "
+     "(1) M[a][1][2]*M[b][2][2]*Y[a][2][1]*Y[b][2][2] + "
+     "(-2 h) M[a][2][1]*Y[a][1][2] + "
+     "(1) M[a][2][1]*M[b][1][1]*Y[a][1][2]*Y[b][1][1] + "
+     "(1) M[a][2][1]*M[b][1][2]*Y[a][2][2]*Y[b][1][1] + "
+     "(1) M[a][2][1]*M[b][2][1]*Y[a][1][2]*Y[b][1][2] + "
+     "(1) M[a][2][1]*M[b][2][2]*Y[a][2][2]*Y[b][1][2] + "
+     "(-2 h) M[a][2][2]*Y[a][2][2] + "
+     "(1) M[a][2][2]*M[b][1][1]*Y[a][1][2]*Y[b][2][1] + "
+     "(1) M[a][2][2]*M[b][1][2]*Y[a][2][2]*Y[b][2][1] + "
+     "(1) M[a][2][2]*M[b][2][1]*Y[a][1][2]*Y[b][2][2] + "
+     "(1) M[a][2][2]*M[b][2][2]*Y[a][2][2]*Y[b][2][2] + "
+     "(-2 h) M[b][1][1]*Y[b][1][1] + (-2 h) M[b][1][2]*Y[b][2][1] + "
+     "(-2 h) M[b][2][1]*Y[b][1][2] + (-2 h) M[b][2][2]*Y[b][2][2]\n"),
+    ("twoloops", ["moyal-classical", "-l", "(a b)", "-r", "(a* b*)", "--dims", "2"],
+     "(h^2) 1 + (1/2 h) M[a][1][1]*M[a*][1][1] + "
+     "(1) M[a][1][1]*M[a*][1][1]*M[b][1][1]*M[b*][1][1] + "
+     "(1) M[a][1][1]*M[a*][1][2]*M[b][1][1]*M[b*][2][1] + "
+     "(1) M[a][1][1]*M[a*][2][1]*M[b][1][1]*M[b*][1][2] + "
+     "(1) M[a][1][1]*M[a*][2][2]*M[b][1][1]*M[b*][2][2] + "
+     "(1) M[a][1][2]*M[a*][1][1]*M[b][2][1]*M[b*][1][1] + "
+     "(1) M[a][1][2]*M[a*][1][2]*M[b][2][1]*M[b*][2][1] + "
+     "(1/2 h) M[a][1][2]*M[a*][2][1] + "
+     "(1) M[a][1][2]*M[a*][2][1]*M[b][2][1]*M[b*][1][2] + "
+     "(1) M[a][1][2]*M[a*][2][2]*M[b][2][1]*M[b*][2][2] + "
+     "(1) M[a][2][1]*M[a*][1][1]*M[b][1][2]*M[b*][1][1] + "
+     "(1/2 h) M[a][2][1]*M[a*][1][2] + "
+     "(1) M[a][2][1]*M[a*][1][2]*M[b][1][2]*M[b*][2][1] + "
+     "(1) M[a][2][1]*M[a*][2][1]*M[b][1][2]*M[b*][1][2] + "
+     "(1) M[a][2][1]*M[a*][2][2]*M[b][1][2]*M[b*][2][2] + "
+     "(1) M[a][2][2]*M[a*][1][1]*M[b][2][2]*M[b*][1][1] + "
+     "(1) M[a][2][2]*M[a*][1][2]*M[b][2][2]*M[b*][2][1] + "
+     "(1) M[a][2][2]*M[a*][2][1]*M[b][2][2]*M[b*][1][2] + "
+     "(1/2 h) M[a][2][2]*M[a*][2][2] + "
+     "(1) M[a][2][2]*M[a*][2][2]*M[b][2][2]*M[b*][2][2] + "
+     "(1/2 h) M[b][1][1]*M[b*][1][1] + (1/2 h) M[b][1][2]*M[b*][2][1] + "
+     "(1/2 h) M[b][2][1]*M[b*][1][2] + (1/2 h) M[b][2][2]*M[b*][2][2]\n"),
+    ("hashed", ["weyl", "-l", "(e*) + (e#1*) + (e e*)&(e#1 e#1*)", "--dims", "1"],
+     "(1/4 h^2) 1 + (1) Y[e][1][1] + (1) Y[e#1][1][1] + "
+     "(-1/2 h) M[e][1][1]*Y[e][1][1] + "
+     "(1) M[e][1][1]*M[e#1][1][1]*Y[e][1][1]*Y[e#1][1][1] + "
+     "(-1/2 h) M[e#1][1][1]*Y[e#1][1][1]\n"),
+    ("hashed", ["weyl", "-l", "(e* e#1*)", "--dims", "2"],
+     "(1) Y[e][1][1]*Y[e#1][1][1] + (1) Y[e][1][2]*Y[e#1][2][1] + "
+     "(1) Y[e][2][1]*Y[e#1][1][2] + (1) Y[e][2][2]*Y[e#1][2][2]\n"),
+    ("hashed", ["rho", "-l", "(e* e#1* e#1 e)", "--dims", "1", "--heights", "4,1,3,2"],
+     "(1) M[e][1][1]*M[e#1][1][1]*Y[e][1][1]*Y[e#1][1][1] + "
+     "(-h) M[e#1][1][1]*Y[e#1][1][1]\n"),
+    ("hashed", ["moyal-classical", "-l", "(e e#1*)", "-r", "(e#1 e*)", "--dims", "1"],
+     "(-1/4 h^2) 1 + "
+     "(1) M[e][1][1]*M[e#1][1][1]*M[e#1*][1][1]*M[e*][1][1] + "
+     "(-1/2 h) M[e][1][1]*M[e*][1][1] + "
+     "(1/2 h) M[e#1][1][1]*M[e#1*][1][1]\n"),
+]
+
+
+def test_operator_outputs_pinned(tmp_path, capsys):
+    hashed = tmp_path / "hashed.json"
+    hashed.write_text(json.dumps({"vertices": ["v"], "edges": [
+        {"id": "e", "tail": "v", "head": "v"}, {"id": "e#1", "tail": "v", "head": "v"}]}))
+    paths = {"twoloops": q("twoloops.json"), "hashed": str(hashed)}
+    for quiver, args, expected in OPERATOR_OUTPUTS:
+        code, out, err = run_cli([args[0], "-q", paths[quiver]] + args[1:], capsys)
+        assert (code, out, err) == (0, expected, ""), (quiver, args)
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(["algebra", "star", "-q", q("loop.json"),
                             "-l", "(e"], capsys)
@@ -227,9 +316,14 @@ def test_ribbon_cochain_cli(tmp_path, capsys):
 
 
 def test_console_script_entry():
+    # the child imports the same nlab as this process, installed or not
+    import nlab
+    src = os.path.dirname(os.path.dirname(nlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "nlab.cli", "algebra",
                            "antipode", "-q", q("loop.json"), "-l", "(e e*)"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-(e e*)"
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
+import pytest
+
 from nlab.grammar import parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, double, one_loop, two_loops
 from nlab.rational import QPoly
-from nlab.repspace import DiffOperator, RepPolynomial, RepSpace, _reorder
+from nlab.repspace import DiffOperator, RepPolynomial, RepSpace, _reorder, partner
 
 
 def setup(q=None, dims=1):
@@ -77,7 +79,7 @@ def test_weyl_symmetrize_examples():
     assert rs.weyl_symmetrize(x) == DiffOperator.generator(("M", "e", 1, 1))
     fw = rs.weyl_symmetrize(x * y)
     xy = DiffOperator.generator(("M", "e", 1, 1)) * \
-        DiffOperator.generator(("Y", "e", 1, 1))
+        DiffOperator.generator(("M", "e*", 1, 1))
     assert fw == xy + DiffOperator.const(QPoly({1: Fraction(-1, 2)}))
     # multiplicativity on f = g = xy with the known value
     lhs = rs.weyl_symmetrize(rs.moyal_star_classical(x * y, x * y))
@@ -85,8 +87,8 @@ def test_weyl_symmetrize_examples():
     x2y2 = rs.weyl_symmetrize(x * y) * rs.weyl_symmetrize(x * y)
     expect = (DiffOperator.generator(("M", "e", 1, 1)) *
               DiffOperator.generator(("M", "e", 1, 1)) *
-              DiffOperator.generator(("Y", "e", 1, 1)) *
-              DiffOperator.generator(("Y", "e", 1, 1)))
+              DiffOperator.generator(("M", "e*", 1, 1)) *
+              DiffOperator.generator(("M", "e*", 1, 1)))
     expect = expect + xy.scale(1).mul_qpoly(QPoly({1: Fraction(-2)})) \
         + DiffOperator.const(QPoly({2: Fraction(1, 4)}))
     assert x2y2 == expect
@@ -125,7 +127,7 @@ def test_rho_calibration():
     alg, rs = setup(dims=1)
     ms = alg.multiset([alg.necklace(["e", "e*"])])
     xy = DiffOperator.generator(("M", "e", 1, 1)) * \
-        DiffOperator.generator(("Y", "e", 1, 1))
+        DiffOperator.generator(("M", "e*", 1, 1))
     assert rs.rho(ms, {(0, 0): 1, (0, 1): 2}) == xy
     assert rs.rho(ms, {(0, 0): 2, (0, 1): 1}) == \
         xy + DiffOperator.const(QPoly({1: Fraction(-1)}))
@@ -139,7 +141,7 @@ def test_phi_w_examples():
     alg1, rs1 = setup(dims=1)
     P = parse_element(alg1, "(e e*)")
     xy = DiffOperator.generator(("M", "e", 1, 1)) * \
-        DiffOperator.generator(("Y", "e", 1, 1))
+        DiffOperator.generator(("M", "e*", 1, 1))
     assert rs1.phi_w_realized(P) == xy + DiffOperator.const(QPoly({1: Fraction(-1, 2)}))
 
 
@@ -192,13 +194,14 @@ def test_two_vertex_dimension_vector():
 
 def _reorder_reference(ymono, cmono):
     """Y^a . m by the Leibniz rule with Fraction arithmetic, as
-    {(coordinate monomial, Y monomial, h power): coefficient}."""
+    {(coordinate monomial, Y monomial, h power): coefficient}; the Y letter
+    ("M", e*, i, j) differentiates ("M", e, j, i)."""
     cexp = dict(cmono)
     out = {}
     for beta in product(*[range(a + 1) for _, a in ymono]):
         coeff, left = Fraction(1), dict(cexp)
         for (v, a), b in zip(ymono, beta):
-            x = ("M", v[1], v[3], v[2])
+            x = ("M", v[1][:-1], v[3], v[2])
             e = left.get(x, 0)
             if b > e:
                 break
@@ -218,7 +221,7 @@ def test_reorder_integer_coefficients_match_fraction_reference():
     for _ in range(300):
         ys = rng.sample(coords, rng.randint(0, 3))
         cs = rng.sample(coords, rng.randint(0, 3))
-        ymono = tuple(sorted((("Y",) + v, rng.randint(1, 3)) for v in ys))
+        ymono = tuple(sorted((("M", e + "*", i, j), rng.randint(1, 3)) for e, i, j in ys))
         cmono = tuple(sorted((("M", e, j, i), rng.randint(1, 3)) for e, i, j in cs))
         got = {}
         for cm, ym, coeff, hpow in _reorder(ymono, cmono):
@@ -242,3 +245,51 @@ def test_trace_memo_is_never_mutated():
     assert {n: t.terms for n, t in rs._trace_memo.items()} == snapshot
     n = alg.necklace(["a", "a*"])
     assert rs.trace_necklace(n) is rs.trace_necklace(n)
+
+
+def test_partner_is_a_signed_involution():
+    alg, rs = setup(q=two_loops(), dims=2)
+    t = rs.trace_rep(parse_element(alg, "(a a* b b*) + (a b a* b*) + (a b* a*) + (b)"))
+    letters = {v for m in t.terms for v, _ in m}
+    assert {v[1] for v in letters} == {"a", "a*", "b", "b*"}
+    for v in letters:
+        w, s = partner(v)
+        assert partner(w) == (v, -s)
+        assert s == (1 if v[1] in ("a", "b") else -1)
+        assert w == ("M", v[1] + "*" if s > 0 else v[1][:-1], v[3], v[2])
+
+
+def _random_trace_polys(alg, rs, rng, count, max_len):
+    from nlab.sweeps import necklaces_of_length
+    necks = [n for k in range(1, max_len + 1) for n in necklaces_of_length(alg, k)]
+    out = []
+    for _ in range(count):
+        P = alg.single(rng.sample(necks, rng.randint(1, 2)), QPoly.const(rng.randint(1, 3)))
+        out.append(rs.trace_rep(P + alg.single([rng.choice(necks)])))
+    return out
+
+
+def test_moyal_classical_associative_and_antisymmetric_in_odd_h():
+    alg = NecklaceAlgebra(double(two_loops()))
+    rng = random.Random(11)
+    odd_terms = 0
+    for dims, max_len in ((1, 3), (2, 2)):
+        rs = RepSpace(alg, {"v": dims})
+        star = rs.moyal_star_classical
+        polys = _random_trace_polys(alg, rs, rng, 4, max_len)
+        for f, g, k in zip(polys, polys[1:] + polys[:1], polys[2:] + polys[:2]):
+            assert star(star(f, g), k) == star(f, star(g, k)), dims
+            fg, gf = star(f, g), star(g, f)
+            for d in range(max(c.degree() for c in fg.terms.values()) + 1):
+                assert fg.h_coefficient(d) == gf.h_coefficient(d).scale((-1) ** d), (dims, d)
+                if d % 2:
+                    odd_terms += len(fg.h_coefficient(d).terms)
+    # odd powers of h occur, so a symmetric bivector would fail the swap
+    assert odd_terms > 0
+
+
+def test_generator_rejects_old_y_spelling():
+    with pytest.raises(ValueError):
+        DiffOperator.generator(("Y", "e", 1, 1))
+    assert DiffOperator.generator(("M", "e*", 1, 1)).terms == {((), ((("M", "e*", 1, 1), 1),)): 1}
+    assert DiffOperator.generator(("M", "e", 1, 1)).terms == {(((("M", "e", 1, 1), 1),), ()): 1}

@@ -262,6 +262,28 @@ def test_complex_cache_face_labels_validated_on_load(tmp_path, monkeypatch):
                 cold.matrices
 
 
+def test_complex_cache_keyed_by_package_version(tmp_path, monkeypatch):
+    # a complex cached by another nlab version is a miss: it is rebuilt into
+    # a file of its own, and each version then hits its own file
+    from nlab.ribbon import complexes
+    cold = RibbonComplex(0, 4, 3)
+    RibbonComplex(0, 4, 3, cache_dir=str(tmp_path))
+    (old,) = tmp_path.glob("complex-*.json")
+    builds = []
+    build = RibbonComplex._build
+    monkeypatch.setattr(RibbonComplex, "_build", lambda self: builds.append(1) or build(self))
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "__version__", "0.0.0-other")
+        assert RibbonComplex(0, 4, 3, cache_dir=str(tmp_path)).matrices == cold.matrices
+        assert builds == [1]
+        new = set(tmp_path.glob("complex-*.json")) - {old}
+        assert len(new) == 1 and new.pop().read_text() == old.read_text()
+        RibbonComplex(0, 4, 3, cache_dir=str(tmp_path))
+        assert builds == [1]
+    assert RibbonComplex(0, 4, 3, cache_dir=str(tmp_path)).matrices == cold.matrices
+    assert builds == [1]
+
+
 def euler_characteristic_moduli(g, m):
     """chi(M_{g,m}) from chi(M_{0,3}) = 1, chi(M_{g,1}) = -B_{2g}/(2g) and
     chi(M_{g,m+1}) = (2 - 2g - m) chi(M_{g,m}) (Harer-Zagier)."""

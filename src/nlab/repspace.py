@@ -218,14 +218,12 @@ class RepSpace:
         shared tuple; the empty word gives one empty list."""
         m = len(word)
         shared = {}
-        out = []
         for idx in product(*[range(1, self.dims[self.dq.tail[e]] + 1) for e in word]):
             letters = []
             for r, e in enumerate(word):
                 v = ("M", e, idx[(r + 1) % m], idx[r])
                 letters.append(shared.setdefault(v, v))
-            out.append(letters)
-        return out
+            yield letters
 
     def _trace_word(self, n: Necklace) -> RepPolynomial:
         if n.is_idempotent():
@@ -268,13 +266,8 @@ class RepSpace:
                 out[key] = add if cur is None else cur + add
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    @staticmethod
-    def _tensor(f, g):
-        """f (x) g as {(m1, m2): coefficient}."""
-        return {(m1, m2): c1 * c2 for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()}
-
     def moyal_star_classical(self, f: RepPolynomial, g: RepPolynomial) -> RepPolynomial:
-        cur = self._tensor(f, g)
+        cur = {(m1, m2): c1 * c2 for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()}
         out = RepPolynomial()
         d = 0
         while cur:
@@ -283,12 +276,6 @@ class RepSpace:
                 out._add(mono_mul(m1, m2), c * scalar)
             cur = self._pi(cur)
             d += 1
-        return out._clean()
-
-    def poisson_classical(self, f: RepPolynomial, g: RepPolynomial) -> RepPolynomial:
-        out = RepPolynomial()
-        for (m1, m2), c in self._pi(self._tensor(f, g)).items():
-            out._add(mono_mul(m1, m2), c)
         return out._clean()
 
     # Weyl symmetrization ------------------------------------------------------

@@ -1,8 +1,8 @@
 """The quantized Hopf structure on Sym L[h].
 
-Both the star product and the coproduct are driven by the same cut-and-glue
-engine.  An abstract edge of a necklace multiset is an occurrence (i, j) of
-an edge: necklace index i, letter index j.  A cut specification pairs
+Both the star product and the coproduct are driven by one cut-and-glue
+engine over one tuple of necklaces.  An abstract edge is a position (i, j)
+in that tuple: necklace index i, letter index j.  A cut specification pairs
 abstract edges with reverse-labeled partners; gluing deletes the cut edges
 and reads off the orbits of the next-edge map
 
@@ -12,7 +12,9 @@ and reads off the orbits of the next-edge map
 where succ is the cyclic successor inside a necklace word.  Every f-cycle
 containing an uncut edge yields one necklace; an f-cycle consisting
 entirely of cut edges yields one vertex idempotent at the common tail
-vertex of its members.
+vertex of its members.  The star product glues the tuple msP + msR, the
+indices of R's necklaces shifted by len(msP); the coproduct glues one
+multiset along pairs inside it.
 
     P *_h R   = sum over (I_X, I_Y, phi) of (h/2)^{#I_X} s(I_X, I_Y, phi)
                 times the glued multiset, with s = (-1)^{#(I_Y cut at base edges)}.
@@ -33,23 +35,13 @@ from .quiver import QuiverError
 from .rational import QPoly
 
 
-def _positions(ms):
-    """Abstract edges of a multiset: (necklace index, letter index)."""
-    out = []
-    for i, n in enumerate(ms):
-        for j in range(len(n.word)):
-            out.append((i, j))
+def _occurrences(ms, offset=0):
+    """Each label's abstract edges (i + offset, j) in ms, in reading order."""
+    out = {}
+    for i, n in enumerate(ms, offset):
+        for j, e in enumerate(n.word):
+            out.setdefault(e, []).append((i, j))
     return out
-
-
-def _succ(ms, pos):
-    i, j = pos
-    return (i, (j + 1) % len(ms[i].word))
-
-
-def _label(ms, pos):
-    i, j = pos
-    return ms[i].word[j]
 
 
 def _fiber_pairings(xs, ys):
@@ -63,6 +55,13 @@ def _fiber_pairings(xs, ys):
     return out
 
 
+def _cuts(fibers):
+    """Every cut specification: one partial bijection per (xs, ys) fiber."""
+    per_fiber = [_fiber_pairings(xs, ys) for xs, ys in fibers if xs and ys]
+    for combo in product(*per_fiber):
+        yield [pq for group in combo for pq in group]
+
+
 class MoyalHopf:
     """Star product, coproduct, counit and antipode on Sym L[h]."""
 
@@ -73,14 +72,14 @@ class MoyalHopf:
 
     # -- gluing ---------------------------------------------------------
 
-    def _glue(self, sides, cut_pairs):
-        """Cut-and-glue a family of multisets.
+    def cut_and_glue(self, ms, cut_pairs):
+        """Cut-and-glue a tuple of necklaces along paired abstract edges.
 
-        sides: list of multisets; positions are (side, i, j).
-        cut_pairs: list of ((s,i,j), (s',i',j')) with reverse labels.
-        Returns (pieces, orbit_of) where pieces is a list of Necklace and
-        orbit_of maps every position to its piece index.  Spectator
-        idempotents of the inputs are appended after the glued pieces.
+        cut_pairs: list of ((i, j), (i', j')) with reverse labels, each
+        position in at most one pair.  Returns (pieces, orbit_of) where
+        pieces is a list of Necklace and orbit_of maps every position to its
+        piece index.  The idempotents of ms are appended after the glued
+        pieces.
         """
         alg = self.alg
         dq = alg.dq
@@ -88,68 +87,36 @@ class MoyalHopf:
         for a, b in cut_pairs:
             if a in pair or b in pair or a == b:
                 raise QuiverError("overlapping cut indices")
-            la = sides[a[0]][a[1]].word[a[2]]
-            lb = sides[b[0]][b[1]].word[b[2]]
-            if dq.reverse(la) != lb:
+            if dq.reverse(ms[a[0]].word[a[1]]) != ms[b[0]].word[b[1]]:
                 raise QuiverError("cut pair is not reverse-labeled")
             pair[a] = b
             pair[b] = a
 
-        def succ(pos):
-            s, i, j = pos
-            return (s, i, (j + 1) % len(sides[s][i].word))
-
-        def f(pos):
-            if pos in pair:
-                return succ(pair[pos])
-            return succ(pos)
-
-        all_pos = []
-        for s, ms in enumerate(sides):
-            for i, n in enumerate(ms):
-                for j in range(len(n.word)):
-                    all_pos.append((s, i, j))
-
         orbit_of = {}
         pieces = []
-        seen = set()
-        for start in all_pos:
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            cur = f(start)
-            while cur != start:
-                cycle.append(cur)
-                seen.add(cur)
-                cur = f(cur)
-            idx = len(pieces)
-            for pos in cycle:
-                orbit_of[pos] = idx
-            uncut = [p for p in cycle if p not in pair]
-            if uncut:
-                word = tuple(sides[p[0]][p[1]].word[p[2]] for p in uncut)
-                pieces.append(alg._canonical(word))
-            else:
-                v = dq.tail[sides[start[0]][start[1]].word[start[2]]]
-                pieces.append(alg.idempotent(v))
-        # spectator idempotents keep their own components
-        for s, ms in enumerate(sides):
-            for i, n in enumerate(ms):
-                if n.is_idempotent():
-                    orbit_of[(s, i, None)] = len(pieces)
-                    pieces.append(n)
+        for i, n in enumerate(ms):
+            for j in range(len(n.word)):
+                start = cur = (i, j)
+                if start in orbit_of:
+                    continue
+                idx = len(pieces)
+                word = []
+                while True:
+                    orbit_of[cur] = idx
+                    if cur in pair:
+                        ci, cj = pair[cur]
+                    else:
+                        ci, cj = cur
+                        word.append(ms[ci].word[cj])
+                    cur = (ci, (cj + 1) % len(ms[ci].word))
+                    if cur == start:
+                        break
+                if word:
+                    pieces.append(alg._canonical(tuple(word)))
+                else:
+                    pieces.append(alg.idempotent(dq.tail[n.word[j]]))
+        pieces.extend(n for n in ms if n.is_idempotent())
         return pieces, orbit_of
-
-    def cut_and_glue(self, msP, msR, pairs):
-        """Cut-and-glue two multisets along paired abstract edges.
-
-        pairs: list of ((i, j), (i', j')) matching a position of msP with a
-        reverse-labeled position of msR.  Returns the glued multiset.
-        """
-        cut = [(((0,) + tuple(x)), ((1,) + tuple(y))) for (x, y) in pairs]
-        pieces, _ = self._glue([msP, msR], cut)
-        return self.alg.multiset(pieces)
 
     # -- star product -----------------------------------------------------
 
@@ -161,36 +128,19 @@ class MoyalHopf:
             return hit
         alg = self.alg
         dq = alg.dq
-        xs = _positions(msP)
-        ys = _positions(msR)
-        by_label_x = {}
-        for p in xs:
-            by_label_x.setdefault(_label(msP, p), []).append(p)
-        by_label_y = {}
-        for p in ys:
-            by_label_y.setdefault(_label(msR, p), []).append(p)
-
-        per_label = []
-        for e in dq.edge_order:
-            a = by_label_x.get(e)
-            b = by_label_y.get(dq.reverse(e))
-            if a and b:
-                per_label.append(_fiber_pairings(a, b))
+        ms = msP + msR
+        xs = _occurrences(msP)
+        ys = _occurrences(msR, len(msP))
         out = {}
-        for combo in product(*per_label) if per_label else [()]:
-            pairs = [pq for group in combo for pq in group]
+        for pairs in _cuts((xs.get(e), ys.get(dq.reverse(e))) for e in dq.edge_order):
             k = len(pairs)
-            sign = 1
-            for (x, _y) in pairs:
-                if not dq.is_base(_label(msP, x)):
-                    sign = -sign
-            cut = [(((0,) + x), ((1,) + y)) for (x, y) in pairs]
-            pieces, _ = self._glue([msP, msR], cut)
-            ms = alg.multiset(pieces)
+            sign = (-1) ** sum(not dq.is_base(ms[i].word[j]) for (i, j), _y in pairs)
+            pieces, _ = self.cut_and_glue(ms, pairs)
+            glued = alg.multiset(pieces)
             coeff = QPoly({k: Fraction(sign, 2 ** k)})
-            cur = out.get(ms)
-            out[ms] = coeff if cur is None else cur + coeff
-        out = {ms: c for ms, c in out.items() if not c.is_zero()}
+            cur = out.get(glued)
+            out[glued] = coeff if cur is None else cur + coeff
+        out = {g: c for g, c in out.items() if not c.is_zero()}
         self._star_cache[key] = out
         return out
 
@@ -207,21 +157,6 @@ class MoyalHopf:
 
     # -- coproduct ----------------------------------------------------------
 
-    def _self_pairings(self, ms):
-        """All (I, phi) for Delta: disjoint pairs (base-edge pos, starred pos)."""
-        dq = self.alg.dq
-        by_label = {}
-        for p in _positions(ms):
-            by_label.setdefault(_label(ms, p), []).append(p)
-        per_edge = []
-        for e in dq.base_edges:
-            a = by_label.get(e)
-            b = by_label.get(e + "*")
-            if a and b:
-                per_edge.append(_fiber_pairings(a, b))
-        for combo in product(*per_edge) if per_edge else [()]:
-            yield [pq for group in combo for pq in group]
-
     def coproduct_ms(self, ms, slots=2):
         """Delta_h of one multiset: dict {(ms_1,..,ms_slots): QPoly}."""
         key = (ms, slots)
@@ -229,14 +164,15 @@ class MoyalHopf:
         if hit is not None:
             return hit
         alg = self.alg
+        dq = alg.dq
+        occ = _occurrences(ms)
         out = {}
-        for pairs in self._self_pairings(ms):
+        for pairs in _cuts((occ.get(e), occ.get(dq.reverse(e))) for e in dq.base_edges):
             k = len(pairs)
-            cut = [(((0,) + x), ((0,) + y)) for (x, y) in pairs]
-            pieces, orbit_of = self._glue([ms], cut)
+            pieces, orbit_of = self.cut_and_glue(ms, pairs)
             m = len(pieces)
-            starts = [orbit_of[(0,) + x] for (x, _y) in pairs]
-            targets = [orbit_of[(0,) + _succ(ms, x)] for (x, _y) in pairs]
+            starts = [orbit_of[x] for x, _y in pairs]
+            targets = [orbit_of[i, (j + 1) % len(ms[i].word)] for (i, j), _y in pairs]
             base = Fraction(1, 2 ** k)
             for c in product(range(slots), repeat=m):
                 sign = 1

@@ -194,6 +194,8 @@ class RepSpace:
         self.alg = alg
         self.dq = alg.dq
         self.dims = dict(dims)
+        for v in self.dims:
+            self.dq.check_vertex(v)
         for v in self.dq.vertices:
             if v not in self.dims:
                 raise QuiverError("dimension vector misses vertex %r" % v)

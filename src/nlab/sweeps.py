@@ -3,13 +3,15 @@
 Exhaustive sweeps are bounded by the combined word length of all arguments
 (idempotent factors carry no letters; the degenerate cases around them are
 covered by dedicated unit tests).  Randomized sweeps draw from the seeded
-generator `python-random-mt19937`; every failure is reported with the
-offending expressions so the single case can be re-run from the CLI.
+generator `python-random-mt19937`; every failure is reported as the CLI
+command lines that re-run the single case, joined by ` vs ` where the two
+sides of the property come from different commands.
 """
 
 from __future__ import annotations
 
 import random
+import shlex
 from fractions import Fraction
 from itertools import product
 
@@ -117,11 +119,6 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     c_anti = Check("antipode axiom")
     c_s2 = Check("S^2 = Id and S eigenvalues")
 
-    def rerun(op, *exprs):
-        flags = " ".join('%s "%s"' % (f, format_element(e)) for f, e in
-                         zip(("-l", "-r", "-s"), exprs))
-        return "nlab algebra %s -q %s %s" % (op, quiver_path, flags)
-
     pairs = _bounded_tuples(singles, 2, max_len)
     triples = _bounded_tuples(singles, 3, max_len)
 
@@ -136,29 +133,33 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     for (P, R, S) in triples:
         lhs = H.star(H.star(P, R), S)
         rhs = H.star(P, H.star(R, S))
-        c_assoc.record(lhs == rhs, lambda P=P, R=R, S=S: rerun("star", P, R, S))
+        c_assoc.record(lhs == rhs, lambda P=P, R=R, S=S: _rerun(
+            quiver_path, ("algebra star", H.star(P, R), S),
+            ("algebra star", P, H.star(R, S))))
 
     for P in singles:
         l, r, single = H.coassoc_probe(P)
-        c_coassoc.record(l == r == single, lambda P=P: rerun("coprod", P))
+        c_coassoc.record(l == r == single,
+                         lambda P=P: _rerun(quiver_path, ("algebra coprod", P)))
         d = H.coproduct(P)
         c_counit.record(d.slot(0) == P and d.slot(1) == P,
-                        lambda P=P: rerun("coprod", P))
+                        lambda P=P: _rerun(quiver_path, ("algebra coprod", P)))
         sp = H.mul_tensor(H.antipode_slot(d, 0))
         sp2 = H.mul_tensor(H.antipode_slot(d, 1))
         unit_part = alg.element({(): H.counit(P)})
         c_anti.record(sp == unit_part and sp2 == unit_part,
-                      lambda P=P: rerun("antipode", P))
+                      lambda P=P: _rerun(quiver_path, ("algebra antipode", P)))
         ss = H.antipode(H.antipode(P))
         eig = all(H.antipode(alg.single(ms)) ==
                   alg.single(ms, QPoly.const((-1) ** len(ms)))
                   for ms in P.terms)
-        c_s2.record(ss == P and eig, lambda P=P: rerun("antipode", P))
+        c_s2.record(ss == P and eig, lambda P=P: _rerun(quiver_path, ("algebra antipode", P)))
 
     for (P, R) in pairs:
         lhs = H.coproduct(H.star(P, R))
         rhs = H.star_tensor(H.coproduct(P), H.coproduct(R))
-        c_bialg.record(lhs == rhs, lambda P=P, R=R: rerun("star", P, R))
+        c_bialg.record(lhs == rhs,
+                       lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
 
     return [c_assoc, c_coassoc, c_counit, c_bialg, c_anti, c_s2]
 
@@ -179,26 +180,22 @@ def limit_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     c_comm = Check("commutator/h at h=0")
     c_cobr = Check("h^1 of Delta - Delta^op = delta")
 
-    def rerun(op, *exprs):
-        flags = " ".join('%s "%s"' % (f, format_element(e)) for f, e in zip(("-l", "-r"), exprs))
-        return "nlab algebra %s -q %s %s" % (op, quiver_path, flags)
-
     for (P, R) in pairs:
         st = H.star(P, R)
         c_h0.record(st.h_coefficient(0) == P.sym_product(R),
-                    lambda P=P, R=R: rerun("star", P, R))
+                    lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
         br = alg.bracket_sym(P, R)
         c_h1.record(st.h_coefficient(1) == br.scale(Fraction(1, 2)),
-                    lambda P=P, R=R: rerun("star", P, R))
+                    lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
         comm = H.star(P, R) - H.star(R, P)
         c_comm.record(comm.h_coefficient(0).is_zero()
                       and comm.h_coefficient(1) == br,
-                      lambda P=P, R=R: rerun("star", P, R))
+                      lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
     for P in singles:
         d = H.coproduct(P)
         anti = d - d.flip()
         c_cobr.record(anti.h_coefficient(1) == alg.cobracket_sym(P),
-                      lambda P=P: rerun("coprod", P))
+                      lambda P=P: _rerun(quiver_path, ("algebra coprod", P)))
     return [c_h0, c_h1, c_comm, c_cobr]
 
 
@@ -222,20 +219,39 @@ def diagram_checks(alg: NecklaceAlgebra, dims_list, max_len=4,
             tp, tr = rs.trace_rep(P), rs.trace_rep(R)
             classical = rs.moyal_star_classical(tp, tr)
             c_tr.record(rs.trace_rep(H.star(P, R)) == classical,
-                        lambda P=P, R=R: 'nlab trace -q %s -l "%s" (star with "%s")'
-                        % (quiver_path, format_element(P), format_element(R)))
+                        lambda P=P, R=R, dims=dims: _rerun(
+                            quiver_path, ("trace", H.star(P, R)),
+                            ("moyal-classical", P, R), dims=dims))
             prod = rs.weyl_symmetrize(tp) * rs.weyl_symmetrize(tr)
             c_weyl.record(rs.weyl_symmetrize(classical) == prod,
-                          lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path,
-                                                                   format_element(P)))
+                          lambda P=P, R=R, dims=dims: _rerun(
+                              quiver_path, ("weyl", H.star(P, R)), ("weyl", P),
+                              ("weyl", R), dims=dims))
         for P in singles:
             tr = rs.trace_rep(P)
             sym = rs.weyl_symmetrize(tr)
             c_phi.record(rs.phi_w_realized(P) == sym,
-                         lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, format_element(P)))
+                         lambda P=P, dims=dims: _rerun(quiver_path, ("weyl", P), dims=dims))
             c_rt.record(rs.weyl_unsymmetrize(sym) == tr,
-                        lambda P=P: 'nlab weyl -q %s -l "%s"' % (quiver_path, format_element(P)))
+                        lambda P=P, dims=dims: _rerun(
+                            quiver_path, ("weyl", P), ("trace", P), dims=dims))
     return out
+
+
+def _rerun(quiver_path, *commands, dims=None):
+    """CLI lines that re-run one case, joined by ' vs '.
+
+    Each command is (subcommand, lhs[, rhs]); dims, if given, is passed to
+    every command as a per-vertex --dims.
+    """
+    lines = []
+    for op, *exprs in commands:
+        words = ["nlab", op, "-q", shlex.quote(quiver_path)]
+        words += ['%s "%s"' % (f, format_element(e)) for f, e in zip(("-l", "-r"), exprs)]
+        if dims is not None:
+            words.append("--dims " + ",".join("%s=%d" % vd for vd in dims.items()))
+        lines.append(" ".join(words))
+    return " vs ".join(lines)
 
 
 def _total_len(P):

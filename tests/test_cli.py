@@ -1,10 +1,13 @@
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from nlab import sweeps
 from nlab.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples-data")
@@ -274,6 +277,64 @@ def test_operator_outputs_pinned(tmp_path, capsys):
         assert (code, out, err) == (0, expected, ""), (quiver, args)
 
 
+# Star products and coproducts that cut at two vertices, leave all-cut
+# orbits and carry spare idempotents, with their full stdout
+HOPF_OUTPUTS = [
+    (["algebra", "star", "-q", q("twovertex.json"), "-l", "(a a*) & I(v1)",
+      "-r", "(a* a) & (c c*)"],
+     "I(v1)&(a a*)&(a a*)&(c c*) - 1/4 h^2 I(v1)&I(v1)&I(v2)&(c c*)\n"),
+    (["algebra", "coprod", "-q", q("twovertex.json"), "-l", "(a a* c c*) & I(v2)"],
+     "1 (x) I(v2)&(a a* c c*) + I(v2) (x) (a a* c c*) + I(v2)&(a a* c c*) (x) 1 + "
+     "(a a* c c*) (x) I(v2) - 1/2 h I(v1) (x) I(v2)&(a a*) - "
+     "1/2 h I(v1)&I(v2) (x) (a a*) - 1/2 h I(v2) (x) I(v2)&(c c*) - "
+     "1/2 h I(v2)&I(v2) (x) (c c*) + 1/2 h I(v2)&(a a*) (x) I(v1) + "
+     "1/2 h I(v2)&(c c*) (x) I(v2) + 1/2 h (a a*) (x) I(v1)&I(v2) + "
+     "1/2 h (c c*) (x) I(v2)&I(v2) + 1/4 h^2 I(v1) (x) I(v1)&I(v2)&I(v2) + "
+     "1/2 h^2 I(v1)&I(v2) (x) I(v1)&I(v2) + 1/4 h^2 I(v1)&I(v2)&I(v2) (x) I(v1)\n"),
+    (["algebra", "coprod", "-q", q("twoloops.json"), "-l", "(a a* b b*) & (a b)"],
+     "1 (x) (a b)&(a a* b b*) + (a b) (x) (a a* b b*) + (a b)&(a a* b b*) (x) 1 + "
+     "(a a* b b*) (x) (a b) - 1/2 h I(v) (x) (a a*)&(a b) - "
+     "1/2 h I(v) (x) (a b)&(b b*) - 1/2 h I(v)&(a b) (x) (a a*) - "
+     "1/2 h I(v)&(a b) (x) (b b*) + 1/2 h (a a*) (x) I(v)&(a b) + "
+     "1/2 h (a a*)&(a b) (x) I(v) + 1/2 h (a b)&(b b*) (x) I(v) + "
+     "1/2 h (b b*) (x) I(v)&(a b) + 1/4 h^2 I(v) (x) I(v)&I(v)&(a b) + "
+     "1/4 h^2 I(v)&I(v) (x) I(v)&(a b) + 1/4 h^2 I(v)&I(v)&(a b) (x) I(v) + "
+     "1/4 h^2 I(v)&(a b) (x) I(v)&I(v) - 1/4 h^2 (a) (x) (b) - 1/4 h^2 (b) (x) (a)\n"),
+]
+
+
+def test_hopf_outputs_pinned(capsys):
+    for args, expected in HOPF_OUTPUTS:
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (0, expected, ""), args
+
+
+def test_counterexamples_are_runnable(tmp_path, monkeypatch, capsys):
+    # every check fails on every case, and every case's lines are kept
+    quiver = tmp_path / "a dir" / "loop.json"
+    quiver.parent.mkdir()
+    shutil.copy(q("loop.json"), quiver)
+    lines = set()
+    record = sweeps.Check.record
+
+    def fail(self, ok, describe):
+        lines.add(describe())
+        record(self, False, describe)
+
+    monkeypatch.setattr(sweeps.Check, "record", fail)
+    for suite in ("hopf", "limits", "diagram"):
+        code, out, _ = run_cli(["verify", suite, "-q", str(quiver), "--max-len", "2",
+                                "--format", "json"], capsys)
+        assert code == 1
+        assert all(c["counterexample"] in lines for c in json.loads(out)["checks"])
+    for line in sorted(lines):
+        for command in line.split(" vs "):
+            argv = shlex.split(command)
+            assert argv[0] == "nlab", line
+            code, _, err = run_cli(argv[1:], capsys)
+            assert (code, err) == (0, ""), command
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(["algebra", "star", "-q", q("loop.json"),
                             "-l", "(e"], capsys)
@@ -293,6 +354,8 @@ def test_usage_errors_exit_two(capsys):
         (["ribbon", "homology", "--genus", "0", "--faces", "3", *TWOVERTEX,
           "--labels", "v1,v1,zz"], "'zz'"),
         (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "-1"], "negative"),
+        (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "v=1,zz=2"], "'zz'"),
+        (["verify", "diagram", "-q", q("loop.json"), "--dims", "v=1,zz=3"], "'zz'"),
     ]:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args

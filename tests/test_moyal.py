@@ -33,24 +33,26 @@ def test_cut_and_glue_cases():
     alg, H = setup()
     ms = alg.multiset([alg.necklace(["e", "e*"])])
     # empty spec: plain symmetric product
-    pieces, _ = H._glue([ms, ms], [])
+    pieces, _ = H.cut_and_glue(ms + ms, [])
     assert alg.multiset(pieces) == alg.multiset(
         [alg.necklace(["e", "e*"])] * 2)
     # single cut: one necklace (e e*)
-    pieces, _ = H._glue([ms, ms], [((0, 0, 0), (1, 0, 1))])
+    pieces, orbit_of = H.cut_and_glue(ms + ms, [((0, 0), (1, 1))])
     assert alg.multiset(pieces) == ms
+    assert orbit_of == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     # both pairs cut: two idempotents
-    pieces, _ = H._glue([ms, ms], [((0, 0, 0), (1, 0, 1)), ((0, 0, 1), (1, 0, 0))])
+    pieces, orbit_of = H.cut_and_glue(ms + ms, [((0, 0), (1, 1)), ((0, 1), (1, 0))])
     assert alg.multiset(pieces) == alg.multiset([alg.idempotent("v")] * 2)
+    assert orbit_of == {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 1}
 
 
 def test_glue_rejects_bad_pairs():
     alg, H = setup()
     ms = alg.multiset([alg.necklace(["e", "e*"])])
     with pytest.raises(QuiverError):
-        H._glue([ms, ms], [((0, 0, 0), (1, 0, 0))])  # e with e is not reverse
+        H.cut_and_glue(ms + ms, [((0, 0), (1, 0))])  # e with e is not reverse
     with pytest.raises(QuiverError):
-        H._glue([ms, ms], [((0, 0, 0), (0, 0, 0))])
+        H.cut_and_glue(ms + ms, [((0, 0), (0, 0))])
 
 
 def test_glue_two_vertex_idempotents():
@@ -58,7 +60,7 @@ def test_glue_two_vertex_idempotents():
     alg = NecklaceAlgebra(double(q))
     H = MoyalHopf(alg)
     ms = alg.multiset([alg.necklace(["a", "a*"])])
-    pieces, _ = H._glue([ms, ms], [((0, 0, 0), (1, 0, 1)), ((0, 0, 1), (1, 0, 0))])
+    pieces, _ = H.cut_and_glue(ms + ms, [((0, 0), (1, 1)), ((0, 1), (1, 0))])
     assert alg.multiset(pieces) == alg.multiset(
         [alg.idempotent("v1"), alg.idempotent("v2")])
 
@@ -172,13 +174,3 @@ def test_heavy_single_cases():
     l, r, single = H.coassoc_probe(Q)
     assert l == r == single
 
-
-def test_public_cut_and_glue():
-    alg, H = setup()
-    ms = alg.multiset([alg.necklace(["e", "e*"])])
-    assert H.cut_and_glue(ms, ms, []) == alg.multiset(
-        [alg.necklace(["e", "e*"])] * 2)
-    assert H.cut_and_glue(ms, ms, [((0, 0), (0, 1))]) == ms
-    both = [((0, 0), (0, 1)), ((0, 1), (0, 0))]
-    assert H.cut_and_glue(ms, ms, both) == alg.multiset(
-        [alg.idempotent("v")] * 2)

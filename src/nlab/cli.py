@@ -7,9 +7,11 @@ Subcommands:
     ribbon  enum|boundary|homology|cochain
     ainf    check|cycle
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic for a fixed seed; the cache directory defaults to the
-NLAB_CACHE environment variable.
+Each operation has its own parser holding exactly the flags its code reads,
+so a flag the operation would ignore is a usage error.  Exit codes: 0
+success, 1 verification failure, 2 usage error.  Output is deterministic for
+a fixed `--seed`; `--cache-dir` defaults to the NLAB_CACHE environment
+variable.
 """
 
 from __future__ import annotations
@@ -26,34 +28,59 @@ from .quiver import Quiver, QuiverError, adjacency, double
 from .ribbon.graph import RibbonGraph, RibbonError
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
+def _operations(sub, name, **kw):
+    return sub.add_parser(name, **kw).add_subparsers(dest="op", required=True)
+
+
+def _operation(sub, name, run):
+    p = sub.add_parser(name)
+    p.set_defaults(run=run)
+    return p
+
+
+def _add_format(p):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_cache_dir(p):
     p.add_argument("--cache-dir", default=os.environ.get("NLAB_CACHE"))
+
+
+def _add_family(p):
+    p.add_argument("--genus", type=int)
+    p.add_argument("--faces", type=int)
+    p.add_argument("--min-valence", type=int, default=3)
+    p.add_argument("--max-edges", type=int)
+    p.add_argument("--labels", help="comma-separated face label multiset")
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="nlab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("algebra", help="necklace algebra and Hopf operations")
-    p.add_argument("op", choices=("star", "coprod", "antipode", "bracket", "cobracket"))
-    p.add_argument("-q", "--quiver", required=True)
-    p.add_argument("-l", "--lhs", required=True)
-    p.add_argument("-r", "--rhs")
-    _add_common(p)
+    ops = _operations(sub, "algebra", help="necklace algebra and Hopf operations")
+    for name in ("star", "coprod", "antipode", "bracket", "cobracket"):
+        p = _operation(ops, name, cmd_algebra)
+        p.add_argument("-q", "--quiver", required=True)
+        p.add_argument("-l", "--lhs", required=True)
+        if name in ("star", "bracket"):
+            p.add_argument("-r", "--rhs")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("hopf", "limits", "diagram"))
-    p.add_argument("-q", "--quiver", required=True)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--random-cases", type=int, default=0)
-    p.add_argument("--random-len", type=int, default=6)
-    p.add_argument("--dims", default="1,2")
-    _add_common(p)
+    ops = _operations(sub, "verify", help="run a verification suite")
+    for name in ("hopf", "limits", "diagram"):
+        p = _operation(ops, name, cmd_verify)
+        p.add_argument("-q", "--quiver", required=True)
+        p.add_argument("--max-len", type=int, default=4)
+        if name == "diagram":
+            p.add_argument("--dims", default="1,2")
+        else:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--random-cases", type=int, default=0)
+            p.add_argument("--random-len", type=int, default=6)
+        _add_format(p)
 
     for name in ("trace", "moyal-classical", "weyl", "rho"):
-        p = sub.add_parser(name)
+        p = _operation(sub, name, cmd_rep)
         p.add_argument("-q", "--quiver", required=True)
         p.add_argument("-l", "--lhs", required=True)
         if name == "moyal-classical":
@@ -62,62 +89,57 @@ def build_parser():
         if name == "rho":
             p.add_argument("--heights", help="comma-separated heights per letter "
                                              "in reading order (default identity)")
-        _add_common(p)
 
-    p = sub.add_parser("ribbon")
-    p.add_argument("op", choices=("enum", "boundary", "homology", "cochain"))
-    p.add_argument("--genus", type=int)
-    p.add_argument("--faces", type=int)
-    p.add_argument("--min-valence", type=int, default=3)
-    p.add_argument("--max-edges", type=int)
-    p.add_argument("--graph", help="adjacency graph as a quiver JSON file")
-    p.add_argument("--labels", help="comma-separated face label multiset")
-    p.add_argument("--ribbon", help="ribbon graph JSON file (cochain)")
-    p.add_argument("-q", "--quiver", help="base quiver (cochain)")
-    p.add_argument("--mult", type=int, default=1, help="edge multiplicity N (cochain)")
-    p.add_argument("--necklaces", help="semicolon-separated necklace expressions (cochain)")
-    _add_common(p)
+    ops = _operations(sub, "ribbon")
+    for name in ("enum", "boundary", "homology"):
+        p = _operation(ops, name, cmd_ribbon)
+        _add_family(p)
+        p.add_argument("--graph", help="adjacency graph as a quiver JSON file")
+        if name != "enum":
+            _add_cache_dir(p)
+        if name != "boundary":
+            _add_format(p)
+    p = _operation(ops, "cochain", cmd_ribbon_cochain)
+    p.add_argument("--ribbon", help="ribbon graph JSON file")
+    p.add_argument("-q", "--quiver", help="base quiver")
+    p.add_argument("--mult", type=int, default=1, help="edge multiplicity N")
+    p.add_argument("--necklaces", help="semicolon-separated necklace expressions")
 
-    p = sub.add_parser("ainf")
-    p.add_argument("op", choices=("check", "cycle"))
+    ops = _operations(sub, "ainf")
+    p = _operation(ops, "check", cmd_ainf)
     p.add_argument("--data", required=True)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--genus", type=int)
-    p.add_argument("--faces", type=int)
-    p.add_argument("--labels")
-    p.add_argument("--min-valence", type=int, default=3)
-    p.add_argument("--max-edges", type=int)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the weights of `ainf cycle`")
-    _add_common(p)
+    _add_format(p)
+    p = _operation(ops, "cycle", cmd_ainf)
+    p.add_argument("--data", required=True)
+    _add_family(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the weights")
+    _add_cache_dir(p)
+    _add_format(p)
     return ap
 
 
-def _load_alg(path):
-    q = Quiver.load(path)
-    return NecklaceAlgebra(double(q))
-
-
 def _parse_dims(alg, text):
-    """'1' or '2' applies to all vertices; 'v=1,w=2' is per vertex."""
+    """At least one dimension vector: '1,2' or '1;2' gives all vertices 1, then
+    2; 'v=1,w=2' is one per-vertex vector, and ';' separates several."""
+    chunks = (text if "=" in text else text.replace(",", ";")).split(";")
     out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" in chunk:
-            dims = {}
-            for part in chunk.split(","):
-                k, v = part.split("=")
-                dims[k.strip()] = int(v)
-        else:
-            dims = {v: int(chunk) for v in alg.dq.vertices}
-        out.append(dims)
+    try:
+        for chunk in filter(None, (c.strip() for c in chunks)):
+            if "=" in chunk:
+                out.append({k.strip(): int(v) for k, v in
+                            (part.split("=") for part in chunk.split(","))})
+            else:
+                out.append(dict.fromkeys(alg.dq.vertices, int(chunk)))
+    except ValueError:
+        raise QuiverError("cannot read --dims %r" % text) from None
+    if not out:
+        raise QuiverError("--dims names no dimension vector")
     return out
 
 
 def cmd_algebra(args):
-    alg = _load_alg(args.quiver)
+    alg = NecklaceAlgebra(double(Quiver.load(args.quiver)))
     H = MoyalHopf(alg)
     P = parse_element(alg, args.lhs)
     if args.op in ("star", "bracket") and not args.rhs:
@@ -139,30 +161,24 @@ def cmd_algebra(args):
 
 def cmd_verify(args):
     from . import sweeps
-    alg = _load_alg(args.quiver)
-    if args.suite == "hopf":
-        checks = sweeps.hopf_checks(alg, max_len=args.max_len,
-                                    random_cases=args.random_cases,
-                                    random_len=args.random_len, seed=args.seed,
-                                    quiver_path=args.quiver)
-    elif args.suite == "limits":
-        checks = sweeps.limit_checks(alg, max_len=args.max_len,
-                                     random_cases=args.random_cases,
-                                     random_len=args.random_len, seed=args.seed,
-                                     quiver_path=args.quiver)
+    alg = NecklaceAlgebra(double(Quiver.load(args.quiver)))
+    report = {}
+    if args.op == "diagram":
+        checks = sweeps.diagram_checks(alg, _parse_dims(alg, args.dims),
+                                       max_len=args.max_len, quiver_path=args.quiver)
     else:
-        dims_list = _parse_dims(alg, args.dims.replace(",", ";")
-                                if "=" not in args.dims else args.dims)
-        checks = sweeps.diagram_checks(alg, dims_list, max_len=args.max_len,
-                                       quiver_path=args.quiver)
+        report["rng"] = "%s(seed=%d)" % (sweeps.RNG_NAME, args.seed)
+        suite = sweeps.hopf_checks if args.op == "hopf" else sweeps.limit_checks
+        checks = suite(alg, max_len=args.max_len, random_cases=args.random_cases,
+                       random_len=args.random_len, seed=args.seed,
+                       quiver_path=args.quiver)
     if args.format == "json":
-        print(json.dumps({
-            "rng": "%s(seed=%d)" % (sweeps.RNG_NAME, args.seed),
-            "checks": [{"name": c.name, "ok": c.ok, "cases": c.cases,
-                        "counterexample": c.failure} for c in checks],
-        }, indent=2))
+        report["checks"] = [{"name": c.name, "ok": c.ok, "cases": c.cases,
+                             "counterexample": c.failure} for c in checks]
+        print(json.dumps(report, indent=2))
     else:
-        print("rng: %s(seed=%d)" % (sweeps.RNG_NAME, args.seed))
+        if "rng" in report:
+            print("rng: %s" % report["rng"])
         for c in checks:
             print(c.report_line())
         if all(c.cases == 0 for c in checks):
@@ -170,21 +186,22 @@ def cmd_verify(args):
     return 0 if all(c.ok for c in checks) else 1
 
 
-def cmd_rep(args, which):
+def cmd_rep(args):
     from .repspace import RepSpace
-    alg = _load_alg(args.quiver)
-    H = MoyalHopf(alg)
-    dims = _parse_dims(alg, args.dims)[0]
+    alg = NecklaceAlgebra(double(Quiver.load(args.quiver)))
+    dims, *rest = _parse_dims(alg, args.dims)
+    if rest:
+        raise QuiverError("%s takes one --dims vector" % args.cmd)
     rs = RepSpace(alg, dims)
     P = parse_element(alg, args.lhs)
-    if which == "trace":
+    if args.cmd == "trace":
         print(repr(rs.trace_rep(P)))
-    elif which == "moyal-classical":
+    elif args.cmd == "moyal-classical":
         R = parse_element(alg, args.rhs)
         print(repr(rs.moyal_star_classical(rs.trace_rep(P), rs.trace_rep(R))))
-    elif which == "weyl":
+    elif args.cmd == "weyl":
         print(repr(rs.weyl_symmetrize(rs.trace_rep(P))))
-    elif which == "rho":
+    elif args.cmd == "rho":
         terms = list(P.terms)
         if len(terms) != 1:
             raise QuiverError("rho needs a single multiset term")
@@ -212,16 +229,7 @@ def _ribbon_family(args):
             tuple(x.strip() for x in args.labels.split(",")))
 
 
-def _ribbon_complex(args):
-    from .ribbon.complexes import RibbonComplex
-    G, X = _ribbon_family(args)
-    return RibbonComplex(args.genus, args.faces, args.min_valence, G=G, X=X,
-                         max_edges=args.max_edges, cache_dir=args.cache_dir)
-
-
 def cmd_ribbon(args):
-    if args.op == "cochain":
-        return cmd_ribbon_cochain(args)
     if args.op == "enum":
         # every connected iso class, including nonorientable ones
         from .ribbon.complexes import degree_range, family_classes
@@ -248,7 +256,10 @@ def cmd_ribbon(args):
                     item["edges"], item["vertices"], item["valences"],
                     item["aut_order"], item["orientable"], item["labels"]))
         return 0
-    cx = _ribbon_complex(args)
+    from .ribbon.complexes import RibbonComplex
+    G, X = _ribbon_family(args)
+    cx = RibbonComplex(args.genus, args.faces, args.min_valence, G=G, X=X,
+                       max_edges=args.max_edges, cache_dir=args.cache_dir)
     if args.op == "boundary":
         for k in sorted(cx.matrices):
             print("# d: degree %d -> %d  (%d x %d)" % (
@@ -330,20 +341,9 @@ def cmd_ainf(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "algebra":
-            return cmd_algebra(args)
-        if args.cmd == "verify":
-            return cmd_verify(args)
-        if args.cmd in ("trace", "moyal-classical", "weyl", "rho"):
-            return cmd_rep(args, args.cmd)
-        if args.cmd == "ribbon":
-            return cmd_ribbon(args)
-        if args.cmd == "ainf":
-            return cmd_ainf(args)
-        raise QuiverError("unknown command")
+        return args.run(args)
     except (QuiverError, RibbonError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

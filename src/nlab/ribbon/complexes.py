@@ -84,7 +84,7 @@ class RibbonComplex:
     SIZE_GUARD = 50000  # total basis elements; raise it explicitly if needed
 
     def __init__(self, genus, faces, min_valence, G=None, X=None,
-                 max_edges=None, cache_dir=None, size_guard=None):
+                 max_edges=None, cache_dir=None):
         self.kmin, self.kmax = degree_range(genus, faces, min_valence, max_edges, G, X)
         self.genus = genus
         self.faces = faces
@@ -94,7 +94,6 @@ class RibbonComplex:
         self.basis = {}       # degree -> list of LabeledRibbonGraph (orientable)
         self.index = {}       # degree -> {code: position}
         self.matrices = {}    # degree k -> boundary C_k -> C_{k-1} (row-major)
-        self._size_guard = size_guard or self.SIZE_GUARD
         if not self._load(cache_dir):
             self._build()
             self._store(cache_dir)
@@ -108,9 +107,9 @@ class RibbonComplex:
                                                  self.min_valence, self.G, self.X)
                      if lg.is_orientable()]
             total += len(basis)
-            if total > self._size_guard:
-                raise RibbonError("size guard exceeded (%d basis elements); "
-                                  "pass size_guard to raise it" % total)
+            if total > self.SIZE_GUARD:
+                raise RibbonError("%d basis elements exceed RibbonComplex.SIZE_GUARD = %d"
+                                  % (total, self.SIZE_GUARD))
             self.basis[k] = basis
             self.index[k] = {lg.code: i for i, lg in enumerate(basis)}
         for k in range(self.kmin + 1, self.kmax + 1):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from nlab import sweeps
-from nlab.cli import main
+from nlab.cli import build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples-data")
 
@@ -356,6 +357,16 @@ def test_usage_errors_exit_two(capsys):
         (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "-1"], "negative"),
         (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "v=1,zz=2"], "'zz'"),
         (["verify", "diagram", "-q", q("loop.json"), "--dims", "v=1,zz=3"], "'zz'"),
+        # one dimension vector for each representation command, at least one
+        # for the diagram suite
+        (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", ""], "--dims"),
+        (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1;2"], "--dims"),
+        (["weyl", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1,2"], "--dims"),
+        (["rho", "-q", q("loop.json"), "-l", "(e e*)", "--dims", ""], "--dims"),
+        (["moyal-classical", "-q", q("loop.json"), "-l", "(e e*)", "-r", "(e e*)",
+          "--dims", "1;2"], "--dims"),
+        (["verify", "diagram", "-q", q("loop.json"), "--dims", ""], "--dims"),
+        (["verify", "diagram", "-q", q("loop.json"), "--dims", "v=1,w"], "--dims"),
     ]:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args
@@ -364,6 +375,48 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "hopf", "-q", q("loop.json"), "--jobs", "4"])
     assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+
+
+# an operation parses only the flags its code reads: any other flag, or a
+# value no code path handles, is a usage error that names the flag
+UNREAD_FLAGS = [
+    (["algebra", "coprod", "-q", q("loop.json"), "-l", "(e e*)", "-r", "(e e*)"], "-r"),
+    (["algebra", "star", "-q", q("loop.json"), "-l", "(e e*)", "-r", "(e e*)",
+      "--format", "json"], "--format"),
+    (["trace", "-q", q("loop.json"), "-l", "(e e*)", "--seed", "1"], "--seed"),
+    (["verify", "diagram", "-q", q("loop.json"), "--random-cases", "3"], "--random-cases"),
+    (["verify", "hopf", "-q", q("loop.json"), "--dims", "1"], "--dims"),
+    (["ribbon", "boundary", "--genus", "0", "--faces", "3", "--format", "json"], "--format"),
+    (["ribbon", "cochain", "--ribbon", q("p3.json"), "-q", q("loop.json"),
+      "--necklaces", "(e e*)", "--genus", "1"], "--genus"),
+    (["ribbon", "enum", "--genus", "1", "--faces", "1", "--cache-dir", "x"], "--cache-dir"),
+    (["ainf", "check", "--data", q("unit.json"), "--labels", "v"], "--labels"),
+    (["ainf", "check", "--data", q("unit.json"), "--jobs", "2"], "--jobs"),
+    (["ribbon", "homology", "--genus", "0", "--faces", "3", "--format", "tsv"], "--format"),
+]
+
+
+@pytest.mark.parametrize("args, flag", UNREAD_FLAGS)
+def test_unread_flags_are_usage_errors(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert exc.value.code == 2 and re.search(r"\s%s[\s:]" % re.escape(flag), last), last
+
+
+def test_readme_commands_parse():
+    # every `nlab` line of the README's command-line block is accepted as is
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 16
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "nlab", argv
+        parser.parse_args(argv[1:])
 
 
 def test_ribbon_cochain_cli(tmp_path, capsys):

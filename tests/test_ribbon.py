@@ -189,10 +189,11 @@ def test_disconnected_graph_reported():
         g.genus()
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     G = loop_graph()
-    with pytest.raises(RibbonError):
-        RibbonComplex(0, 4, 3, G=G, X=("v",) * 4, size_guard=2)
+    monkeypatch.setattr(RibbonComplex, "SIZE_GUARD", 2)
+    with pytest.raises(RibbonError, match="SIZE_GUARD"):
+        RibbonComplex(0, 4, 3, G=G, X=("v",) * 4)
 
 
 def matmul(a, b):

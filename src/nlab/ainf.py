@@ -17,11 +17,13 @@ keyed by the index cycle (i_1, ..., i_{n+1}).  The axioms checked are
 The weight of an oriented labeled ribbon graph contracts one tensor per
 vertex (the pairing at bivalent vertices, mt_{valence-1} otherwise)
 against one inverse-pairing tensor C per edge, with explicit braiding
-signs; the sign is normalized against the graph's reference orientation
-through the ciliation/vertex-order description (module
-ribbon.orientation).  Weight normalization requires the standard parity
-pattern (even pairings, mt_n of parity n mod 2); the axiom checks are
-fully general.
+signs.  The contraction walks the vertices in turn through the nonzero
+entries of each vertex tensor and multiplies in an edge's C entry once
+both of its darts are set, so only nonzero terms are ever completed.  The
+sign is normalized against the graph's reference orientation through the
+ciliation/vertex-order description (module ribbon.orientation).  Weight
+normalization requires the standard parity pattern (even pairings, mt_n of
+parity n mod 2); the axiom checks are fully general.
 """
 
 from __future__ import annotations
@@ -239,6 +241,8 @@ def check_ainf(data: CyclicAInfData, n_max: int):
 
     Returns a list of violations (n, seq, idx); empty means pass.
     """
+    if n_max < 2:
+        raise AInfError("n_max = %r is below 2, the first product" % (n_max,))
     bad = []
     for n in range(2, n_max + 1):
         for seq in _object_paths(data, n + 1):
@@ -337,6 +341,9 @@ class WeightEngine:
                edge_order=None, edge_flips=()):
         """W(Gamma, reference orientation) as an exact Fraction.
 
+        A depth-first contraction over the vertices in vertex_order: each
+        vertex sets its darts from one nonzero entry of its tensor, and a
+        zero C entry on an edge whose darts are both set prunes the branch.
         The optional arguments rechoose the contraction presentation; the
         result must not depend on them (this is a tested invariant).
         """
@@ -378,17 +385,8 @@ class WeightEngine:
         target = [pos_in_m[d] for d in c_slots]
 
         total = Fraction(0)
-        for assign, coeff in self._assignments(c_blocks):
+        for assign, v in self._contractions(blocks, c_blocks):
             par = {d: data.parity(*slot_space[d], assign[d]) for d in assign}
-            v = coeff
-            for darts, tensor in blocks:
-                tv = tensor.get(tuple(assign[d] for d in darts))
-                if not tv:
-                    v = Fraction(0)
-                    break
-                v *= tv
-            if not v:
-                continue
             sign = 1
             # braid the C factors (in c_slots order) into the M slot order
             ps = [par[d] for d in c_slots]
@@ -409,17 +407,38 @@ class WeightEngine:
         return total * br.ciliation_value(vertex_order, dict(enumerate(ciliations))
                                    if not isinstance(ciliations, dict) else ciliations)
 
-    def _assignments(self, c_blocks):
-        """All basis assignments with their C coefficients."""
-        choices = [list(ct.items()) for _, ct in c_blocks]
-        for combo in product(*choices):
-            assign = {}
-            coeff = Fraction(1)
-            for ((a, b), _), ((ia, ib), cv) in zip(c_blocks, combo):
-                assign[a] = ia
-                assign[b] = ib
-                coeff *= cv
-            yield assign, coeff
+    @staticmethod
+    def _contractions(blocks, c_blocks):
+        """(assignment, product) for every complete dart assignment whose
+        product of vertex and C entries is nonzero.
+
+        Depth t sets the darts of blocks[t] and reads C for each edge whose
+        second dart it sets, a loop's included.  The yielded assignment is
+        reused: read it before resuming.
+        """
+        depth = {d: t for t, (darts, _) in enumerate(blocks) for d in darts}
+        closing = [[] for _ in blocks]
+        for (a, b), ct in c_blocks:
+            closing[max(depth[a], depth[b])].append((a, b, ct))
+        assign = {}
+
+        def extend(t, v):
+            if t == len(blocks):
+                yield assign, v
+                return
+            darts, tensor = blocks[t]
+            for idx, tv in tensor.items():
+                assign.update(zip(darts, idx))
+                w = v * tv
+                for a, b, ct in closing[t]:
+                    cv = ct.get((assign[a], assign[b]))
+                    if not cv:
+                        break
+                    w *= cv
+                else:
+                    yield from extend(t + 1, w)
+
+        return extend(0, Fraction(1))
 
 
 _worker_engine = None
@@ -448,6 +467,8 @@ def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
     """
     from .ribbon.complexes import RibbonComplex
 
+    if jobs < 1:
+        raise AInfError("jobs = %r is below 1" % (jobs,))
     # data the engine rejects must fail here: a pool restarts a worker whose
     # initializer raises, forever
     eng = WeightEngine(data)
@@ -457,7 +478,9 @@ def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs, _start_worker, (data,)) as pool:
-            weights = pool.map(_weight_task, classes)
+            # one class per task: the costly top-degree classes come last, and
+            # the default chunks would hand them all to one worker
+            weights = pool.map(_weight_task, classes, chunksize=1)
     else:
         weights = [eng.weight(lg) / len(lg.auts) for lg in classes]
     it = iter(weights)

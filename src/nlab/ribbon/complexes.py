@@ -44,8 +44,9 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
     """(kmin, kmax) of a (g, m [, G, X]) family: bottom degree to top degree,
     capped at max_edges.
 
-    Raises RibbonError unless the family exists.  X, when given, is the face
-    label multiset: one vertex of G per face.
+    Raises RibbonError unless the family exists and max_edges, when given, is
+    at least the bottom degree.  X, when given, is the face label multiset:
+    one vertex of G per face.
     """
     if genus < 0:
         raise RibbonError("genus must be >= 0")
@@ -61,6 +62,10 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
         for x in X:
             if x not in G.vertices:
                 raise RibbonError("label %r is not a vertex of the adjacency graph" % (x,))
+    bottom = bottom_degree(genus, faces)
+    if max_edges is not None and max_edges < bottom:
+        raise RibbonError("max_edges = %r is below the bottom degree %d of (g, m) = (%d, %d)"
+                          % (max_edges, bottom, genus, faces))
     top = top_degree(genus, faces, min_valence)
     if top is None:
         if max_edges is None:
@@ -68,7 +73,7 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
         top = max_edges
     elif max_edges is not None:
         top = min(top, max_edges)
-    return bottom_degree(genus, faces), top
+    return bottom, top
 
 
 def family_classes(k, genus, faces, min_valence, G=None, X=None):

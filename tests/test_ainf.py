@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fractions import Fraction
+from itertools import product
 
 from nlab.ainf import (AInfError, CyclicAInfData, WeightEngine, build_cycle,
                        check_ainf, cyclicity_check, load_data)
@@ -40,6 +41,26 @@ def data_two_object():
         "pairings": {"p,q": [[1]]},
         "products": [],
     }))
+
+
+def data_group_algebra(n):
+    """The group algebra of Z/n with its trace form: basis g_0..g_{n-1}, all
+    even, <g_a, g_b> = [a + b = 0 mod n], mt_2(g_a, g_b, g_c) = [a + b + c = 0]."""
+    return load_data(json.dumps({
+        "objects": ["v"], "adjacency": [["v", "v"]],
+        "spaces": {"v,v": {"parities": [0] * n}},
+        "pairings": {"v,v": [[int((a + b) % n == 0) for b in range(n)]
+                             for a in range(n)]},
+        "products": [{"cycle": ["v", "v", "v"],
+                      "tensor": [[[int((a + b + c) % n == 0) for c in range(n)]
+                                  for b in range(n)] for a in range(n)]}],
+    }))
+
+
+def example_data(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "examples-data", name)
+    with open(path) as f:
+        return load_data(f.read())
 
 
 def data_nonassociative():
@@ -166,10 +187,7 @@ def data_matrix_units():
     with ab = 1_p, ba = 1_q) and the trace form pairs them; every valid
     cyclic product tensor equals 1.
     """
-    path = os.path.join(os.path.dirname(__file__), "..", "examples-data",
-                        "matrix_units.json")
-    with open(path) as f:
-        return load_data(f.read())
+    return example_data("matrix_units.json")
 
 
 def test_matrix_units_axioms_and_cycles():
@@ -200,3 +218,91 @@ def test_build_cycle_jobs_matches_serial():
     _, serial, _ = build_cycle(data, 0, 3, ("v",) * 3)
     _, parallel, _ = build_cycle(data, 0, 3, ("v",) * 3, jobs=2)
     assert serial == parallel
+
+
+def _reference_weight(eng, lg, vertex_order, ciliations, edge_order, edge_flips):
+    """W by brute force: every product of C entries, one per edge, times the
+    vertex tensor entries it picks, with the braid and evaluation signs."""
+    data, g = eng.data, lg.graph
+    blocks, slot_space = [], {}
+    for v in vertex_order:
+        darts, slots, tensor = eng._vertex_tensor(lg, g.vertices[v], ciliations[v])
+        blocks.append((darts, tensor))
+        slot_space.update(zip(darts, slots))
+    m_slots = [d for darts, _ in blocks for d in darts]
+    edges = []
+    for e in edge_order:
+        a, b = g.edges[e][::-1] if e in edge_flips else g.edges[e]
+        edges.append((a, b, data.c_tensor(*slot_space[a])))
+    c_slots = [d for a, b, _ in edges for d in (a, b)]
+    target = [m_slots.index(d) for d in c_slots]
+    total = Fraction(0)
+    for combo in product(*(ct.items() for _, _, ct in edges)):
+        assign, v = {}, Fraction(1)
+        for (a, b, _), ((ia, ib), cv) in zip(edges, combo):
+            assign[a], assign[b] = ia, ib
+            v *= cv
+        for darts, tensor in blocks:
+            v *= tensor.get(tuple(assign[d] for d in darts), 0)
+        if not v:
+            continue
+        par = {d: data.parity(*slot_space[d], assign[d]) for d in assign}
+        odd = [par[d] for d in c_slots]
+        inversions = sum(1 for u in range(len(target)) for w in range(u + 1, len(target))
+                         if target[u] > target[w] and odd[u] and odd[w])
+        evaluation, before = 0, 0
+        for darts, _ in blocks:
+            here = sum(par[d] for d in darts)
+            evaluation += (here % 2) * (before % 2)
+            before += here
+        total += (-1) ** (inversions + evaluation) * v
+    return total * eng._bridge(lg).ciliation_value(vertex_order, dict(enumerate(ciliations)))
+
+
+def test_weight_matches_enumeration_reference():
+    """The vertex-by-vertex contraction equals the full enumeration of C products
+    under random presentations, loop edges and pruned C entries included."""
+    from nlab.ribbon.complexes import RibbonComplex
+    rng = random.Random(10)
+    cases = [(data, g, m, ("v",) * m)
+             for data in (data_k(), data_x2(0), example_data("frobenius.json"),
+                          data_group_algebra(4))
+             for g, m in [(0, 3), (1, 1), (0, 4)]]
+    cases += [(data_matrix_units(), g, len(X), X)
+              for g, X in [(0, ("p", "p", "q")), (1, ("p",)), (0, ("p", "p", "q", "q"))]]
+    nonzero = with_loop = 0
+    for data, g, m, X in cases:
+        eng = WeightEngine(data)
+        for basis in RibbonComplex(g, m, 3, G=data.G, X=X).basis.values():
+            for lg in basis:
+                gr = lg.graph
+                vo = rng.sample(range(gr.num_vertices), gr.num_vertices)
+                cil = [rng.choice(c) for c in gr.vertices]
+                eo = rng.sample(range(gr.num_edges), gr.num_edges)
+                flips = [e for e in range(gr.num_edges) if rng.random() < 0.5]
+                base = eng.weight(lg, vertex_order=vo, ciliations=cil,
+                                  edge_order=eo, edge_flips=flips)
+                assert base == _reference_weight(eng, lg, vo, cil, eo, flips), \
+                    (g, m, X, lg.code)
+                assert eng.weight(lg) == base
+                if base:
+                    nonzero += 1
+                    vertex = {d: v for v, c in enumerate(gr.vertices) for d in c}
+                    with_loop += any(vertex[a] == vertex[b] for a, b in gr.edges)
+    # the comparison covers nonzero weights, and loop edges among them
+    assert nonzero > 20 and with_loop > 5, (nonzero, with_loop)
+
+
+def test_z4_cycle_on_05_scales_unit_cycle(tmp_path):
+    """Z/4 on (0,5): every boundary vanishes, and each coefficient is
+    4^(2g+m-1) = 256 times the unit-algebra one on the same cached basis."""
+    X = ("v",) * 5
+    ucx, unit, _ = build_cycle(example_data("unit.json"), 0, 5, X, cache_dir=str(tmp_path))
+    cx, chains, boundaries = build_cycle(data_group_algebra(4), 0, 5, X,
+                                         cache_dir=str(tmp_path))
+    for vec in boundaries.values():
+        assert not any(vec)
+    assert {k: [lg.code for lg in b] for k, b in cx.basis.items()} == \
+        {k: [lg.code for lg in b] for k, b in ucx.basis.items()}
+    assert chains == {k: [256 * c for c in vec] for k, vec in unit.items()}
+    assert any(any(vec) for vec in chains.values())

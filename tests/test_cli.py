@@ -367,6 +367,20 @@ def test_usage_errors_exit_two(capsys):
           "--dims", "1;2"], "--dims"),
         (["verify", "diagram", "-q", q("loop.json"), "--dims", ""], "--dims"),
         (["verify", "diagram", "-q", q("loop.json"), "--dims", "v=1,w"], "--dims"),
+        # counts below their least meaningful value
+        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
+          "--labels", "v,v,v", "--jobs", "0"], "jobs = 0"),
+        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
+          "--labels", "v,v,v", "--jobs", "-2"], "jobs = -2"),
+        (["ainf", "check", "--data", q("unit.json"), "--n-max", "-5"], "n_max = -5"),
+        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
+          "--labels", "v,v,v", "--max-edges", "-1"], "max_edges = -1"),
+        (["ribbon", "enum", "--genus", "0", "--faces", "3", "--max-edges", "1"],
+         "max_edges = 1"),
+        (["ribbon", "boundary", "--genus", "1", "--faces", "1", "--max-edges", "0"],
+         "max_edges = 0"),
+        (["ribbon", "homology", "--genus", "0", "--faces", "4", "--max-edges", "2"],
+         "max_edges = 2"),
     ]:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args

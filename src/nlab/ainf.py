@@ -17,9 +17,11 @@ keyed by the index cycle (i_1, ..., i_{n+1}).  The axioms checked are
 The weight of an oriented labeled ribbon graph contracts one tensor per
 vertex (the pairing at bivalent vertices, mt_{valence-1} otherwise)
 against one inverse-pairing tensor C per edge, with explicit braiding
-signs.  The contraction walks the vertices in turn through the nonzero
-entries of each vertex tensor and multiplies in an edge's C entry once
-both of its darts are set, so only nonzero terms are ever completed.  The
+signs.  The contraction is ribbon.graph.tensor_contractions, which walks
+the vertices in turn through the nonzero entries of each vertex tensor and
+reads an edge's C entry once both of its darts are set, so only nonzero
+terms are ever completed.  Pairings, C tensors and product tensors are
+read once, at load, into dicts {index tuple: nonzero Fraction}.  The
 sign is normalized against the graph's reference orientation through the
 ciliation/vertex-order description (module ribbon.orientation).  Weight
 normalization requires the standard parity pattern (even pairings, mt_n of
@@ -29,12 +31,14 @@ parity n mod 2); the axiom checks are fully general.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
 from .linalg import invert
 from .quiver import AdjacencyGraph, json_field
 from .ribbon.census import LabeledRibbonGraph
+from .ribbon.graph import tensor_contractions
 from .ribbon.orientation import OrientationBridge
 
 
@@ -60,12 +64,15 @@ class CyclicAInfData:
                 raise AInfError("dual spaces %s,%s have different dims" % (i, j))
         self.pairings = {}
         for (i, j), mat in pairings.items():
-            self.pairings[(i, j)] = [[Fraction(x) for x in row] for row in mat]
+            if (i, j) not in self.parities:
+                raise AInfError("pairing %s,%s is for an undeclared space" % (i, j))
+            self.pairings[(i, j)] = _sparse(mat, (self.dim(i, j), self.dim(j, i)),
+                                            "pairing %s,%s" % (i, j))
+        self._c_tensors = {}
         self._complete_pairings()
         self.tensors = {}
         for cycle, tensor in products:
             self._install(tuple(cycle), tensor)
-        self._inverse_cache = {}
 
     # -- construction helpers --------------------------------------------------
 
@@ -77,40 +84,40 @@ class CyclicAInfData:
 
     def pairing_parity(self, i, j):
         """Parity of the pairing V_ij x V_ji; must be homogeneous."""
-        ps = set()
-        mat = self.pairings[(i, j)]
-        for a, row in enumerate(mat):
-            for b, v in enumerate(row):
-                if v:
-                    ps.add((self.parity(i, j, a) + self.parity(j, i, b)) % 2)
+        ps = {(self.parity(i, j, a) + self.parity(j, i, b)) % 2
+              for a, b in self.pairings[(i, j)]}
         if len(ps) > 1:
             raise AInfError("inhomogeneous pairing %s,%s" % (i, j))
         return ps.pop() if ps else 0
 
     def _complete_pairings(self):
+        """Derive each missing flip, and the C tensor of every pairing."""
         # graded symmetry <y, x> = (-1)^{|x||y|} <x, y> supplies the flip
-        for (i, j) in list(self.pairings):
-            if (j, i) in self.pairings:
-                continue
-            mat = self.pairings[(i, j)]
-            flip = [[Fraction(0)] * self.dim(i, j) for _ in range(self.dim(j, i))]
-            for a in range(self.dim(i, j)):
-                for b in range(self.dim(j, i)):
-                    s = (-1) ** (self.parity(i, j, a) * self.parity(j, i, b))
-                    flip[b][a] = s * mat[a][b]
-            self.pairings[(j, i)] = flip
+        for (i, j), mat in list(self.pairings.items()):
+            if (j, i) not in self.pairings:
+                self.pairings[(j, i)] = {
+                    (b, a): -v if self.parity(i, j, a) and self.parity(j, i, b) else v
+                    for (a, b), v in mat.items()}
         for (i, j) in self.parities:
             if (i, j) not in self.pairings:
                 raise AInfError("missing pairing for %s,%s" % (i, j))
-            mat = self.pairings[(i, j)]
+            mat, n = self.pairings[(i, j)], self.dim(i, j)
             try:
-                invert(mat)
+                ginv = invert([[mat.get((a, b), 0) for b in range(n)] for a in range(n)])
             except ValueError:
                 raise AInfError("degenerate pairing %s,%s" % (i, j))
+            self._c_tensors[(i, j)] = {(a, b): ginv[b][a] for a in range(n)
+                                       for b in range(n) if ginv[b][a]}
 
     def _slot_spaces(self, cycle):
         n1 = len(cycle)
         return [(cycle[r], cycle[(r + 1) % n1]) for r in range(n1)]
+
+    def _rotation_sign(self, cycle, idx):
+        """(-1)^{n + d_1 (d_2+...+d_{n+1})}: the rotated tensor at the rotated
+        index is this sign times mt_n(cycle) at idx."""
+        d = [self.parity(i, j, a) for (i, j), a in zip(self._slot_spaces(cycle), idx)]
+        return -1 if (len(cycle) - 1 + d[0] * sum(d[1:])) % 2 else 1
 
     def _install(self, cycle, tensor):
         """Store a product tensor and all its rotations (cyclicity identity)."""
@@ -118,29 +125,15 @@ class CyclicAInfData:
         for (i, j) in slots:
             if (i, j) not in self.parities:
                 raise AInfError("tensor %s uses missing space %s,%s" % (cycle, i, j))
-        dims = [self.dim(i, j) for (i, j) in slots]
-        flat = {}
-        for idx in product(*(range(d) for d in dims)):
-            v = tensor
-            for a in idx:
-                v = v[a]
-            v = Fraction(v)
-            if v:
-                flat[idx] = v
-        self._store_checked(cycle, flat)
-        n = len(cycle) - 1
-        cur_cycle, cur = cycle, flat
-        for _ in range(n):
-            nxt_cycle = cur_cycle[1:] + cur_cycle[:1]
-            nxt = {}
-            for idx, v in cur.items():
-                d1 = self.parity(cur_cycle[0], cur_cycle[1 % len(cur_cycle)], idx[0])
-                rest = sum(self.parity(*self._slot_spaces(cur_cycle)[r], idx[r])
-                           for r in range(1, len(idx)))
-                sign = (-1) ** (n + d1 * rest)
-                nxt[idx[1:] + idx[:1]] = sign * v
-            self._store_checked(nxt_cycle, nxt)
-            cur_cycle, cur = nxt_cycle, nxt
+        cur = _sparse(tensor, [self.dim(i, j) for (i, j) in slots],
+                      "tensor for cycle %s" % (cycle,))
+        self._store_checked(cycle, cur)
+        for _ in range(len(cycle) - 1):
+            nxt = {idx[1:] + idx[:1]: self._rotation_sign(cycle, idx) * v
+                   for idx, v in cur.items()}
+            cycle = cycle[1:] + cycle[:1]
+            self._store_checked(cycle, nxt)
+            cur = nxt
 
     def _store_checked(self, cycle, flat):
         old = self.tensors.get(cycle)
@@ -150,17 +143,7 @@ class CyclicAInfData:
 
     def c_tensor(self, i, j):
         """Inverse-pairing element C in V_ij (x) V_ji: sum (G^{-1})_{ba} e_a (x) f_b."""
-        hit = self._inverse_cache.get((i, j))
-        if hit is None:
-            ginv = invert(self.pairings[(i, j)])
-            hit = {}
-            for a in range(self.dim(i, j)):
-                for b in range(self.dim(j, i)):
-                    v = ginv[b][a]
-                    if v:
-                        hit[(a, b)] = v
-            self._inverse_cache[(i, j)] = hit
-        return hit
+        return self._c_tensors[(i, j)]
 
     # -- products reconstructed from the cyclic tensors -----------------------------
 
@@ -183,6 +166,29 @@ class CyclicAInfData:
             if v:
                 out[a] = out.get(a, Fraction(0)) + v * g
         return {a: v for a, v in out.items() if v}
+
+
+def _sparse(nested, dims, where):
+    """{index tuple: Fraction} of the nonzero entries of a nested list that
+    must be shaped exactly dims, with numbers at its leaves."""
+    out = {}
+
+    def read(v, idx):
+        k = len(idx)
+        if k == len(dims):
+            if not (isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+                    or isinstance(v, float) and math.isfinite(v)):
+                raise AInfError("%s: entry %s is %r, not a number" % (where, list(idx), v))
+            if v:
+                out[idx] = Fraction(v)
+        elif isinstance(v, (list, tuple)) and len(v) == dims[k]:
+            for a, x in enumerate(v):
+                read(x, idx + (a,))
+        else:
+            raise AInfError("%s is not shaped %s" % (where, "x".join(map(str, dims))))
+
+    read(nested, ())
+    return out
 
 
 def _space_key(key):
@@ -209,8 +215,6 @@ def load_data(text) -> CyclicAInfData:
         parities[_space_key(key)] = _field(entry, "parities", list, "space %s" % key)
     pairings = {}
     for key, mat in _field(data, "pairings", dict).items():
-        if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
-            raise AInfError("pairing %s is not a matrix" % key)
         pairings[_space_key(key)] = mat
     products = []
     for n, p in enumerate(_field(data, "products", list) if "products" in data else ()):
@@ -275,16 +279,11 @@ def cyclicity_check(data: CyclicAInfData):
     """Verify the rotation identity on every stored tensor and basis tuple."""
     bad = []
     for cycle, flat in data.tensors.items():
-        slots = data._slot_spaces(cycle)
-        n = len(cycle) - 1
-        dims = [data.dim(i, j) for (i, j) in slots]
-        rot_cycle = cycle[1:] + cycle[:1]
-        rot = data.tensors.get(rot_cycle, {})
+        dims = [data.dim(i, j) for (i, j) in data._slot_spaces(cycle)]
+        rot = data.tensors.get(cycle[1:] + cycle[:1], {})
         for idx in product(*(range(d) for d in dims)):
             lhs = rot.get(idx[1:] + idx[:1], Fraction(0))
-            d1 = data.parity(*slots[0], idx[0])
-            rest = sum(data.parity(*slots[r], idx[r]) for r in range(1, len(idx)))
-            rhs = (-1) ** (n + d1 * rest) * flat.get(idx, Fraction(0))
+            rhs = data._rotation_sign(cycle, idx) * flat.get(idx, Fraction(0))
             if lhs != rhs:
                 bad.append((cycle, idx))
     return bad
@@ -311,7 +310,7 @@ class WeightEngine:
         return br
 
     def _vertex_tensor(self, lg, cyc, ciliation_start):
-        """(slot spaces, tensor dict) for one vertex, darts from the cilium."""
+        """(darts, slot spaces, tensor dict) for one vertex, darts from the cilium."""
         g = lg.graph
         darts = []
         d = ciliation_start
@@ -325,25 +324,18 @@ class WeightEngine:
             if slots[r][1] != slots[(r + 1) % len(darts)][0]:
                 raise AInfError("face labels are not cyclically consistent")
         if len(darts) == 2:
-            i, j = slots[0]
-            mat = self.data.pairings[(i, j)]
-            tensor = {}
-            for a, row in enumerate(mat):
-                for b, v in enumerate(row):
-                    if v:
-                        tensor[(a, b)] = v
+            tensor = self.data.pairings[slots[0]]
         else:
-            cycle = tuple(s[0] for s in slots)
-            tensor = self.data.tensors.get(cycle, {})
+            tensor = self.data.tensors.get(tuple(s[0] for s in slots), {})
         return darts, slots, tensor
 
     def weight(self, lg: LabeledRibbonGraph, vertex_order=None, ciliations=None,
                edge_order=None, edge_flips=()):
         """W(Gamma, reference orientation) as an exact Fraction.
 
-        A depth-first contraction over the vertices in vertex_order: each
-        vertex sets its darts from one nonzero entry of its tensor, and a
-        zero C entry on an edge whose darts are both set prunes the branch.
+        tensor_contractions over the vertices in vertex_order: each vertex
+        sets its darts from one nonzero entry of its tensor, and a zero C
+        entry on an edge whose darts are both set prunes the branch.
         The optional arguments rechoose the contraction presentation; the
         result must not depend on them (this is a tested invariant).
         """
@@ -385,7 +377,7 @@ class WeightEngine:
         target = [pos_in_m[d] for d in c_slots]
 
         total = Fraction(0)
-        for assign, v in self._contractions(blocks, c_blocks):
+        for assign, v in tensor_contractions(blocks, c_blocks):
             par = {d: data.parity(*slot_space[d], assign[d]) for d in assign}
             sign = 1
             # braid the C factors (in c_slots order) into the M slot order
@@ -403,42 +395,7 @@ class WeightEngine:
                     sign = -sign
                 pref += bp
             total += sign * v
-        br = self._bridge(lg)
-        return total * br.ciliation_value(vertex_order, dict(enumerate(ciliations))
-                                   if not isinstance(ciliations, dict) else ciliations)
-
-    @staticmethod
-    def _contractions(blocks, c_blocks):
-        """(assignment, product) for every complete dart assignment whose
-        product of vertex and C entries is nonzero.
-
-        Depth t sets the darts of blocks[t] and reads C for each edge whose
-        second dart it sets, a loop's included.  The yielded assignment is
-        reused: read it before resuming.
-        """
-        depth = {d: t for t, (darts, _) in enumerate(blocks) for d in darts}
-        closing = [[] for _ in blocks]
-        for (a, b), ct in c_blocks:
-            closing[max(depth[a], depth[b])].append((a, b, ct))
-        assign = {}
-
-        def extend(t, v):
-            if t == len(blocks):
-                yield assign, v
-                return
-            darts, tensor = blocks[t]
-            for idx, tv in tensor.items():
-                assign.update(zip(darts, idx))
-                w = v * tv
-                for a, b, ct in closing[t]:
-                    cv = ct.get((assign[a], assign[b]))
-                    if not cv:
-                        break
-                    w *= cv
-                else:
-                    yield from extend(t + 1, w)
-
-        return extend(0, Fraction(1))
+        return total * self._bridge(lg).ciliation_value(vertex_order, ciliations)
 
 
 _worker_engine = None

@@ -8,8 +8,11 @@ with the symplectic form on edge letters,
 
     omega(e, f) = 1 if e in Q, f = e*;  -1 if f in Q, e = f*;  0 otherwise.
 
-Face labels, when present, constrain each dart's letter to run from the
-label of the dart's face to the label of the opposite dart's face.  The
+Face labels, when present, must be vertices of the quiver; they constrain
+each dart's letter to run from the label of the dart's face to the label of
+the opposite dart's face.  The sum over rotations is
+graph.tensor_contractions with one block per vertex (the fitting rotations
+of its necklace, counted with multiplicity) and omega on every edge.  The
 sign is normalized through the (vertex order, edge orientation)
 description of the orientation, so the functional depends only on the
 oriented class with its reference EF orientation.  Sums over rotations
@@ -24,6 +27,7 @@ from itertools import permutations
 from ..linalg import perm_sign
 from ..necklace import NecklaceAlgebra
 from .census import LabeledRibbonGraph
+from .graph import RibbonError, tensor_contractions
 from .orientation import OrientationBridge
 
 
@@ -35,6 +39,18 @@ class GraphCochain:
         self.alg = alg
         self.bridge = OrientationBridge(lg.graph)
         g = lg.graph
+        dq = alg.dq
+        labels = lg.face_labels
+        # (tail, head) each dart's letter must have, or None when unlabeled
+        self._ends = None
+        if any(lab is not None for lab in labels):
+            for lab in labels:
+                if lab not in dq.vertices:
+                    raise RibbonError("face label %r is not a vertex of the quiver" % (lab,))
+            self._ends = [(labels[g.face_of(d)], labels[g.face_of(g.iota[d])])
+                          for d in range(g.n)]
+        self._omega = {(e, dq.reverse(e)): alg.symplectic_form(e, dq.reverse(e))
+                       for e in dq.edge_order}
         # (-1)^V aligns the contraction differential with the Lie one; the
         # 1/|Aut| is the orbit-stabilizer factor of the invariants basis.
         self.scale = Fraction((-1) ** g.num_vertices, len(lg.auts))
@@ -48,13 +64,23 @@ class GraphCochain:
         g = self.lg.graph
         if len(necklaces) != g.num_vertices:
             return Fraction(0)
+        dq, ends = self.alg.dq, self._ends
+        blocks = []
         for cyc, n in zip(g.vertices, necklaces):
-            if len(cyc) != len(n.word):
+            word = n.word
+            if len(cyc) != len(word):
                 return Fraction(0)
-        total = Fraction(0)
+            rotations = {}
+            for r in range(len(word)):
+                rot = word[r:] + word[:r]
+                if ends is None or all((dq.tail[e], dq.head[e]) == ends[d]
+                                       for d, e in zip(cyc, rot)):
+                    rotations[rot] = rotations.get(rot, 0) + 1
+            blocks.append((cyc, rotations))
         flips = frozenset(edge_flips)
-        for placement in self._placements(necklaces):
-            total += self._contract(placement, flips)
+        edges = [((b, a) if i in flips else (a, b), self._omega)
+                 for i, (a, b) in enumerate(g.edges)]
+        total = sum(v for _, v in tensor_contractions(blocks, edges))
         sign = self.bridge.vertex_edge_value(list(range(g.num_vertices)), flips)
         return total * sign * self.scale
 
@@ -69,43 +95,6 @@ class GraphCochain:
             tup = [necklaces[perm[v]] for v in range(len(necklaces))]
             total += sgn * self.evaluate_tuple(tup, edge_flips)
         return total
-
-    def _placements(self, necklaces):
-        """Letter-per-dart maps: each necklace in every rotation at its vertex."""
-        g = self.lg.graph
-        options = []
-        for cyc, n in zip(g.vertices, necklaces):
-            word = n.word
-            options.append([dict(zip(cyc, word[r:] + word[:r])) for r in range(len(word))])
-        out = [{}]
-        for rots in options:
-            nxt = []
-            for acc in out:
-                for rot in rots:
-                    d = dict(acc)
-                    d.update(rot)
-                    nxt.append(d)
-            out = nxt
-        return out
-
-    def _contract(self, letter, flips=frozenset()) -> Fraction:
-        g = self.lg.graph
-        dq = self.alg.dq
-        labels = self.lg.face_labels
-        if any(lab is not None for lab in labels):
-            for d, e in letter.items():
-                if dq.tail[e] != labels[g.face_of(d)] or \
-                   dq.head[e] != labels[g.face_of(g.iota[d])]:
-                    return Fraction(0)
-        val = Fraction(1)
-        for i, (a, b) in enumerate(g.edges):
-            if i in flips:
-                a, b = b, a
-            s = self.alg.symplectic_form(letter[a], letter[b])
-            if not s:
-                return Fraction(0)
-            val *= s
-        return val
 
 
 def ce_boundary(alg: NecklaceAlgebra, necklaces):

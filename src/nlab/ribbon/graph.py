@@ -7,6 +7,10 @@ orbits of gamma o iota; the genus comes from the Euler formula.  Lists of
 vertices, edges and faces are sorted by their minimal dart, each orbit
 written starting from its minimal dart; the reference orientation of edge
 i is the dart pair (min dart, its iota partner).
+
+tensor_contractions is the one routine that contracts a tensor per vertex
+along every edge by a pairing: A-infinity weights (module ainf) and graph
+cochains (module ribbon.cochain) both run it.
 """
 
 from __future__ import annotations
@@ -277,6 +281,44 @@ class RibbonGraph:
     def __repr__(self):
         return "RibbonGraph(V=%d, E=%d, F=%d, g=%d)" % (
             self.num_vertices, self.num_edges, self.num_faces, self.genus())
+
+
+def tensor_contractions(blocks, edge_tensors):
+    """(assignment, product) for every assignment of indices to darts whose
+    product of block and edge entries is nonzero.
+
+    blocks is a list of (darts, {index tuple: entry}), one tensor per vertex,
+    contracted in list order; edge_tensors is a list of ((a, b), {(index at
+    a, index at b): entry}), one pairing per edge.  Every dict holds nonzero
+    entries only.  Depth t sets the darts of blocks[t] from one entry of its
+    tensor, then looks up each edge whose second dart it sets (a loop's
+    included); a missing edge entry prunes the branch before anything is
+    multiplied.  The yielded assignment is reused: read it before resuming.
+    """
+    depth = {d: t for t, (darts, _) in enumerate(blocks) for d in darts}
+    closing = [[] for _ in blocks]
+    for (a, b), pairing in edge_tensors:
+        closing[max(depth[a], depth[b])].append((a, b, pairing))
+    assign = {}
+
+    def extend(t, v):
+        if t == len(blocks):
+            yield assign, v
+            return
+        darts, tensor = blocks[t]
+        edges = closing[t]
+        for idx, entry in tensor.items():
+            assign.update(zip(darts, idx))
+            for a, b, pairing in edges:
+                if (assign[a], assign[b]) not in pairing:
+                    break
+            else:
+                w = v * entry
+                for a, b, pairing in edges:
+                    w *= pairing[assign[a], assign[b]]
+                yield from extend(t + 1, w)
+
+    return extend(0, 1)
 
 
 def polygon(k) -> RibbonGraph:

@@ -445,6 +445,55 @@ def test_ribbon_cochain_cli(tmp_path, capsys):
     assert out.strip().lstrip("-").replace("/", "").isdigit()
 
 
+def test_ribbon_cochain_rejects_label_outside_quiver(tmp_path, capsys):
+    with open(q("p3.json")) as f:
+        graph = json.load(f)
+    graph["labels"]["face0"] = "zz"
+    path = tmp_path / "p3zz.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(["ribbon", "cochain", "--ribbon", str(path), "-q", q("loop.json"),
+                              "--mult", "2", "--necklaces",
+                              "(e#1 e#2*);(e#2 e#1*);(e#1 e#1*)"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "'zz'" in err and len(err.splitlines()) == 1
+
+
+def _ainf_blob(dim, pairing, tensor=None):
+    blob = {"objects": ["v"], "adjacency": [["v", "v"]],
+            "spaces": {"v,v": {"parities": [0] * dim}},
+            "pairings": {"v,v": pairing}, "products": []}
+    if tensor is not None:
+        blob["products"] = [{"cycle": ["v", "v", "v"], "tensor": tensor}]
+    return blob
+
+
+# A-infinity data whose pairing or product tensor is not shaped by the
+# dimensions of its spaces, or has a leaf that is not a number
+MALFORMED_AINF = {
+    "pairing-too-small": (_ainf_blob(2, [[1]]), "pairing v,v"),
+    "pairing-too-large": (_ainf_blob(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "pairing v,v"),
+    "pairing-not-a-matrix": (_ainf_blob(1, [1]), "pairing v,v"),
+    "pairing-string-entry": (_ainf_blob(1, [["1"]]), "pairing v,v"),
+    "tensor-too-shallow": (_ainf_blob(1, [[1]], [[1]]), "cycle ('v', 'v', 'v')"),
+    "tensor-too-wide": (_ainf_blob(1, [[1]], [[[1, 2]]]), "cycle ('v', 'v', 'v')"),
+    "tensor-too-deep": (_ainf_blob(1, [[1]], [[[[1]]]]), "cycle ('v', 'v', 'v')"),
+    "tensor-boolean-entry": (_ainf_blob(1, [[1]], [[[True]]]), "cycle ('v', 'v', 'v')"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_AINF))
+def test_malformed_ainf_data_exits_two(name, tmp_path, capsys):
+    blob, key = MALFORMED_AINF[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    for op in (["ainf", "check", "--data", str(path)],
+               ["ainf", "cycle", "--data", str(path), "--genus", "0", "--faces", "3",
+                "--labels", "v,v,v"]):
+        code, out, err = run_cli(op, capsys)
+        assert (code, out) == (2, ""), op
+        assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1, err
+
+
 def test_console_script_entry():
     # the child imports the same nlab as this process, installed or not
     import nlab

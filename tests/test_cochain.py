@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from itertools import product
 
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, adjacency, double
@@ -188,3 +189,95 @@ def test_invariance_under_edge_orientation_choice():
                 ne = lg.graph.num_edges
                 for flips in ([0], list(range(ne)), [0, ne - 1]):
                     assert coch.evaluate_wedge(W, edge_flips=flips) == base
+
+
+def _reference_evaluate(coch, necklaces, edge_flips=()):
+    """evaluate_tuple by brute force: every rotation of every necklace at its
+    vertex (a periodic necklace once per rotation), each placement's letters
+    checked against the face labels, omega multiplied over all edges."""
+    g, alg, labels = coch.lg.graph, coch.alg, coch.lg.face_labels
+    dq = alg.dq
+    if len(necklaces) != g.num_vertices or \
+            any(len(c) != len(n.word) for c, n in zip(g.vertices, necklaces)):
+        return Fraction(0)
+    total = Fraction(0)
+    for rots in product(*(range(len(n.word)) for n in necklaces)):
+        letter = {}
+        for cyc, n, r in zip(g.vertices, necklaces, rots):
+            letter.update(zip(cyc, n.word[r:] + n.word[:r]))
+        if any(lab is not None for lab in labels) and any(
+                (dq.tail[e], dq.head[e]) != (labels[g.face_of(d)], labels[g.face_of(g.iota[d])])
+                for d, e in letter.items()):
+            continue
+        val = 1
+        for i, (a, b) in enumerate(g.edges):
+            if i in edge_flips:
+                a, b = b, a
+            val *= alg.symplectic_form(letter[a], letter[b])
+        total += val
+    sign = coch.bridge.vertex_edge_value(list(range(g.num_vertices)), frozenset(edge_flips))
+    return total * sign * coch.scale
+
+
+def periodic_tuples(g, alg, rng, count=6):
+    """One necklace per vertex, each a shorter closed word repeated to the
+    vertex's valence where the valence allows it, e.g. (e#1 e#1* e#1 e#1*)."""
+    dq = alg.dq
+    out = []
+    while len(out) < count:
+        W = []
+        for cyc in g.vertices:
+            d = len(cyc)
+            period = rng.choice([p for p in range(1, d) if d % p == 0] or [d])
+            if period == 2:
+                # (x x*) repeated: omega pairs the repeats along loops
+                x = rng.choice(dq.edge_order)
+                W.append(alg.necklace([x, dq.reverse(x)] * (d // 2)))
+                continue
+            # a random closed walk of that length, or none
+            for _ in range(50):
+                word = [rng.choice(dq.edge_order)]
+                while len(word) < period:
+                    word.append(rng.choice([e for e in dq.edge_order
+                                            if dq.tail[e] == dq.head[word[-1]]]))
+                if dq.head[word[-1]] == dq.tail[word[0]]:
+                    W.append(alg.necklace(word * (d // period)))
+                    break
+        if len(W) == g.num_vertices:
+            out.append(W)
+    return out
+
+
+def test_evaluate_tuple_matches_every_rotation_reference():
+    """The shared tensor contraction equals the product over every rotation
+    placement, on periodic necklaces, labeled two-vertex classes and under
+    random edge flips."""
+    rng = random.Random(17)
+    G = adjacency(loop_quiver())
+    alg = algebra(2)
+    q2 = Quiver(["p", "q"], [("a", "p", "q"), ("c", "p", "p")])
+    alg2 = NecklaceAlgebra(double(q2.multiply(2)))
+    cases = [(alg, RibbonComplex(0, 3, 2, G=G, X=("v",) * 3, max_edges=4), "loop"),
+             (alg, RibbonComplex(1, 1, 3, G=G, X=("v",)), "loop"),
+             (alg, RibbonComplex(0, 4, 3, G=G, X=("v",) * 4, max_edges=4), "loop"),
+             (alg2, RibbonComplex(0, 3, 2, G=adjacency(q2), X=("p", "p", "q"),
+                                  max_edges=3), "labeled"),
+             (alg2, RibbonComplex(1, 2, 3, G=adjacency(q2), X=("p", "q"),
+                                  max_edges=4), "labeled")]
+    seen = {"loop": 0, "labeled": 0, "periodic": 0}
+    for a, cx, kind in cases:
+        for basis in cx.basis.values():
+            for lg in basis:
+                coch = GraphCochain(lg, a)
+                tuples = [("periodic", W) for W in periodic_tuples(lg.graph, a, rng)]
+                make = structured_tuples if kind == "loop" else labeled_tuples
+                tuples += [(kind, W) for W in make(lg.graph if kind == "loop" else lg,
+                                                   a, rng, 4)]
+                for tag, W in tuples:
+                    ne = lg.graph.num_edges
+                    flips = [e for e in range(ne) if rng.random() < 0.5]
+                    value = coch.evaluate_tuple(W, edge_flips=flips)
+                    assert value == _reference_evaluate(coch, W, flips), (lg.code, W, flips)
+                    seen[tag] += bool(value)
+    # every kind of tuple reaches nonzero values
+    assert all(n >= 3 for n in seen.values()), seen

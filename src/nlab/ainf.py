@@ -91,13 +91,17 @@ class CyclicAInfData:
         return ps.pop() if ps else 0
 
     def _complete_pairings(self):
-        """Derive each missing flip, and the C tensor of every pairing."""
+        """Derive each missing flip, check each given one, and store the C
+        tensor of every pairing."""
         # graded symmetry <y, x> = (-1)^{|x||y|} <x, y> supplies the flip
         for (i, j), mat in list(self.pairings.items()):
-            if (j, i) not in self.pairings:
-                self.pairings[(j, i)] = {
-                    (b, a): -v if self.parity(i, j, a) and self.parity(j, i, b) else v
+            flip = {(b, a): -v if self.parity(i, j, a) and self.parity(j, i, b) else v
                     for (a, b), v in mat.items()}
+            if self.pairings.setdefault((j, i), flip) != flip:
+                where = ("pairing %s,%s" % (i, j) if i == j
+                         else "pairings %s,%s and %s,%s" % (i, j, j, i))
+                raise AInfError("%s break graded symmetry <y, x> = (-1)^{|x||y|} <x, y>"
+                                % where)
         for (i, j) in self.parities:
             if (i, j) not in self.pairings:
                 raise AInfError("missing pairing for %s,%s" % (i, j))

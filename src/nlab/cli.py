@@ -232,13 +232,14 @@ def _ribbon_family(args):
 def cmd_ribbon(args):
     if args.op == "enum":
         # every connected iso class, including nonorientable ones
-        from .ribbon.complexes import degree_range, family_classes
+        from .ribbon.complexes import degree_range, family_levels
         G, X = _ribbon_family(args)
         kmin, kmax = degree_range(args.genus, args.faces, args.min_valence,
                                   args.max_edges, G, X)
         out = []
-        for k in range(kmin, kmax + 1):
-            for lg in family_classes(k, args.genus, args.faces, args.min_valence, G, X):
+        for k, classes in family_levels(kmin, kmax, args.genus, args.faces,
+                                        args.min_valence, G, X):
+            for lg in classes:
                 g = lg.graph
                 out.append({
                     "edges": k, "vertices": g.num_vertices, "faces": g.num_faces,

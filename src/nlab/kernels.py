@@ -18,39 +18,54 @@ def canonical_data(iota, gamma, labels):
     lists every old->new relabeling achieving it (their count is the order
     of the automorphism group; the map acts freely on darts).
     Raises ValueError on a disconnected map.
+
+    The BFS from a root gives new label i to dart order[i], so gamma'[i]
+    is known once dart i is visited.  A root is dropped as soon as its
+    gamma' prefix exceeds the best code's: its code can be neither smaller
+    nor equal.  Roots with an equal or smaller prefix run to the end.
     """
     n = len(iota)
     best_code = None
+    best_g = None
     best_perms = []
     for root in range(n):
         perm = [-1] * n
-        order = [root]
         perm[root] = 0
+        order = [root]
+        g2 = [0] * n
+        tied = best_g is not None
         k = 1
         i = 0
-        while i < len(order):
+        while i < k:
             d = order[i]
+            nb = gamma[d]
+            if perm[nb] < 0:
+                perm[nb] = k
+                k += 1
+                order.append(nb)
+            nb = iota[d]
+            if perm[nb] < 0:
+                perm[nb] = k
+                k += 1
+                order.append(nb)
+            g = perm[gamma[d]]
+            if tied and g != best_g[i]:
+                if g > best_g[i]:
+                    break
+                tied = False
+            g2[i] = g
             i += 1
-            for nb in (gamma[d], iota[d]):
-                if perm[nb] < 0:
-                    perm[nb] = k
-                    k += 1
-                    order.append(nb)
-        if k < n:
-            raise ValueError("disconnected map")
-        g2 = [0] * n
-        i2 = [0] * n
-        l2 = [0] * n
-        for d in range(n):
-            g2[perm[d]] = perm[gamma[d]]
-            i2[perm[d]] = perm[iota[d]]
-            l2[perm[d]] = labels[d]
-        code = (tuple(g2), tuple(i2), tuple(l2))
-        if best_code is None or code < best_code:
-            best_code = code
-            best_perms = [tuple(perm)]
-        elif code == best_code:
-            best_perms.append(tuple(perm))
+        else:
+            if k < n:
+                raise ValueError("disconnected map")
+            code = (tuple(g2), tuple([perm[iota[d]] for d in order]),
+                    tuple([labels[d] for d in order]))
+            if best_code is None or code < best_code:
+                best_code = code
+                best_g = g2
+                best_perms = [tuple(perm)]
+            elif code == best_code:
+                best_perms.append(tuple(perm))
     return best_code, best_perms
 
 

@@ -2,7 +2,10 @@
 
 Unlabeled classes with a valence bound, genus and face count are
 generated by vertex splitting from the one-vertex maps, deduplicated by
-canonical form.  Face labelings by vertices of an adjacency graph G are
+canonical form.  One pairing scan finds the one-vertex maps and one
+splitting pass per degree builds the next degree, so iso_levels hands a
+whole family (every degree up to the top) out of one run; iso_classes is
+its one-degree case.  Face labelings by vertices of an adjacency graph G are
 layered on top: every edge must separate faces whose labels are adjacent
 in G, the label multiset is fixed, and labeled classes are deduplicated
 by the label-aware canonical form.  An unlabeled class is the one-object
@@ -51,28 +54,49 @@ def iso_classes(num_edges, min_valence, genus, faces):
     2g - 1 + m, found by a single pairing scan; for genus 0 with one face
     (the plane trees) it starts from the single edge.
     """
+    return next(iso_levels(num_edges, num_edges, min_valence, genus, faces))[1]
+
+
+def iso_levels(min_edges, max_edges, min_valence, genus, faces):
+    """Yield (k, iso_classes(k, min_valence, genus, faces)) for k =
+    min_edges, ..., max_edges, in that order, from one run of the generation.
+
+    One pairing scan finds the base degree and one vertex-splitting pass
+    builds each degree above it from the one below, so a whole family
+    costs what its top degree alone costs.  Degrees below the base are
+    empty.
+    """
     v = max(min_valence, 1)
-    k = 2 * genus - 1 + faces
-    valences = [2 * k] if k else [1, 1]
-    k = max(k, 1)
-    if num_edges < k or min(valences) < v:
-        return []  # a base below the valence bound has no splits either
-    codes = kernels.scan_pairings(valences, genus, faces)
-    for _ in range(k, num_edges):
-        codes = _splits(codes, v)
+    base = 2 * genus - 1 + faces
+    valences = [2 * base] if base else [1, 1]
+    at = max(base, 1)  # the degree of `graphs`
+    graphs = []
+    if min(valences) >= v and at <= max_edges:
+        # a base below the valence bound has no splits either
+        graphs = _sorted_graphs(kernels.scan_pairings(valences, genus, faces))
+    for k in range(min_edges, max_edges + 1):
+        if k < at:
+            yield k, []
+            continue
+        for _ in range(at, k):
+            graphs = _sorted_graphs(_splits(graphs, v))
+        at = k
+        yield k, graphs
+
+
+def _sorted_graphs(codes):
     return [RibbonGraph.from_code(c) for c in sorted(codes)]
 
 
-def _splits(codes, min_valence):
-    """Canonical codes of every vertex split of the given classes.
+def _splits(graphs, min_valence):
+    """Canonical codes of every vertex split of the given graphs.
 
     A split cuts a contiguous arc out of a vertex's cyclic order and joins
     it to the rest of that vertex by a new edge (darts n, n + 1), keeping
     both new valences >= min_valence.  Contracting the new edge undoes it.
     """
     out = set()
-    for code in codes:
-        g = RibbonGraph.from_code(code)
+    for g in graphs:
         n = g.n
         iota = list(g.iota) + [n + 1, n]
         zeros = [0] * (n + 2)
@@ -177,28 +201,36 @@ def label_assignments(graph: RibbonGraph, G: AdjacencyGraph, X):
             yield perm
 
 
-def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus=None):
+def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus=None, graphs=None):
     """Labeled iso classes: X an unordered label tuple, one label per face.
 
-    genus=None takes every genus the edge and face counts allow.
+    genus=None takes every genus the edge and face counts allow.  `graphs`,
+    when given, are the unlabeled classes of degree num_edges and the given
+    genus (one level of iso_levels); otherwise iso_classes finds them.
     """
     X = tuple(sorted(X))
     key = label_key(G.vertices)
-    genera = [genus] if genus is not None else range((num_edges + 1 - len(X)) // 2 + 1)
+    if graphs is None:
+        genera = [genus] if genus is not None else range((num_edges + 1 - len(X)) // 2 + 1)
+        graphs = [gr for g in genera for gr in iso_classes(num_edges, min_valence, g, len(X))]
     out = {}
-    for g in genera:
-        for graph in iso_classes(num_edges, min_valence, g, len(X)):
-            for lab in label_assignments(graph, G, X):
-                lg = canonical_labeled(graph, lab, key)
-                out.setdefault(lg.code, lg)
+    for graph in graphs:
+        for lab in label_assignments(graph, G, X):
+            lg = canonical_labeled(graph, lab, key)
+            out.setdefault(lg.code, lg)
     return [out[c] for c in sorted(out)]
 
 
-def unlabeled_as_classes(num_edges, min_valence, genus, faces):
-    """Unlabeled classes: the one-object case, every face labeled None."""
+def unlabeled_as_classes(num_edges, min_valence, genus, faces, graphs=None):
+    """Unlabeled classes: the one-object case, every face labeled None.
+
+    `graphs`, when given, are iso_classes(num_edges, min_valence, genus,
+    faces) already generated (one level of iso_levels).
+    """
     key = label_key(())
-    return [canonical_labeled(graph, (None,) * faces, key)
-            for graph in iso_classes(num_edges, min_valence, genus, faces)]
+    if graphs is None:
+        graphs = iso_classes(num_edges, min_valence, genus, faces)
+    return [canonical_labeled(graph, (None,) * faces, key) for graph in graphs]
 
 
 def polygon_class(k, face_labels=(None, None)):

@@ -22,8 +22,8 @@ import os
 
 from .. import __version__
 from ..linalg import perm_sign, rank
-from .census import (LabeledRibbonGraph, canonical_class, dart_keys, label_key,
-                     labeled_classes, unlabeled_as_classes)
+from .census import (LabeledRibbonGraph, canonical_class, dart_keys, iso_levels,
+                     label_key, labeled_classes, unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
 from .orientation import ef_sign, is_orientable
 
@@ -76,11 +76,20 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
     return bottom, top
 
 
-def family_classes(k, genus, faces, min_valence, G=None, X=None):
-    """Every connected class of degree k in a family, orientable or not."""
-    if G is not None:
-        return labeled_classes(k, min_valence, G, X, genus=genus)
-    return unlabeled_as_classes(k, min_valence, genus=genus, faces=faces)
+def family_levels(kmin, kmax, genus, faces, min_valence, G=None, X=None):
+    """Yield (k, classes) for k = kmin..kmax: every connected class of
+    degree k in a family, orientable or not.
+
+    The unlabeled classes of all degrees come from one run of
+    census.iso_levels (one pairing scan, one vertex-splitting pass per
+    degree); each degree is then labeled on its own.
+    """
+    for k, graphs in iso_levels(kmin, kmax, min_valence, genus, faces):
+        if G is not None:
+            yield k, labeled_classes(k, min_valence, G, X, genus=genus, graphs=graphs)
+        else:
+            yield k, unlabeled_as_classes(k, min_valence, genus=genus, faces=faces,
+                                          graphs=graphs)
 
 
 class RibbonComplex:
@@ -107,10 +116,9 @@ class RibbonComplex:
 
     def _build(self):
         total = 0
-        for k in range(self.kmin, self.kmax + 1):
-            basis = [lg for lg in family_classes(k, self.genus, self.faces,
-                                                 self.min_valence, self.G, self.X)
-                     if lg.is_orientable()]
+        for k, classes in family_levels(self.kmin, self.kmax, self.genus, self.faces,
+                                        self.min_valence, self.G, self.X):
+            basis = [lg for lg in classes if lg.is_orientable()]
             total += len(basis)
             if total > self.SIZE_GUARD:
                 raise RibbonError("%d basis elements exceed RibbonComplex.SIZE_GUARD = %d"
@@ -299,5 +307,5 @@ class RibbonComplex:
         }
         tmp = self._cache_path(cache_dir) + ".tmp"
         with open(tmp, "w") as f:
-            json.dump(data, f)
+            f.write(json.dumps(data))  # the C encoder; json.dump streams in Python
         os.replace(tmp, self._cache_path(cache_dir))

@@ -23,3 +23,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert MoyalHopf.star_ms is original
+
+
+def test_traced_builds_reach_the_wrapped_entry_points(monkeypatch, tmp_path):
+    # a cold build must run one base pairing scan per family and count its
+    # classes through the wrapped census functions
+    monkeypatch.syspath_prepend(ROOT)
+    from nlabbench.tracing import Tracer, install
+    from nlab.quiver import Quiver, adjacency
+    from nlab.ribbon import complexes
+
+    pq = adjacency(Quiver(["p", "q"], [("a", "p", "q"), ("c", "p", "p")]))
+    tracer = Tracer()
+    try:
+        install(tracer)
+        for n, (g, m, max_edges, G, X) in enumerate([(1, 2, 5, None, None),
+                                                     (1, 2, None, pq, ("p", "q"))]):
+            tracer.reset()
+            complexes.RibbonComplex(g, m, 3, G=G, X=X, max_edges=max_edges,
+                                    cache_dir=str(tmp_path / str(n)))
+            assert tracer.stats["kernels.scan_pairings"].calls == 1, (g, m, X)
+            assert tracer.counters["census.classes"] > 0, (g, m, X)
+            assert tracer.counters["complexes.cache_miss"] == 1
+    finally:
+        tracer.uninstall()

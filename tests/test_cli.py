@@ -458,18 +458,31 @@ def test_ribbon_cochain_rejects_label_outside_quiver(tmp_path, capsys):
     assert err.startswith("error: ") and "'zz'" in err and len(err.splitlines()) == 1
 
 
-def _ainf_blob(dim, pairing, tensor=None):
+def _ainf_blob(dim, pairing, tensor=None, parity=0):
     blob = {"objects": ["v"], "adjacency": [["v", "v"]],
-            "spaces": {"v,v": {"parities": [0] * dim}},
+            "spaces": {"v,v": {"parities": [parity] * dim}},
             "pairings": {"v,v": pairing}, "products": []}
     if tensor is not None:
         blob["products"] = [{"cycle": ["v", "v", "v"], "tensor": tensor}]
     return blob
 
 
+def _two_object_blob(pairings):
+    with open(q("two_object.json")) as f:
+        blob = json.load(f)
+    blob["pairings"] = pairings
+    return blob
+
+
 # A-infinity data whose pairing or product tensor is not shaped by the
-# dimensions of its spaces, or has a leaf that is not a number
+# dimensions of its spaces, has a leaf that is not a number, or whose
+# pairings break graded symmetry <y, x> = (-1)^{|x||y|} <x, y>
 MALFORMED_AINF = {
+    "flip-not-graded-symmetric": (_two_object_blob({"p,q": [[1]], "q,p": [[2]]}),
+                                  "pairings p,q and q,p"),
+    "self-pairing-not-symmetric": (_ainf_blob(2, [[0, 1], [2, 0]]), "pairing v,v"),
+    "odd-self-pairing-not-antisymmetric": (_ainf_blob(2, [[0, 1], [1, 0]], parity=1),
+                                           "pairing v,v"),
     "pairing-too-small": (_ainf_blob(2, [[1]]), "pairing v,v"),
     "pairing-too-large": (_ainf_blob(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "pairing v,v"),
     "pairing-not-a-matrix": (_ainf_blob(1, [1]), "pairing v,v"),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import nlab.kernels as kernels
@@ -33,3 +35,84 @@ def test_vertex_splitting_equals_pairing_scan():
             split = iso_classes(k, v, g, m)
             assert [(c.gamma, c.iota) for c in split] == \
                 [(gamma, iota) for gamma, iota, _ in sorted(scanned)], (g, m, v, k)
+
+
+def _reference_canonical(iota, gamma, labels):
+    """Every root's BFS relabeling run to the end, then the minimal code and
+    the relabelings reaching it in root order."""
+    n = len(iota)
+    found = []
+    for root in range(n):
+        perm = {root: 0}
+        order = [root]
+        for d in order:
+            for nb in (gamma[d], iota[d]):
+                if nb not in perm:
+                    perm[nb] = len(order)
+                    order.append(nb)
+        if len(order) < n:
+            raise ValueError("disconnected map")
+        code = (tuple(perm[gamma[d]] for d in order), tuple(perm[iota[d]] for d in order),
+                tuple(labels[d] for d in order))
+        found.append((code, tuple(perm[d] for d in range(n))))
+    best = min(code for code, _ in found)
+    return best, [p for code, p in found if code == best]
+
+
+def _random_map(rng, n):
+    darts = list(range(n))
+    rng.shuffle(darts)
+    iota = [0] * n
+    for a, b in zip(darts[::2], darts[1::2]):
+        iota[a], iota[b] = b, a
+    gamma = list(range(n))
+    rng.shuffle(gamma)
+    return iota, gamma
+
+
+def _bouquet(k, step):
+    """One vertex of valence 2k with dart d paired to d + step (mod 2k)."""
+    n = 2 * k
+    iota = [0] * n
+    for d in range(0, n):
+        if (d // step) % 2 == 0:
+            iota[d], iota[d + step] = d + step, d
+    return iota, [(d + 1) % n for d in range(n)]
+
+
+def test_pruned_canonical_search_matches_full_scan():
+    from nlab.ribbon.graph import RibbonGraph, polygon
+    rng = random.Random(11)
+    disconnected = connected = 0
+    for _ in range(400):
+        n = 2 * rng.randint(1, 7)
+        iota, gamma = _random_map(rng, n)
+        labels = [rng.randint(0, 2) for _ in range(n)]
+        try:
+            want = _reference_canonical(iota, gamma, labels)
+        except ValueError:
+            disconnected += 1
+            with pytest.raises(ValueError):
+                kernels.canonical_data(iota, gamma, labels)
+            continue
+        connected += 1
+        assert kernels.canonical_data(iota, gamma, labels) == want
+    assert disconnected > 20 and connected > 100
+    # maps with |Aut| > 1, relabeled at random so every root order occurs
+    theta = RibbonGraph([2, 4, 0, 5, 1, 3], [1, 3, 5, 0, 2, 4])
+    symmetric = [polygon(k) for k in range(1, 7)] + [theta]
+    symmetric += [RibbonGraph(*_bouquet(k, s)) for k, s in [(2, 1), (2, 2), (3, 3), (4, 4), (4, 2)]]
+    for graph in symmetric:
+        face_keys = [[0] * graph.n, [0] * graph.n]
+        for d in graph.faces[0]:
+            face_keys[1][d] = 1  # one face told apart from the rest
+        for labels in face_keys:
+            want = _reference_canonical(graph.iota, graph.gamma, labels)
+            assert kernels.canonical_data(list(graph.iota), list(graph.gamma), labels) == want
+        assert len(_reference_canonical(graph.iota, graph.gamma, face_keys[0])[1]) > 1, graph
+        for _ in range(5):
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            h = graph.relabel(perm)
+            want = _reference_canonical(h.iota, h.gamma, [0] * h.n)
+            assert kernels.canonical_data(list(h.iota), list(h.gamma), [0] * h.n) == want

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from nlab.quiver import AdjacencyGraph, Quiver, adjacency
-from nlab.ribbon.census import (iso_classes, labeled_classes, partitions,
+from nlab.ribbon.census import (iso_classes, iso_levels, labeled_classes, partitions,
                                 polygon_class, unlabeled_as_classes)
-from nlab.ribbon.complexes import RibbonComplex, top_degree
+from nlab.ribbon.complexes import RibbonComplex, bottom_degree, family_levels, top_degree
 from nlab.ribbon.graph import RibbonGraph, RibbonError, polygon
 from nlab.ribbon.orientation import is_orientable
 
@@ -181,6 +182,52 @@ def test_complex_caching(tmp_path):
     assert cx1.dims() == cx2.dims()
     assert cx1.matrices == cx2.matrices
     assert list(tmp_path.glob("complex-*.json"))
+
+
+def pq_graph():
+    return adjacency(Quiver(["p", "q"], [("a", "p", "q"), ("c", "p", "p")]))
+
+
+def test_one_pass_levels_equal_per_degree_classes():
+    for g, m, v, top in [(0, 5, 3, 7), (1, 3, 3, 6), (2, 1, 3, 6), (0, 3, 2, 5)]:
+        kmin = bottom_degree(g, m)
+        levels = list(iso_levels(kmin, top, v, g, m))
+        assert [k for k, _ in levels] == list(range(kmin, top + 1))
+        for k, graphs in levels:
+            want = iso_classes(k, v, g, m)
+            assert [(c.gamma, c.iota) for c in graphs] == \
+                [(c.gamma, c.iota) for c in want], (g, m, v, k)
+        assert levels[-1][1], (g, m, v)
+        for k, classes in family_levels(kmin, top, g, m, v):
+            want = unlabeled_as_classes(k, v, genus=g, faces=m)
+            assert [(lg.code, lg.auts) for lg in classes] == [(lg.code, lg.auts) for lg in want]
+    # a labeled family: each degree labeled on its own, auts in the same order
+    G, X = pq_graph(), ("p", "p", "q")
+    seen = 0
+    for k, classes in family_levels(bottom_degree(1, 3), 6, 1, 3, 3, G, X):
+        want = labeled_classes(k, 3, G, X, genus=1)
+        assert [(lg.code, lg.face_labels, lg.auts) for lg in classes] == \
+            [(lg.code, lg.face_labels, lg.auts) for lg in want], k
+        seen += len(classes)
+    assert seen > 50
+
+
+# sha256 of the cache files written for these families before the one-pass
+# generation, the pruned canonical search and the one-shot JSON encoding:
+# class order, automorphism order and the encoder's bytes must not move
+CACHE_SHA256 = {
+    (1, 2, 7, None): "39160303a4b2dca8563d62d33872917821eaf339fda660c5a5ccd1cc82f68a2c",
+    (1, 2, None, ("p", "q")): "8286ee89dc73f858887e3ab7023579d7f33986147a32303f961c77661d9e11bb",
+}
+
+
+@pytest.mark.parametrize("family", sorted(CACHE_SHA256, key=str))
+def test_complex_cache_bytes_pinned(family, tmp_path):
+    g, m, max_edges, X = family
+    RibbonComplex(g, m, 3, G=pq_graph() if X else None, X=X, max_edges=max_edges,
+                  cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("complex-*.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[family]
 
 
 def test_disconnected_graph_reported():

@@ -402,50 +402,22 @@ class WeightEngine:
         return total * self._bridge(lg).ciliation_value(vertex_order, ciliations)
 
 
-_worker_engine = None
-
-
-def _start_worker(data):
-    global _worker_engine
-    _worker_engine = WeightEngine(data)
-
-
-def _weight_task(lg):
-    return _worker_engine.weight(lg) / len(lg.auts)
-
-
 def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
-                max_edges=None, cache_dir=None, jobs=1):
+                max_edges=None, cache_dir=None):
     """The Kontsevich chain sum_Gamma W(Gamma, or)/|Aut Gamma| (Gamma, or).
 
     Returns (complex, chains, boundaries): chains maps each degree to the
     coefficient vector over the orientable basis, boundaries to the image
     vector one degree down (all exactly zero when the data satisfies the
     cyclic axioms; this is the desk-scale content of the cycle theorem).
-    Weight computations for distinct graphs are independent; jobs > 1
-    spreads them over a process pool whose workers each receive the data
-    once, with a deterministic ordered merge.
     """
     from .ribbon.complexes import RibbonComplex
 
-    if jobs < 1:
-        raise AInfError("jobs = %r is below 1" % (jobs,))
-    # data the engine rejects must fail here: a pool restarts a worker whose
-    # initializer raises, forever
     eng = WeightEngine(data)
     cx = RibbonComplex(genus, faces, min_valence, G=data.G, X=tuple(X),
                        max_edges=max_edges, cache_dir=cache_dir)
-    classes = [lg for k in sorted(cx.basis) for lg in cx.basis[k]]
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs, _start_worker, (data,)) as pool:
-            # one class per task: the costly top-degree classes come last, and
-            # the default chunks would hand them all to one worker
-            weights = pool.map(_weight_task, classes, chunksize=1)
-    else:
-        weights = [eng.weight(lg) / len(lg.auts) for lg in classes]
-    it = iter(weights)
-    chains = {k: [next(it) for _ in cx.basis[k]] for k in sorted(cx.basis)}
+    chains = {k: [eng.weight(lg) / len(lg.auts) for lg in cx.basis[k]]
+              for k in sorted(cx.basis)}
     boundaries = {}
     for k in sorted(cx.matrices):
         mat, vec = cx.matrices[k], chains.get(k, [])

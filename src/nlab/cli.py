@@ -113,7 +113,6 @@ def build_parser():
     p = _operation(ops, "cycle", cmd_ainf)
     p.add_argument("--data", required=True)
     _add_family(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the weights")
     _add_cache_dir(p)
     _add_format(p)
     return ap
@@ -268,7 +267,6 @@ def cmd_ribbon(args):
             for row in cx.matrices[k]:
                 print("\t".join(str(v) for v in row))
     elif args.op == "homology":
-        cx.check_d_squared()
         table = cx.betti()
         if args.format == "json":
             print(json.dumps({str(k): {"dim": d, "betti": b}
@@ -326,7 +324,7 @@ def cmd_ainf(args):
     cx, chains, boundaries = build_cycle(data, args.genus, args.faces, X,
                                          min_valence=args.min_valence,
                                          max_edges=args.max_edges,
-                                         cache_dir=args.cache_dir, jobs=args.jobs)
+                                         cache_dir=args.cache_dir)
     ok = all(not any(v) for v in boundaries.values())
     if args.format == "json":
         print(json.dumps({

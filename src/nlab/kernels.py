@@ -105,9 +105,8 @@ def scan_pairings(valences, want_genus, want_faces):
 
     gamma is fixed with one cycle per valence on consecutive darts; all
     fixed-point-free pairings are scanned and deduplicated by canonical
-    form.  Only maps with the requested genus and face count are kept
-    (pass want_genus < 0 or want_faces < 0 to keep all).  Returns a sorted
-    list of canonical codes.
+    form.  Only maps with the requested genus and face count are kept.
+    Returns a sorted list of canonical codes.
     """
     n = sum(valences)
     if n % 2:
@@ -127,13 +126,7 @@ def scan_pairings(valences, want_genus, want_faces):
         if not is_connected(iota, gamma):
             return
         faces = _count_faces(iota, gamma)
-        genus2 = 2 - (nvert - nedge + faces)
-        if genus2 % 2:
-            return
-        genus = genus2 // 2
-        if want_genus >= 0 and genus != want_genus:
-            return
-        if want_faces >= 0 and faces != want_faces:
+        if faces != want_faces or 2 - (nvert - nedge + faces) != 2 * want_genus:
             return
         code, _ = canonical_data(iota, gamma, [0] * n)
         found.setdefault(code, None)

@@ -364,18 +364,16 @@ class RepSpace:
                         for letters in self._expand(n.word)])
         return scalar, ([x for part in combo for x in part] for combo in product(*per))
 
-    def phi_w_realized(self, P) -> DiffOperator:
+    def phi_w_realized(self, P: SymElement) -> DiffOperator:
         """(1/N!) sum over height assignments of rho, per multiset term.
 
         Computed by expanding index tuples and averaging each concrete letter
         multiset over orderings (exactly the N! sum, grouped and memoized).
         """
-        if isinstance(P, SymElement):
-            out = DiffOperator()
-            for ms, c in P.terms.items():
-                out._add_all(self._phi_ms(ms), c)
-            return out._clean()
-        return self._phi_ms(P)
+        out = DiffOperator()
+        for ms, c in P.terms.items():
+            out._add_all(self._phi_ms(ms), c)
+        return out._clean()
 
     def _phi_ms(self, ms) -> DiffOperator:
         scalar, expansions = self._height_letters(ms)

@@ -110,6 +110,7 @@ class RibbonComplex:
         self.matrices = {}    # degree k -> boundary C_k -> C_{k-1} (row-major)
         if not self._load(cache_dir):
             self._build()
+            self.check_d_squared()
             self._store(cache_dir)
 
     # -- construction -----------------------------------------------------------
@@ -199,19 +200,20 @@ class RibbonComplex:
         return sum((-1) ** k * len(b) for k, b in self.basis.items())
 
     def check_d_squared(self):
+        """Raise RibbonError unless every d_{k-1} d_k is zero.
+
+        Each entry of the product sums over the nonzero rows of its column
+        of d_k only.
+        """
         for k in range(self.kmin + 2, self.kmax + 1):
             a = self.matrices[k - 1]
             b = self.matrices[k]
             if not a or not b:
                 continue
-            rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-            for i in range(rows):
-                for j in range(cols):
-                    s = 0
-                    for t in range(mid):
-                        if a[i][t] and b[t][j]:
-                            s += a[i][t] * b[t][j]
-                    if s:
+            for column in zip(*b):
+                nonzero = [(t, v) for t, v in enumerate(column) if v]
+                for row in a:
+                    if sum(row[t] * v for t, v in nonzero):
                         raise RibbonError("d^2 != 0 at degree %d" % k)
         return True
 

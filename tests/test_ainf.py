@@ -207,19 +207,6 @@ def test_matrix_units_axioms_and_cycles():
     assert seen_nonzero
 
 
-def test_build_cycle_jobs_matches_serial():
-    blob = json.dumps({
-        "objects": ["v"], "adjacency": [["v", "v"]],
-        "spaces": {"v,v": {"parities": [0]}},
-        "pairings": {"v,v": [[1]]},
-        "products": [{"cycle": ["v", "v", "v"], "tensor": [[[1]]]}],
-    })
-    data = load_data(blob)
-    _, serial, _ = build_cycle(data, 0, 3, ("v",) * 3)
-    _, parallel, _ = build_cycle(data, 0, 3, ("v",) * 3, jobs=2)
-    assert serial == parallel
-
-
 def _reference_weight(eng, lg, vertex_order, ciliations, edge_order, edge_flips):
     """W by brute force: every product of C entries, one per edge, times the
     vertex tensor entries it picks, with the braid and evaluation signs."""

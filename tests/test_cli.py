@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -368,10 +369,6 @@ def test_usage_errors_exit_two(capsys):
         (["verify", "diagram", "-q", q("loop.json"), "--dims", ""], "--dims"),
         (["verify", "diagram", "-q", q("loop.json"), "--dims", "v=1,w"], "--dims"),
         # counts below their least meaningful value
-        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
-          "--labels", "v,v,v", "--jobs", "0"], "jobs = 0"),
-        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
-          "--labels", "v,v,v", "--jobs", "-2"], "jobs = -2"),
         (["ainf", "check", "--data", q("unit.json"), "--n-max", "-5"], "n_max = -5"),
         (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
           "--labels", "v,v,v", "--max-edges", "-1"], "max_edges = -1"),
@@ -385,7 +382,7 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args
         assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
-    # --jobs belongs to `ainf` alone: elsewhere it is a usage error, not ignored
+    # no operation reads --jobs: it is a usage error, not ignored
     with pytest.raises(SystemExit) as exc:
         main(["verify", "hopf", "-q", q("loop.json"), "--jobs", "4"])
     assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
@@ -407,6 +404,8 @@ UNREAD_FLAGS = [
     (["ainf", "check", "--data", q("unit.json"), "--labels", "v"], "--labels"),
     (["ainf", "check", "--data", q("unit.json"), "--jobs", "2"], "--jobs"),
     (["ribbon", "homology", "--genus", "0", "--faces", "3", "--format", "tsv"], "--format"),
+    (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
+      "--labels", "v,v,v", "--jobs", "2"], "--jobs"),
 ]
 
 
@@ -431,6 +430,51 @@ def test_readme_commands_parse():
     for argv in commands:
         assert argv[0] == "nlab", argv
         parser.parse_args(argv[1:])
+
+
+def _operation_parsers(parser, prefix=()):
+    """(operation words, parser) for every operation parser under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _operation_parsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_readme_flag_table_matches_parsers():
+    # each row of the README's operation table names, by its first spelling,
+    # exactly the options that the operation's parser registers
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    family = re.search(r"\* Family flags: (.*?)\n\*", readme, re.S).group(1)
+    table = readme.split("| operation | flags |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.strip().splitlines()[1:]:
+        ops, flags = row.strip("|").split("|")
+        flags = flags.replace("family flags", family)
+        for op in re.findall(r"`([^`]+)`", ops):
+            documented[op] = {f for f in re.findall(r"`([^`]+)`", flags)
+                              if f.startswith("-")}
+    registered = {op: {a.option_strings[0] for a in p._actions
+                       if a.option_strings and a.dest != "help"}
+                  for op, p in _operation_parsers(build_parser())}
+    assert documented == registered
+
+
+def test_warm_ribbon_homology_checks_d_squared_once(tmp_path, monkeypatch, capsys):
+    from nlab.ribbon.complexes import RibbonComplex
+    args = ["ribbon", "homology", "--genus", "1", "--faces", "2", "--max-edges", "6",
+            "--cache-dir", str(tmp_path)]
+    calls = []
+    check = RibbonComplex.check_d_squared
+    monkeypatch.setattr(RibbonComplex, "check_d_squared",
+                        lambda self: calls.append(1) or check(self))
+    cold = run_cli(args, capsys)
+    assert cold[0] == 0 and calls == [1]
+    monkeypatch.setattr(RibbonComplex, "_build", lambda self: pytest.fail("cache miss"))
+    assert run_cli(args, capsys) == cold
+    assert calls == [1, 1]
 
 
 def test_ribbon_cochain_cli(tmp_path, capsys):

@@ -275,6 +275,26 @@ def test_complex_cache_validated_on_load(tmp_path):
         assert path.read_text() == text
 
 
+def test_built_complex_checks_d_squared(tmp_path, monkeypatch):
+    # a build whose boundaries break d^2 = 0 raises, and nothing is cached
+    boundary = RibbonComplex._boundary
+
+    def broken(self, k):
+        mat = boundary(self, k)
+        if k == self.kmin + 2:
+            prev = self.matrices[k - 1]
+            t, j = next((t, j) for t, row in enumerate(mat) for j, v in enumerate(row)
+                        if v and any(r[t] for r in prev))
+            mat[t][j] *= 2
+        return mat
+
+    monkeypatch.setattr(RibbonComplex, "_boundary", broken)
+    for family in (dict(), dict(G=loop_graph(), X=("v",) * 4)):
+        with pytest.raises(RibbonError, match=r"d\^2 != 0 at degree 5"):
+            RibbonComplex(0, 4, 3, cache_dir=str(tmp_path), **family)
+    assert not list(tmp_path.iterdir())
+
+
 def test_complex_cache_face_labels_validated_on_load(tmp_path, monkeypatch):
     # stored face labels must be the family's multiset (all None when
     # unlabeled) and agree with the code's per-dart label keys; anything

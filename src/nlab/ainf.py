@@ -50,13 +50,23 @@ class CyclicAInfData:
     """Hom spaces, pairings and cyclic product tensors over a graph G."""
 
     def __init__(self, objects, adjacency_pairs, parities, pairings, products):
+        for o in objects:
+            if not isinstance(o, str):
+                raise AInfError("object %r is not a string" % (o,))
+        for pair in adjacency_pairs:
+            if not all(isinstance(o, str) for o in pair):
+                raise AInfError("adjacency entry %r has an endpoint that is not a string"
+                                % (list(pair),))
         self.objects = tuple(objects)
         self.G = AdjacencyGraph(objects, adjacency_pairs)
         self.parities = {}
         for (i, j), ps in parities.items():
             if not self.G.adjacent(i, j):
                 raise AInfError("hom space %s,%s between non-adjacent objects" % (i, j))
-            self.parities[(i, j)] = tuple(int(p) % 2 for p in ps)
+            for p in ps:
+                if type(p) is not int or p not in (0, 1):
+                    raise AInfError("space %s,%s: parity %r is not 0 or 1" % (i, j, p))
+            self.parities[(i, j)] = tuple(ps)
         for (i, j) in list(self.parities):
             if (j, i) not in self.parities:
                 raise AInfError("missing dual space %s,%s" % (j, i))
@@ -125,6 +135,8 @@ class CyclicAInfData:
 
     def _install(self, cycle, tensor):
         """Store a product tensor and all its rotations (cyclicity identity)."""
+        if not all(isinstance(o, str) for o in cycle):
+            raise AInfError("product cycle %r has an entry that is not a string" % (list(cycle),))
         slots = self._slot_spaces(cycle)
         for (i, j) in slots:
             if (i, j) not in self.parities:
@@ -304,14 +316,6 @@ class WeightEngine:
         for (i, j) in data.parities:
             if data.pairing_parity(i, j) % 2:
                 raise AInfError("weights need even pairings (standard parity pattern)")
-        self._bridges = {}
-
-    def _bridge(self, lg: LabeledRibbonGraph) -> OrientationBridge:
-        br = self._bridges.get(lg.code)
-        if br is None:
-            br = OrientationBridge(lg.graph)
-            self._bridges[lg.code] = br
-        return br
 
     def _vertex_tensor(self, lg, cyc, ciliation_start):
         """(darts, slot spaces, tensor dict) for one vertex, darts from the cilium."""
@@ -399,7 +403,7 @@ class WeightEngine:
                     sign = -sign
                 pref += bp
             total += sign * v
-        return total * self._bridge(lg).ciliation_value(vertex_order, ciliations)
+        return total * OrientationBridge(g).ciliation_value(vertex_order, ciliations)
 
 
 def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,

@@ -147,13 +147,7 @@ class MoyalHopf:
     def star(self, P: SymElement, R: SymElement) -> SymElement:
         if P.alg is not self.alg or R.alg is not self.alg:
             raise QuiverError("mismatched quivers")
-        out = self.alg.element()
-        for msP, cP in P.terms.items():
-            for msR, cR in R.terms.items():
-                c = cP * cR
-                for ms, ck in self.star_ms(msP, msR).items():
-                    out._add(ms, ck * c)
-        return out._clean()
+        return P.bilinear(R, lambda msP, msR: self.star_ms(msP, msR).items())
 
     # -- coproduct ----------------------------------------------------------
 
@@ -196,33 +190,26 @@ class MoyalHopf:
         return out
 
     def coproduct(self, P: SymElement, slots=2) -> TensorElement:
-        out = self.alg.tensor(slots)
-        for ms, c in P.terms.items():
-            for tkey, ck in self.coproduct_ms(ms, slots).items():
-                out._add(tkey, ck * c)
-        return out._clean()
+        return P.linear(lambda ms: self.coproduct_ms(ms, slots).items(),
+                        out=self.alg.tensor(slots))
 
     def counit(self, P: SymElement) -> QPoly:
         """The algebra map killing every necklace; coefficient of the unit."""
         return P.terms.get((), QPoly.zero())
 
     def antipode(self, P: SymElement) -> SymElement:
-        out = self.alg.element()
-        for ms, c in P.terms.items():
-            out._add(ms, c if len(ms) % 2 == 0 else c.scale(-1))
-        return out._clean()
+        return self.alg.element({ms: -c if len(ms) % 2 else c for ms, c in P.terms.items()})
 
     # -- composites used by the axiom suites --------------------------------
 
     def coproduct_slot(self, T: TensorElement, which: int) -> TensorElement:
         """Apply Delta_h to one slot of a 2-tensor, yielding a 3-tensor."""
-        out = self.alg.tensor(3)
-        for (a, b), c in T.terms.items():
-            inner = self.coproduct_ms(a if which == 0 else b)
-            for (u, w), ck in inner.items():
-                key = (u, w, b) if which == 0 else (a, u, w)
-                out._add(key, ck * c)
-        return out._clean()
+        def split(key):
+            a, b = key
+            for (u, w), ck in self.coproduct_ms(key[which]).items():
+                yield ((u, w, b) if which == 0 else (a, u, w)), ck
+
+        return T.linear(split, out=self.alg.tensor(3))
 
     def coassoc_probe(self, P: SymElement):
         """Return ((Delta x 1)Delta, (1 x Delta)Delta, single-pass 3-component)."""
@@ -234,28 +221,19 @@ class MoyalHopf:
 
     def star_tensor(self, T1: TensorElement, T2: TensorElement) -> TensorElement:
         """Componentwise star product on 2-tensors."""
-        out = self.alg.tensor(2)
-        for (a1, b1), c1 in T1.terms.items():
-            for (a2, b2), c2 in T2.terms.items():
-                c = c1 * c2
-                left = self.star_ms(a1, a2)
-                right = self.star_ms(b1, b2)
-                for msl, cl in left.items():
-                    for msr, cr in right.items():
-                        out._add((msl, msr), cl * cr * c)
-        return out._clean()
+        def glue(key1, key2):
+            left = self.star_ms(key1[0], key2[0])
+            right = self.star_ms(key1[1], key2[1])
+            for msl, cl in left.items():
+                for msr, cr in right.items():
+                    yield (msl, msr), cl * cr
+
+        return T1.bilinear(T2, glue)
 
     def mul_tensor(self, T: TensorElement) -> SymElement:
         """Multiply the two slots of a 2-tensor with the star product."""
-        out = self.alg.element()
-        for (a, b), c in T.terms.items():
-            for ms, ck in self.star_ms(a, b).items():
-                out._add(ms, ck * c)
-        return out._clean()
+        return T.linear(lambda key: self.star_ms(*key).items(), out=self.alg.element())
 
     def antipode_slot(self, T: TensorElement, which: int) -> TensorElement:
-        out = self.alg.tensor(2)
-        for key, c in T.terms.items():
-            m = len(key[which])
-            out._add(key, c if m % 2 == 0 else c.scale(-1))
-        return out._clean()
+        return self.alg.tensor(2, {key: -c if len(key[which]) % 2 else c
+                                   for key, c in T.terms.items()})

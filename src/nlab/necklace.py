@@ -276,19 +276,17 @@ class NecklaceAlgebra:
         """{P, R} extended to Sym L by the Leibniz rule in both arguments."""
         if P.alg is not self or R.alg is not self:
             raise QuiverError("mismatched quivers")
-        out = self.element()
-        for msP, cP in P.terms.items():
-            for msR, cR in R.terms.items():
-                c = cP * cR
-                for i, ni in enumerate(msP):
-                    rest_i = msP[:i] + msP[i + 1:]
-                    for j, nj in enumerate(msR):
-                        rest_j = msR[:j] + msR[j + 1:]
-                        br = self.bracket(ni, nj)
-                        for msB, cB in br.terms.items():
-                            ms = self.multiset(msB + rest_i + rest_j)
-                            out._add(ms, cB * c)
-        return out._clean()
+        return P.bilinear(R, self._bracket_ms)
+
+    def _bracket_ms(self, msP, msR):
+        """The Leibniz terms of {msP, msR}: bracket one necklace of each,
+        keep the rest."""
+        for i, ni in enumerate(msP):
+            rest_i = msP[:i] + msP[i + 1:]
+            for j, nj in enumerate(msR):
+                rest_j = msR[:j] + msR[j + 1:]
+                for msB, cB in self.bracket(ni, nj).terms.items():
+                    yield self.multiset(msB + rest_i + rest_j), cB
 
     def cobracket_sym(self, P: "SymElement") -> "TensorElement":
         """delta extended to Sym L: cut one necklace, distribute the rest.
@@ -296,19 +294,18 @@ class NecklaceAlgebra:
         delta_Sym(N_1 & ... & N_m) = sum_i sum_{A + B = rest}
         (delta(N_i)_1 & A) (x) (delta(N_i)_2 & B).
         """
-        out = self.tensor(2)
-        for ms, c in P.terms.items():
-            for i, ni in enumerate(ms):
-                rest = ms[:i] + ms[i + 1:]
-                d = self.cobracket(ni)
-                if not d.terms:
-                    continue
-                for split in _subsets(rest):
-                    a_part, b_part = split
-                    for (msa, msb), cd in d.terms.items():
-                        key = (self.multiset(msa + a_part), self.multiset(msb + b_part))
-                        out._add(key, cd * c)
-        return out._clean()
+        return P.linear(self._cobracket_ms, out=self.tensor(2))
+
+    def _cobracket_ms(self, ms):
+        """The terms of delta_Sym(ms): cut one necklace, split the rest
+        between the two factors."""
+        for i, ni in enumerate(ms):
+            d = self.cobracket(ni)
+            if not d.terms:
+                continue
+            for a_part, b_part in _subsets(ms[:i] + ms[i + 1:]):
+                for (msa, msb), cd in d.terms.items():
+                    yield (self.multiset(msa + a_part), self.multiset(msb + b_part)), cd
 
 
 def _subsets(ms):
@@ -334,11 +331,7 @@ class SymElement(LinComb):
 
     def sym_product(self, other: "SymElement") -> "SymElement":
         """The plain symmetric product (h^0 part of the star product)."""
-        out = SymElement(self.alg)
-        for ms1, c1 in self.terms.items():
-            for ms2, c2 in other.terms.items():
-                out._add(self.alg.multiset(ms1 + ms2), c1 * c2)
-        return out._clean()
+        return self.monoid_product(other, lambda ms1, ms2: self.alg.multiset(ms1 + ms2))
 
     def __repr__(self):
         from .grammar import format_element
@@ -361,18 +354,13 @@ class TensorElement(LinComb):
     def flip(self) -> "TensorElement":
         """Swap the two tensor factors (arity 2 only)."""
         assert self.arity == 2
-        out = TensorElement(self.alg, 2)
-        for (a, b), c in self.terms.items():
-            out._add((b, a), c)
-        return out._clean()
+        return TensorElement(self.alg, 2, {(b, a): c for (a, b), c in self.terms.items()})
 
     def slot(self, i) -> "SymElement":
         """Apply the counit to every factor except slot i."""
-        out = SymElement(self.alg)
-        for key, c in self.terms.items():
-            if all(len(key[j]) == 0 for j in range(self.arity) if j != i):
-                out._add(key[i], c)
-        return out._clean()
+        return SymElement(self.alg, {
+            key[i]: c for key, c in self.terms.items()
+            if all(len(key[j]) == 0 for j in range(self.arity) if j != i)})
 
     def __eq__(self, other):
         return super().__eq__(other) and self.arity == other.arity

@@ -169,11 +169,13 @@ class LinComb:
     """A finite Q[h]-linear combination: `terms` maps keys to nonzero QPolys.
 
     Subclasses fix what a key is and override `_empty` when their elements
-    carry context.  `terms` is a plain public dict.  `_add` and `_add_all`
-    accumulate in place and may leave zero coefficients behind; `_clean`
-    drops them, and every public operation returns a cleaned element.  Only
-    accumulate into a fresh element: one that a memo or a caller holds must
-    not change.
+    carry context.  `terms` is a plain public dict.
+
+    Invariant: an element never changes once it is built.  Every operation
+    accumulates into a fresh element of its own, drops the zero coefficients
+    (`_clean`) and returns it, so results may be shared freely, by memos
+    too.  Maps extended linearly or bilinearly go through `linear`,
+    `bilinear` and `monoid_product`, which keep this rule for their callers.
     """
 
     __slots__ = ("terms",)
@@ -184,34 +186,74 @@ class LinComb:
             for key, c in terms.items():
                 if not isinstance(c, QPoly):
                     c = QPoly.const(c)
-                if not c.is_zero():
+                if c.c:
                     self.terms[key] = c
 
     def _empty(self):
         """A zero element of the same kind."""
         return type(self)()
 
-    def _add(self, key, c):
-        cur = self.terms.get(key)
-        self.terms[key] = c if cur is None else cur + c
-
-    def _add_all(self, other, q=None):
-        """`_add` every term of other, times the QPoly q when given."""
-        terms = self.terms
-        for key, c in other.terms.items():
-            if q is not None:
-                c = c * q
-            cur = terms.get(key)
-            terms[key] = c if cur is None else cur + c
-
     def _clean(self):
-        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in self.terms.items() if c.c}
         return self
+
+    def linear(self, f, out=None):
+        """The linear extension of f: sum over terms c k of c f(k).
+
+        f maps a key to (key, QPoly) pairs, such as a cached table's
+        `.items()`.  The result is a fresh element of out's kind (self's
+        when out is None); out itself is left unchanged.
+        """
+        res = (self if out is None else out)._empty()
+        acc = res.terms
+        for k, c in self.terms.items():
+            unit = c.c == _UNIT
+            for key, ck in f(k):
+                if ck.c == _UNIT:
+                    ck = c
+                elif not unit:
+                    ck = ck * c
+                cur = acc.get(key)
+                acc[key] = ck if cur is None else cur + ck
+        return res._clean()
+
+    def bilinear(self, other, f, out=None):
+        """The bilinear extension of f: sum over term pairs c1 k1, c2 k2 of
+        c1 c2 f(k1, k2), with f and out as in `linear`."""
+        res = (self if out is None else out)._empty()
+        acc = res.terms
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                c = c1 * c2
+                unit = c.c == _UNIT
+                for key, ck in f(k1, k2):
+                    if ck.c == _UNIT:
+                        ck = c
+                    elif not unit:
+                        ck = ck * c
+                    cur = acc.get(key)
+                    acc[key] = ck if cur is None else cur + ck
+        return res._clean()
+
+    def monoid_product(self, other, keymul):
+        """The bilinear extension of a product of keys: sum over term pairs
+        of c1 c2 keymul(k1, k2), a fresh element of self's kind."""
+        res = self._empty()
+        acc = res.terms
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = keymul(k1, k2)
+                c = c1 * c2
+                cur = acc.get(key)
+                acc[key] = c if cur is None else cur + c
+        return res._clean()
 
     def __add__(self, other):
         out = self._empty()
-        out.terms = dict(self.terms)
-        out._add_all(other)
+        acc = out.terms = dict(self.terms)
+        for key, c in other.terms.items():
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
         return out._clean()
 
     def __sub__(self, other):

@@ -24,6 +24,7 @@ sorted tuple of (letter, exponent) pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -40,7 +41,9 @@ def partner(v):
     with (M_{e*})_{ji}, with sign +1 from a base edge's letter and -1 from a
     reversed edge's; Y_{e,ij} = ("M", e*, i, j) acts as -h d/d(its partner)."""
     _, e, i, j = v
-    return ("M", reverse_id(e), j, i), (-1 if e.endswith("*") else 1)
+    if e[-1] == "*":
+        return ("M", e[:-1], j, i), -1
+    return ("M", e + "*", j, i), 1
 
 
 def mono_mul(m1, m2):
@@ -97,19 +100,12 @@ class RepPolynomial(LinComb):
         return RepPolynomial({((v, 1),): QPoly.one()})
 
     def __mul__(self, other):
-        out = RepPolynomial()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out._add(mono_mul(m1, m2), c1 * c2)
-        return out._clean()
+        return self.monoid_product(other, mono_mul)
 
     def diff(self, var):
-        out = RepPolynomial()
-        for m, c in self.terms.items():
-            r = mono_diff(m, var)
-            if r:
-                out._add(r[1], c.scale(r[0]))
-        return out._clean()
+        # lowering var's exponent by one is injective on the monomials containing var
+        return RepPolynomial({r[1]: c.scale(r[0]) for m, c in self.terms.items()
+                              if (r := mono_diff(m, var))})
 
     def __repr__(self):
         return _render(self.terms, lambda m: m)
@@ -135,17 +131,7 @@ class DiffOperator(LinComb):
 
     def __mul__(self, other):
         """Algebra product: self written to the left, other applied first."""
-        out = DiffOperator()
-        for (c1, y1), k1 in self.terms.items():
-            for (c2, y2), k2 in other.terms.items():
-                base = k1 * k2
-                for cm, ym, coeff, hpow in _reorder(y1, c2):
-                    key = (mono_mul(c1, cm), mono_mul(ym, y2))
-                    if coeff != 1 or hpow:
-                        out._add(key, base * QPoly({hpow: coeff}))
-                    else:
-                        out._add(key, base)
-        return out._clean()
+        return self.bilinear(other, _compose)
 
     def __repr__(self):
         # Y letters print as Y[e][i][j] and sort in that form (as letters,
@@ -154,6 +140,18 @@ class DiffOperator(LinComb):
                                    for v, e in ym))): c
                  for (cm, ym), c in self.terms.items()}
         return _render(shown, lambda m: m[0] + m[1])
+
+
+def _compose(left, right):
+    """The normal-ordered terms of the product of two operator keys: the
+    left key's Y monomial moves right past the right key's coordinates."""
+    c1, y1 = left
+    c2, y2 = right
+    if not y1 or not c2:
+        return (((mono_mul(c1, c2), mono_mul(y1, y2)), ONE),)
+    return [((mono_mul(c1, cm), mono_mul(ym, y2)),
+             QPoly({hpow: coeff}) if coeff != 1 or hpow else ONE)
+            for cm, ym, coeff, hpow in _reorder(y1, c2)]
 
 
 def _reorder(ymono, cmono):
@@ -166,9 +164,6 @@ def _reorder(ymono, cmono):
 
     Yields (coordinate monomial, Y monomial, integer coefficient, h power).
     """
-    if not ymono or not cmono:
-        yield (cmono, ymono, 1, 0)
-        return
     cdict = dict(cmono)
     alpha = [(partner(v)[0], a) for v, a in ymono]
     ranges = [range(min(a, cdict.get(tv, 0)) + 1) for tv, a in alpha]
@@ -183,6 +178,14 @@ def _reorder(ymono, cmono):
         total = sum(beta)
         rest = tuple((v, a - b) for (v, a), b in zip(ymono, beta) if a - b)
         yield (m, rest, -coeff if total % 2 else coeff, total)
+
+
+def _word_operator(word):
+    """The terms of the composition of a word's generators, first letter leftmost."""
+    term = DiffOperator.const(1)
+    for v in word:
+        term = term * DiffOperator.generator(v)
+    return term.terms.items()
 
 
 # -- the oracles -------------------------------------------------------------
@@ -230,32 +233,32 @@ class RepSpace:
     def _trace_word(self, n: Necklace) -> RepPolynomial:
         if n.is_idempotent():
             return RepPolynomial.const(self.dims[n.vertex])
-        out = RepPolynomial()
         shared = {}  # one object per distinct (letter, exponent)
-        for letters in self._expand(n.word):
-            mono = {}
-            for v in letters:
-                mono[v] = mono.get(v, 0) + 1
-            out._add(tuple(sorted(shared.setdefault(p, p) for p in mono.items())), ONE)
-        return out._clean()
+        return RepPolynomial(Counter(
+            tuple(sorted(shared.setdefault(p, p) for p in Counter(letters).items()))
+            for letters in self._expand(n.word)))
 
     def trace_rep(self, P: SymElement) -> RepPolynomial:
-        out = RepPolynomial()
-        for ms, c in P.terms.items():
-            poly = None
-            for n in ms:
-                t = self.trace_necklace(n)
-                poly = t if poly is None else poly * t
-            out._add_all(poly if poly is not None else RepPolynomial.const(1), c)
-        return out._clean()
+        return P.linear(self._trace_ms, out=RepPolynomial())
+
+    def _trace_ms(self, ms):
+        """The terms of the product of the traces of ms's necklaces."""
+        poly = None
+        for n in ms:
+            t = self.trace_necklace(n)
+            poly = t if poly is None else poly * t
+        return (poly if poly is not None else RepPolynomial.const(1)).terms.items()
 
     # classical Moyal product ------------------------------------------------
 
     @staticmethod
     def _pi(pair_terms):
-        """Apply the bivector to an element of k[Rep] (x) k[Rep]."""
+        """Apply the bivector to {(m1, m2): integer} in k[Rep] (x) k[Rep];
+        the result may hold zeros."""
         out = {}
         for (m1, m2), c in pair_terms.items():
+            if not c:
+                continue
             d2 = dict(m2)
             for u, a in m1:
                 w, s = partner(u)
@@ -263,22 +266,29 @@ class RepSpace:
                 if b is None:
                     continue
                 key = (mono_diff(m1, u)[1], mono_diff(m2, w)[1])
-                add = c.scale(s * a * b)
-                cur = out.get(key)
-                out[key] = add if cur is None else cur + add
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                out[key] = out.get(key, 0) + c * s * a * b
+        return out
 
     def moyal_star_classical(self, f: RepPolynomial, g: RepPolynomial) -> RepPolynomial:
-        cur = {(m1, m2): c1 * c2 for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()}
-        out = RepPolynomial()
-        d = 0
+        return f.bilinear(g, self._moyal_monomials)
+
+    def _moyal_monomials(self, m1, m2):
+        """The terms of m . e^{(h/2) pi} on one pair of monomials:
+        sum_d (h/2)^d / d! times the products of pi^d(m1 (x) m2).  The
+        degree drops by 2 with each d, so the terms of different d differ."""
+        out = [(mono_mul(m1, m2), ONE)]
+        cur = self._pi({(m1, m2): 1})
+        d = 1
         while cur:
-            scalar = QPoly({d: Fraction(1, 2 ** d * factorial(d))})
-            for (m1, m2), c in cur.items():
-                out._add(mono_mul(m1, m2), c * scalar)
+            by_mono = {}
+            for (a, b), n in cur.items():
+                m = mono_mul(a, b)
+                by_mono[m] = by_mono.get(m, 0) + n
+            weight = 2 ** d * factorial(d)
+            out.extend((m, QPoly({d: Fraction(n, weight)})) for m, n in by_mono.items() if n)
             cur = self._pi(cur)
             d += 1
-        return out._clean()
+        return out
 
     # Weyl symmetrization ------------------------------------------------------
 
@@ -296,21 +306,22 @@ class RepSpace:
             res = DiffOperator.const(1)
         else:
             n = len(letters)
-            res = DiffOperator()
-            for t in dict.fromkeys(letters):
-                rest = list(letters)
-                rest.remove(t)
-                res._add_all(self._average(rest) * DiffOperator.generator(t),
-                             QPoly.const(Fraction(letters.count(t), n)))
-            res._clean()
+            last = LinComb({t: Fraction(letters.count(t), n) for t in dict.fromkeys(letters)})
+            res = last.linear(lambda t: self._ending_with(letters, t), out=DiffOperator())
         self._phi_memo[key] = res
         return res
 
+    def _ending_with(self, letters, t):
+        """The terms of Av(letters without one t) * t."""
+        rest = list(letters)
+        rest.remove(t)
+        return (self._average(rest) * DiffOperator.generator(t)).terms.items()
+
     def weyl_symmetrize(self, f: RepPolynomial) -> DiffOperator:
-        out = DiffOperator()
-        for m, c in f.terms.items():
-            out._add_all(self._average([v for v, e in m for _ in range(e)]), c)
-        return out._clean()
+        return f.linear(self._weyl_monomial, out=DiffOperator())
+
+    def _weyl_monomial(self, m):
+        return self._average([v for v, e in m for _ in range(e)]).terms.items()
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:
         """Inverse of weyl_symmetrize; degree-descending elimination."""
@@ -322,14 +333,12 @@ class RepSpace:
             if guard > 10000:
                 raise RuntimeError("weyl_unsymmetrize failed to terminate")
             deg = max(mono_degree(cm) + mono_degree(ym) for (cm, ym) in rem.terms)
-            top = RepPolynomial()
-            for (cm, ym), c in rem.terms.items():
-                if mono_degree(cm) + mono_degree(ym) == deg:
-                    top._add(mono_mul(cm, ym), c)
-            top._clean()
-            f._add_all(top)
+            # coordinate and Y letters are disjoint, so merging (cm, ym) is injective
+            top = RepPolynomial({mono_mul(cm, ym): c for (cm, ym), c in rem.terms.items()
+                                 if mono_degree(cm) + mono_degree(ym) == deg})
+            f = f + top
             rem = rem - self.weyl_symmetrize(top)
-        return f._clean()
+        return f
 
     # height words ---------------------------------------------------------------
 
@@ -344,13 +353,9 @@ class RepSpace:
         if sorted(heights.values()) != list(range(1, len(positions) + 1)):
             raise QuiverError("heights must be a bijection onto 1..N")
         scalar, expansions = self._height_letters(ms)
-        out = DiffOperator()
-        for letters in expansions:
-            term = DiffOperator.const(1)
-            for _, v in sorted(letters, key=lambda t: heights[t[0]]):
-                term = term * DiffOperator.generator(v)
-            out._add_all(term)
-        return out.scale(scalar)
+        words = Counter(tuple(v for _, v in sorted(letters, key=lambda t: heights[t[0]]))
+                        for letters in expansions)
+        return LinComb(words).linear(_word_operator, out=DiffOperator()).scale(scalar)
 
     def _height_letters(self, ms):
         """The product of ms's idempotent dimensions, and one list of
@@ -370,14 +375,10 @@ class RepSpace:
         Computed by expanding index tuples and averaging each concrete letter
         multiset over orderings (exactly the N! sum, grouped and memoized).
         """
-        out = DiffOperator()
-        for ms, c in P.terms.items():
-            out._add_all(self._phi_ms(ms), c)
-        return out._clean()
+        return P.linear(lambda ms: self._phi_ms(ms).terms.items(), out=DiffOperator())
 
     def _phi_ms(self, ms) -> DiffOperator:
         scalar, expansions = self._height_letters(ms)
-        out = DiffOperator()
-        for letters in expansions:
-            out._add_all(self._average(sorted(v for _, v in letters)))
-        return out.scale(scalar)
+        sorted_letters = Counter(tuple(sorted(v for _, v in letters)) for letters in expansions)
+        return LinComb(sorted_letters).linear(lambda key: self._average(key).terms.items(),
+                                              out=DiffOperator()).scale(scalar)

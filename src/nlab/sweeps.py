@@ -45,18 +45,17 @@ def multisets_up_to(alg: NecklaceAlgebra, total):
     """Necklace multisets (parts of length >= 1) with total length <= total."""
     by_len = {l: necklaces_of_length(alg, l) for l in range(1, total + 1)}
     out = [()]
-    seen = {()}
 
+    # parts are appended in non-decreasing key order, so each multiset is
+    # reached once, already sorted
     def rec(ms, rest, min_key):
         for l in range(1, rest + 1):
             for n in by_len[l]:
                 if min_key is not None and n.key() < min_key:
                     continue
-                ms2 = alg.multiset(ms + (n,))
-                if ms2 not in seen:
-                    seen.add(ms2)
-                    out.append(ms2)
-                rec(ms + (n,), rest - l, n.key())
+                ms2 = ms + (n,)
+                out.append(ms2)
+                rec(ms2, rest - l, n.key())
 
     rec((), total, None)
     return out

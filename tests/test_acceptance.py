@@ -140,11 +140,8 @@ def test_ac4_lie_bialgebra_axioms():
         for (n1, x), (n2, y) in combinations_with_replacement(singles, 2):
             if len(n1) + len(n2) > 6:
                 continue
-            lhs = alg.tensor(2)
-            for ms, c in alg.bracket(n1, n2).terms.items():
-                for key, cd in alg.cobracket(ms[0]).terms.items():
-                    lhs._add(key, cd * c)
-            lhs._clean()
+            lhs = alg.bracket(n1, n2).linear(lambda ms: alg.cobracket(ms[0]).terms.items(),
+                                             out=alg.tensor(2))
             rhs = _ad_tensor(alg, n1, alg.cobracket(n2)) - \
                 _ad_tensor(alg, n2, alg.cobracket(n1))
             assert lhs == rhs, (name, n1, n2)
@@ -154,16 +151,16 @@ def test_ac4_lie_bialgebra_axioms():
 
 
 def _ad_tensor(alg, f, T):
-    out = alg.tensor(2)
     F = alg.single([f])
-    for (a, b), c in T.terms.items():
-        A = alg.element({a: c})
-        for msa, ca in alg.bracket_sym(F, A).terms.items():
-            out._add((msa, b), ca)
-        B = alg.element({b: c})
-        for msb, cb in alg.bracket_sym(F, B).terms.items():
-            out._add((a, msb), cb)
-    return out._clean()
+
+    def ad(key):
+        a, b = key
+        for msa, ca in alg.bracket_sym(F, alg.single(a)).terms.items():
+            yield (msa, b), ca
+        for msb, cb in alg.bracket_sym(F, alg.single(b)).terms.items():
+            yield (a, msb), cb
+
+    return T.linear(ad)
 
 
 def betti_table(kmin, dims, bettis):

@@ -10,6 +10,7 @@ from itertools import product
 from nlab.ainf import (AInfError, CyclicAInfData, WeightEngine, build_cycle,
                        check_ainf, cyclicity_check, load_data)
 from nlab.ribbon.census import polygon_class
+from nlab.ribbon.orientation import OrientationBridge
 
 
 def data_k():
@@ -243,7 +244,8 @@ def _reference_weight(eng, lg, vertex_order, ciliations, edge_order, edge_flips)
             evaluation += (here % 2) * (before % 2)
             before += here
         total += (-1) ** (inversions + evaluation) * v
-    return total * eng._bridge(lg).ciliation_value(vertex_order, dict(enumerate(ciliations)))
+    return total * OrientationBridge(lg.graph).ciliation_value(vertex_order,
+                                                             dict(enumerate(ciliations)))
 
 
 def test_weight_matches_enumeration_reference():

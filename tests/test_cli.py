@@ -518,10 +518,29 @@ def _two_object_blob(pairings):
     return blob
 
 
+def _unit_blob(key, value):
+    """examples-data/unit.json with one top-level entry replaced."""
+    blob = _ainf_blob(1, [[1]], [[[1]]])
+    blob[key] = value
+    return blob
+
+
 # A-infinity data whose pairing or product tensor is not shaped by the
-# dimensions of its spaces, has a leaf that is not a number, or whose
-# pairings break graded symmetry <y, x> = (-1)^{|x||y|} <x, y>
+# dimensions of its spaces, has a leaf that is not a number, whose pairings
+# break graded symmetry <y, x> = (-1)^{|x||y|} <x, y>, names an object by
+# something other than a string, or has a parity other than the ints 0 and 1
 MALFORMED_AINF = {
+    "object-not-a-string": (_unit_blob("objects", [["v"]]), "object ['v']"),
+    "adjacency-endpoint-not-a-string": (_unit_blob("adjacency", [["v", 1]]),
+                                        "adjacency entry ['v', 1]"),
+    "cycle-entry-not-a-string": (
+        _unit_blob("products", [{"cycle": [["v"], "v", "v"], "tensor": [[[1]]]}]),
+        "product cycle [['v'], 'v', 'v']"),
+    "parity-null": (_ainf_blob(1, [[1]], [[[1]]], parity=None), "parity None"),
+    "parity-list": (_ainf_blob(1, [[1]], [[[1]]], parity=[0]), "parity [0]"),
+    "parity-fraction": (_ainf_blob(1, [[1]], [[[1]]], parity=1.5), "parity 1.5"),
+    "parity-two": (_ainf_blob(1, [[1]], [[[1]]], parity=2), "parity 2"),
+    "parity-bool": (_ainf_blob(1, [[1]], [[[1]]], parity=True), "parity True"),
     "flip-not-graded-symmetric": (_two_object_blob({"p,q": [[1]], "q,p": [[2]]}),
                                   "pairings p,q and q,p"),
     "self-pairing-not-symmetric": (_ainf_blob(2, [[0, 1], [2, 0]]), "pairing v,v"),

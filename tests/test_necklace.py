@@ -156,28 +156,22 @@ def test_cocycle_condition_small():
     necks = sweep_necklaces(alg, 3)
 
     def ad_tensor(f, T):
-        out = alg.tensor(2)
-        for (a, b), c in T.terms.items():
+        def ad(key):
+            a, b = key
             A, B = alg.element({a: QPoly.one()}), alg.element({b: QPoly.one()})
-            fa = alg.bracket_sym(alg.single([f]), A)
-            for msa, ca in fa.terms.items():
-                out._add((msa, b), ca * c)
-            fb = alg.bracket_sym(alg.single([f]), B)
-            for msb, cb in fb.terms.items():
-                out._add((a, msb), cb * c)
-        return out._clean()
+            for msa, ca in alg.bracket_sym(alg.single([f]), A).terms.items():
+                yield (msa, b), ca
+            for msb, cb in alg.bracket_sym(alg.single([f]), B).terms.items():
+                yield (a, msb), cb
+
+        return T.linear(ad)
 
     for f in necks:
         for g in necks:
             if len(f) + len(g) > 5:
                 continue
             br = alg.bracket(f, g)
-            lhs = alg.tensor(2)
-            for ms, c in br.terms.items():
-                d = alg.cobracket(ms[0])
-                for key, cd in d.terms.items():
-                    lhs._add(key, cd * c)
-            lhs._clean()
+            lhs = br.linear(lambda ms: alg.cobracket(ms[0]).terms.items(), out=alg.tensor(2))
             rhs = ad_tensor(f, alg.cobracket(g)) - ad_tensor(g, alg.cobracket(f))
             assert lhs == rhs, (f, g)
 

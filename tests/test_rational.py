@@ -1,5 +1,7 @@
 """Property tests: QPoly and LinComb arithmetic against references over plain dicts."""
 
+import os
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,6 +10,7 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import nlab  # noqa: E402
 from nlab.necklace import NecklaceAlgebra  # noqa: E402
 from nlab.quiver import double, one_loop  # noqa: E402
 from nlab.rational import ONE, ZERO, LinComb, QPoly  # noqa: E402
@@ -151,3 +154,127 @@ def test_int_and_fraction_coefficients_agree(a, b, v):
                  (pi.scale(v), pf.scale(Fraction(v)))):
         assert x == y and hash(x) == hash(y) and x.str() == y.str()
         assert x.c == ref(y)
+
+
+# -- linear extensions ---------------------------------------------------------
+
+KEYS = st.integers(0, 3)
+# each key's image: (key, QPoly) pairs that may collide, with some negated
+# copies so that terms cancel to zero
+images = st.tuples(st.lists(st.tuples(KEYS, polys), max_size=4), st.integers(0, 4)).map(
+    lambda t: t[0] + [(k, -p) for k, p in t[0][:t[1]]])
+basic = st.dictionaries(KEYS, polys).map(LinComb)
+
+
+def snapshot(x):
+    return {k: dict(c.c) for k, c in x.terms.items()}
+
+
+def extend(pairs_with_coeffs):
+    """Plain-dict reference: sum of c * ck at key over ((key, ck), c)."""
+    out = {}
+    for (key, ck), c in pairs_with_coeffs:
+        out[key] = ref_add(out.get(key, {}), ref_mul(ref(ck), ref(c)))
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(basic, st.dictionaries(KEYS, images))
+def test_linear_matches_reference(x, table):
+    before = snapshot(x)
+    # a memoized image: one element per key, shared across calls
+    memo = {}
+    for k, pairs in table.items():
+        memo[k] = LinComb()
+        for key, p in pairs:
+            memo[k] = memo[k] + LinComb({key: p})
+    memo_before = {k: snapshot(v) for k, v in memo.items()}
+    f = lambda k: memo[k].terms.items() if k in memo else ()  # noqa: E731
+    got = x.linear(f)
+    expected = extend(((key, ck), c) for k, c in x.terms.items()
+                      for key, ck in (memo[k].terms.items() if k in memo else ()))
+    assert type(got) is LinComb and lin_ref(got) == expected
+    assert all(not c.is_zero() for c in got.terms.values())
+    # straight from a table with colliding and cancelling pairs
+    raw = x.linear(lambda k: table.get(k, ()))
+    assert lin_ref(raw) == extend(((key, ck), c) for k, c in x.terms.items()
+                                  for key, ck in table.get(k, ()))
+    assert lin_ref(raw) == lin_ref(got)
+    assert snapshot(x) == before
+    assert {k: snapshot(v) for k, v in memo.items()} == memo_before
+    # the result is fresh: emptying it leaves the operand and the memo as they were
+    got.terms.clear()
+    assert snapshot(x) == before
+    assert {k: snapshot(v) for k, v in memo.items()} == memo_before
+
+
+@settings(max_examples=200, deadline=None)
+@given(basic, st.dictionaries(KEYS, images), st.dictionaries(st.sampled_from(SYM_KEYS), polys))
+def test_linear_into_another_kind(x, table, held):
+    # keys of the table become pairs of multisets in a 2-tensor
+    out = ALG.tensor(2, {(SYM_KEYS[0], k): c for k, c in held.items()})
+    out_before = snapshot(out)
+    tkey = lambda key: (SYM_KEYS[key % len(SYM_KEYS)], SYM_KEYS[0])  # noqa: E731
+    got = x.linear(lambda k: [(tkey(key), ck) for key, ck in table.get(k, ())], out=out)
+    assert type(got) is type(out) and got.alg is ALG and got.arity == 2
+    assert got is not out and snapshot(out) == out_before
+    assert lin_ref(got) == extend(((tkey(key), ck), c) for k, c in x.terms.items()
+                                  for key, ck in table.get(k, ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(basic, basic, st.dictionaries(st.tuples(KEYS, KEYS), images))
+def test_bilinear_matches_reference(x, y, table):
+    bx, by = snapshot(x), snapshot(y)
+    table_before = {k: [(key, dict(p.c)) for key, p in v] for k, v in table.items()}
+    got = x.bilinear(y, lambda k1, k2: table.get((k1, k2), ()))
+    expected = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            for key, ck in table.get((k1, k2), ()):
+                term = ref_mul(ref_mul(ref(c1), ref(c2)), ref(ck))
+                expected[key] = ref_add(expected.get(key, {}), term)
+    assert type(got) is LinComb
+    assert lin_ref(got) == {k: v for k, v in expected.items() if v}
+    assert snapshot(x) == bx and snapshot(y) == by
+    assert {k: [(key, dict(p.c)) for key, p in v] for k, v in table.items()} == table_before
+    out = RepPolynomial({(): ONE})
+    into = x.bilinear(y, lambda k1, k2: table.get((k1, k2), ()), out=out)
+    assert type(into) is RepPolynomial and into.terms == got.terms
+    assert out.terms == {(): ONE}
+
+
+@settings(max_examples=200, deadline=None)
+@given(basic, basic, st.sampled_from([lambda a, b: a + b, lambda a, b: (a * b) % 2,
+                                      lambda a, b: 0]))
+def test_monoid_product_matches_reference(x, y, keymul):
+    bx, by = snapshot(x), snapshot(y)
+    got = x.monoid_product(y, keymul)
+    expected = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            key = keymul(k1, k2)
+            expected[key] = ref_add(expected.get(key, {}), ref_mul(ref(c1), ref(c2)))
+    assert type(got) is LinComb
+    assert lin_ref(got) == {k: v for k, v in expected.items() if v}
+    assert snapshot(x) == bx and snapshot(y) == by
+    # a product with the unit element shares the coefficients, never changes them
+    unit = LinComb({0: ONE})
+    assert unit.monoid_product(x, lambda a, b: b) == x and snapshot(x) == bx
+
+
+def test_only_rational_accumulates_in_place():
+    # every other module extends its maps through linear, bilinear or
+    # monoid_product, so no element a memo holds can be accumulated into
+    root = os.path.dirname(nlab.__file__)
+    found = []
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            if not name.endswith(".py") or path == os.path.join(root, "rational.py"):
+                continue
+            with open(path) as f:
+                text = f.read()
+            found += [(os.path.relpath(path, root), token)
+                      for token in ("._add(", "_add_all", "._clean(") if token in text]
+    assert found == []

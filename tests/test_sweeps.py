@@ -1,0 +1,49 @@
+"""The sweep enumeration against a brute-force reference spelled out here."""
+
+from itertools import combinations_with_replacement, product
+
+import pytest
+
+from nlab.necklace import Necklace, NecklaceAlgebra
+from nlab.quiver import Quiver, double, one_loop, two_loops, two_vertex
+from nlab.sweeps import multisets_up_to
+
+QUIVERS = {
+    "one-loop": one_loop(),
+    "two-loop": two_loops(),
+    "two-vertex": two_vertex(),
+    "three-edge-two-vertex": Quiver(["p", "q"], [("a", "p", "q"), ("b", "q", "p"),
+                                                 ("c", "p", "p")]),
+}
+
+
+def _necklaces_up_to(alg, total):
+    """Every necklace of 1..total letters, from every closed word."""
+    dq = alg.dq
+    out = set()
+    for n in range(1, total + 1):
+        for word in product(dq.edge_order, repeat=n):
+            if all(dq.head[a] == dq.tail[b] for a, b in zip(word, word[1:] + word[:1])):
+                out.add(alg.necklace(word))
+    return out
+
+
+def _reference(alg, total):
+    """Every sorted tuple of necklaces with total length <= total."""
+    pool = sorted(_necklaces_up_to(alg, total), key=Necklace.key)
+    out = set()
+    for k in range(total + 1):
+        for parts in combinations_with_replacement(pool, k):
+            if sum(len(n) for n in parts) <= total:
+                out.add(tuple(sorted(parts, key=Necklace.key)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(QUIVERS))
+def test_multisets_up_to_matches_brute_force(name):
+    alg = NecklaceAlgebra(double(QUIVERS[name]))
+    for total in range(5):
+        got = multisets_up_to(alg, total)
+        assert len(got) == len(set(got)), (name, total)
+        assert set(got) == _reference(alg, total), (name, total)
+        assert all(list(ms) == sorted(ms, key=Necklace.key) for ms in got), (name, total)

@@ -50,9 +50,11 @@ class CyclicAInfData:
     """Hom spaces, pairings and cyclic product tensors over a graph G."""
 
     def __init__(self, objects, adjacency_pairs, parities, pairings, products):
-        for o in objects:
+        for k, o in enumerate(objects):
             if not isinstance(o, str):
                 raise AInfError("object %r is not a string" % (o,))
+            if o in objects[:k]:
+                raise AInfError("object %r is repeated" % (o,))
         for pair in adjacency_pairs:
             if not all(isinstance(o, str) for o in pair):
                 raise AInfError("adjacency entry %r has an endpoint that is not a string"

@@ -23,14 +23,17 @@ def _to_int_rows(rows):
     return out
 
 
-def rank(rows) -> int:
-    """Rank over Q by fraction-free (Bareiss-style) elimination."""
-    if not rows:
-        return 0
+def _bareiss(rows):
+    """Fraction-free (Bareiss) elimination: (rank, sign).
+
+    For a full-rank square matrix the last pivot is det(P A), P the row
+    swaps, so sign = sign(last pivot) * sign(P) is the sign of det(A).
+    """
     a = _to_int_rows(rows)
     nrows, ncols = len(a), len(a[0])
     r = 0
     prev = 1
+    sign = 1
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
@@ -39,7 +42,9 @@ def rank(rows) -> int:
                 break
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
@@ -48,35 +53,20 @@ def rank(rows) -> int:
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign if prev > 0 else -sign
+
+
+def rank(rows) -> int:
+    """Rank over Q by fraction-free (Bareiss-style) elimination."""
+    return _bareiss(rows)[0] if rows else 0
 
 
 def det_sign(rows) -> int:
     """Sign of det of a square matrix (0 if singular)."""
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return 1
-    a = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        if a[c][c] < 0:
-            sign = -sign
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / a[c][c]
-                for j in range(c, n):
-                    a[i][j] -= f * a[c][j]
-    return sign
+    r, sign = _bareiss(rows)
+    return sign if r == len(rows) else 0
 
 
 def pfaffian(a) -> Fraction:

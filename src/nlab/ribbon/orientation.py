@@ -16,17 +16,27 @@ torsion sign of the based cellular chain complex of the closed surface
     0 -> Q^F -> Q^E -> Q^V -> 0
 
 with its canonical homology bases: the fundamental class (sum of all
-faces), the class of a vertex, and any symplectically positive basis of
-H_1 (the intersection form is computed by contracting a spanning tree and
-reading dart interleaving at the resulting single vertex; symplectic
-positivity is the sign of the Pfaffian of the Gram matrix).
+faces), the class of a vertex, and a symplectically positive basis of H_1.
+
+The bases come from a tree-cotree decomposition (Eppstein, SODA 2003): a
+spanning tree T of the graph and a spanning tree C of the dual graph made
+of edges outside T.  The 2g edges in neither tree close tree cycles
+z_e = u_e + (path in T) that form a basis of H_1, and the edges of T lift
+a basis of the boundaries in Q^V.  Since z_e - u_e lies in the span of T,
+the torsion determinant takes the unit vector u_e in place of z_e.  The
+intersection form of the z_e is read at the one vertex left by
+contracting T: walking around the tree gives that vertex's cyclic order
+without building the contracted graph, two loops cross when their darts
+interleave, and symplectic positivity is the sign of the Pfaffian.
+
+The sign does not depend on these choices: another H_1 basis, related by
+a matrix A, multiplies both the torsion determinant and the Pfaffian by
+det A, and another tree lifts the same boundaries into both Q^E and Q^V.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..linalg import det_sign, perm_sign, pfaffian, rank, relative_perm_sign
+from ..linalg import det_sign, perm_sign, pfaffian, relative_perm_sign
 from .graph import RibbonGraph, RibbonError
 
 
@@ -104,168 +114,100 @@ class OrientationBridge:
 
     # -- torsion of the based cellular complex -----------------------------------
 
-    def _boundary_matrices(self):
+    def _boundaries(self):
+        """Boundary of each face in Q^E and of each edge in Q^V, as rows."""
         g = self.graph
-        ne, nf, nv = g.num_edges, g.num_faces, g.num_vertices
-        d2 = [[0] * nf for _ in range(ne)]
+        ne, nv = g.num_edges, g.num_vertices
+        d2 = [[0] * ne for _ in g.faces]
         for j, cyc in enumerate(g.faces):
             for d in cyc:
                 e = g.edge_of(d)
-                d2[e][j] += 1 if d == g.edges[e][0] else -1
-        d1 = [[0] * ne for _ in range(nv)]
+                d2[j][e] += 1 if d == g.edges[e][0] else -1
+        d1 = [[0] * nv for _ in range(ne)]
         for e, (a, b) in enumerate(g.edges):
-            d1[g.vertex_of(b)][e] += 1
-            d1[g.vertex_of(a)][e] -= 1
-        for j in range(nf):  # dd = 0 sanity
+            d1[e][g.vertex_of(b)] += 1
+            d1[e][g.vertex_of(a)] -= 1
+        for row in d2:  # dd = 0 sanity
             for i in range(nv):
-                if sum(d1[i][e] * d2[e][j] for e in range(ne)):
+                if sum(x * d1[e][i] for e, x in enumerate(row)):
                     raise RibbonError("cellular boundary is broken")
-        return d1, d2
+        return d2, d1
 
-    def _spanning_tree(self):
+    def _spanning_tree(self, cells, cell_of, avoid=frozenset()):
+        """Edges of a spanning tree of cells (vertices, or faces for the dual
+        graph) joined across the edges not in avoid, in breadth-first order."""
         g = self.graph
-        parent = {0: None}  # vertex -> (edge index, +1 if tree edge points to parent)
+        seen = {0}
         order = [0]
         tree = []
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for e, (a, b) in enumerate(g.edges):
-                va, vb = g.vertex_of(a), g.vertex_of(b)
-                if va == v and vb not in parent:
-                    parent[vb] = (e, -1)  # chain d1(e) = vb - va, step vb -> va is -e
-                    order.append(vb)
+        for c in order:  # order grows while it is read: breadth first
+            for d in cells[c]:
+                e = g.edge_of(d)
+                far = cell_of(g.iota[d])
+                if far not in seen and e not in avoid:
+                    seen.add(far)
+                    order.append(far)
                     tree.append(e)
-                elif vb == v and va not in parent:
-                    parent[va] = (e, 1)
-                    order.append(va)
-                    tree.append(e)
-        if len(parent) != g.num_vertices:
+        if len(seen) != len(cells):
             raise RibbonError("disconnected graph")
-        return parent, tree
-
-    def _tree_cycles(self, parent):
-        """z_e for each non-tree edge e: unit_e + tree path head -> tail."""
-        g = self.graph
-        ne = g.num_edges
-        tree_edges = {pe[0] for pe in parent.values() if pe}
-
-        def walk_up(v):
-            vec = [Fraction(0)] * ne
-            while parent[v] is not None:
-                e, s = parent[v]
-                vec[e] += s
-                a, b = g.edges[e]
-                v = g.vertex_of(a) if s == -1 else g.vertex_of(b)
-            return vec
-
-        cycles = {}
-        for e, (a, b) in enumerate(g.edges):
-            if e in tree_edges:
-                continue
-            vec = [Fraction(0)] * ne
-            vec[e] = Fraction(1)
-            up_h = walk_up(g.vertex_of(b))
-            up_t = walk_up(g.vertex_of(a))
-            for k in range(ne):
-                vec[k] += up_h[k] - up_t[k]
-            cycles[e] = vec
-        return cycles
+        return tree
 
     def _torsion_sign(self) -> int:
         g = self.graph
         ne, nf, nv = g.num_edges, g.num_faces, g.num_vertices
-        d1, d2 = self._boundary_matrices()
+        d2, d1 = self._boundaries()
+        tree = self._spanning_tree(g.vertices, g.vertex_of)
+        cotree = self._spanning_tree(g.faces, g.face_of, set(tree))
+        loops = sorted(set(range(ne)) - set(tree) - set(cotree))
+        if len(loops) != 2 - (nv - ne + nf):
+            raise RibbonError("tree and cotree do not leave 2g edges")
 
+        # Each basis goes in as the rows of a matrix: det is transpose-invariant.
         # s2: faces basis -> (fundamental class, all faces but the last)
-        cols2 = [[1] * nf] + [[1 if r == j else 0 for r in range(nf)]
-                              for j in range(nf - 1)]
-        s2 = det_sign([list(row) for row in zip(*cols2)])
-
-        parent, tree = self._spanning_tree()
-        cycles = self._tree_cycles(parent)
-        b1 = [[d2[r][j] for r in range(ne)] for j in range(nf - 1)]
-        genus2 = 2 - (nv - ne + nf)
-        twog = genus2
-        sel = []
-        cur = list(b1)
-        base_rank = rank(cur)
-        if base_rank != nf - 1:
-            raise RibbonError("face boundaries are dependent")
-        for e in sorted(cycles):
-            if len(sel) == twog:
-                break
-            trial = cur + [cycles[e]]
-            if rank(trial) > len(cur):
-                cur = trial
-                sel.append(e)
-        if len(sel) != twog:
-            raise RibbonError("could not complete an H_1 basis")
-
-        cols1 = b1 + [cycles[e] for e in sel]
-        for t in tree:
-            cols1.append([1 if r == t else 0 for r in range(ne)])
-        s1 = det_sign([list(row) for row in zip(*cols1)])
-
-        cols0 = [[d1[r][t] for r in range(nv)] for t in tree]
-        cols0.append([1 if r == 0 else 0 for r in range(nv)])
-        s0 = det_sign([list(row) for row in zip(*cols0)])
-        if not (s0 and s1 and s2):
+        s2 = (-1) ** (nf - 1)
+        # s1: (face boundaries, H_1 lifts z_e, tree edges); z_e - u_e is a
+        # sum of tree edges, so u_e stands in for z_e
+        s1 = det_sign(d2[:nf - 1] + [[int(r == e) for r in range(ne)]
+                                     for e in loops + tree])
+        # s0: (boundaries of the tree edges, vertex 0)
+        s0 = det_sign([d1[t] for t in tree] + [[int(r == 0) for r in range(nv)]])
+        if not (s0 and s1):
             raise RibbonError("torsion bases are singular")
 
         pf_sign = 1
-        if twog:
-            gram = self._intersection_gram(sel, tree)
-            pf = pfaffian(gram)
+        if loops:
+            pf = pfaffian(self._intersection_gram(loops, tree))
             if pf == 0:
                 raise RibbonError("degenerate intersection form")
             pf_sign = 1 if pf > 0 else -1
         return s2 * s1 * s0 * pf_sign
 
-    def _intersection_gram(self, sel, tree):
-        """Intersection numbers of the selected tree cycles.
+    def _intersection_gram(self, loops, tree):
+        """Intersection numbers of the cycles z_e, e in loops.
 
-        Contract every tree edge; the cycles become loops at the single
-        remaining vertex, where crossing is dart interleaving.
+        Contracting the tree leaves one vertex at which every z_e is a loop
+        and crossing is dart interleaving.  Its cyclic order is a walk
+        around the tree: after dart d comes gamma[d], and a dart on a tree
+        edge is stepped over to gamma of its partner.
         """
         g = self.graph
-        cur = g
-        dart_of = {d: d for d in range(g.n)}
-        remaining = sorted(tree)
-        while remaining:
-            t = remaining[0]
-            a, b = g.edges[t]
-            e_cur = cur.edge_of(dart_of[a])
-            cur, dmap = cur.contract(e_cur)
-            dart_of = {d0: dmap[d1] for d0, d1 in dart_of.items() if d1 in dmap}
-            remaining = remaining[1:]
-        if cur.num_vertices != 1:
-            raise RibbonError("tree contraction left several vertices")
-        cycle = cur.vertices[0]
-        pos = {d: i for i, d in enumerate(cycle)}
-        nn = len(cycle)
+        tree_darts = {d for t in tree for d in g.edges[t]}
+        pos = {}
+        d = g.edges[loops[0]][0]
+        while d not in pos:
+            pos[d] = len(pos)
+            d = g.gamma[d]
+            while d in tree_darts:
+                d = g.gamma[g.iota[d]]
+        nn = len(pos)
 
         def in_arc(x, s, t):
+            x, s, t = pos[x], pos[s], pos[t]
             return x != s and x != t and (x - s) % nn < (t - s) % nn
 
-        gram = [[0] * len(sel) for _ in sel]
-        for i, e in enumerate(sel):
-            a1 = pos[dart_of[g.edges[e][0]]]
-            a2 = pos[dart_of[g.edges[e][1]]]
-            for j, f in enumerate(sel):
-                if i == j:
-                    continue
-                b1 = pos[dart_of[g.edges[f][0]]]
-                b2 = pos[dart_of[g.edges[f][1]]]
-                v = 0
-                if in_arc(b1, a1, a2) and not in_arc(b2, a1, a2):
-                    v = 1
-                elif in_arc(b2, a1, a2) and not in_arc(b1, a1, a2):
-                    v = -1
-                gram[i][j] = v
-        for i in range(len(sel)):
-            for j in range(len(sel)):
-                if gram[i][j] != -gram[j][i]:
-                    raise RibbonError("intersection form is not antisymmetric")
+        gram = []
+        for e in loops:
+            a1, a2 = g.edges[e]
+            gram.append([in_arc(b1, a1, a2) - in_arc(b2, a1, a2)
+                         for (b1, b2) in (g.edges[f] for f in loops)])
         return gram

@@ -528,9 +528,10 @@ def _unit_blob(key, value):
 # A-infinity data whose pairing or product tensor is not shaped by the
 # dimensions of its spaces, has a leaf that is not a number, whose pairings
 # break graded symmetry <y, x> = (-1)^{|x||y|} <x, y>, names an object by
-# something other than a string, or has a parity other than the ints 0 and 1
+# something other than a string or twice, or has a parity other than the ints 0 and 1
 MALFORMED_AINF = {
     "object-not-a-string": (_unit_blob("objects", [["v"]]), "object ['v']"),
+    "object-repeated": (_unit_blob("objects", ["v", "v"]), "object 'v' is repeated"),
     "adjacency-endpoint-not-a-string": (_unit_blob("adjacency", [["v", 1]]),
                                         "adjacency entry ['v', 1]"),
     "cycle-entry-not-a-string": (

@@ -1,7 +1,7 @@
 import random
 
 from nlab.linalg import perm_sign
-from nlab.ribbon.census import iso_classes, unlabeled_as_classes
+from nlab.ribbon.census import iso_classes, iso_levels, unlabeled_as_classes
 from nlab.ribbon.graph import RibbonGraph
 from nlab.ribbon.orientation import (OrientationBridge, aut_sign_vertex_edge,
                                      ef_sign)
@@ -10,7 +10,7 @@ from nlab.ribbon.orientation import (OrientationBridge, aut_sign_vertex_edge,
 def sample_graphs():
     out = []
     for (g, m, k) in [(0, 3, 3), (0, 3, 4), (1, 1, 2), (1, 1, 3), (0, 4, 4),
-                      (1, 2, 4)]:
+                      (1, 2, 4), (2, 1, 4), (2, 1, 5), (3, 1, 6)]:
         out.extend(iso_classes(k, 2, genus=g, faces=m)[:4])
     return out
 
@@ -89,3 +89,88 @@ def test_tau_well_defined_on_canonical_forms():
         code, _ = g.canonical()
         cg = RibbonGraph.from_code(code)
         assert OrientationBridge(cg).tau in (1, -1)
+
+
+# tau of every class of (valence bound, genus, faces, max edges), in
+# iso_levels order, as "+"/"-".  The strings come from a second computation
+# of the same sign (H_1 basis by rank search, intersection form by
+# contracting the spanning tree edge by edge), so a change of the trees
+# or of the dart walk that alters tau fails here.
+TAU_PINS = {
+    (2, 0, 3, 5): (
+        "+++-+-++++-+++---"
+    ),
+    (2, 1, 1, 4): (
+        "+--+++"
+    ),
+    (2, 1, 2, 5): (
+        "---+-+-+-+++++-++----------+-------+------+-----+---+++----+--+"
+    ),
+    (3, 0, 5, 6): (
+        "++++++++-----------++++----------++++---+++-+++----+++++-+++--++"
+        "+-+++++-+++++++++--+-++-+"
+    ),
+    (3, 1, 3, 6): (
+        "++++++-++-+++++++++-+--+-++++-+-------+--++---+---+-++-++-++++-+"
+        "+----+--+--+-+++--+--+-++++-+---+-++-+-+--+++-+--+++---+-+++-+++"
+        "+-++++-+-++++++++++---++++-++-++++-+++-+----+++-+++++++++-++++++"
+        "++++----------++------------+++-+++-++-+-+++-+++++++-++++--+-+-+"
+        "-+------++-+++++--+-+++++"
+    ),
+    (3, 2, 1, 6): (
+        "++++------+-+---+------+-+++++++++++-++++-+-++++-+++-++++++-----"
+        "---++-"
+    ),
+    (3, 2, 2, 6): (
+        "-------+--+------+-+++-+++--+------+--+--+--+--+--++++++-+++++++"
+        "--+---+---++++++++++++-+++-++++--------+-++-+----+-++++++-++--++"
+        "+--+++-+---+--+----+--+++++++-++-+++-+++++-++++++++++-++---+---+"
+        "++++--+---+---+++--+--------++++-+--++--+-+-+-++-+++-++++-------"
+        "+----+-------++-++-+--------++-+-+-+++---+---+-+-+-++++-+---+-+-"
+        "+-++-++++++-+--+-+----+--++++-+++++++-+-++++-++++++--+++-+--+++-"
+        "+-+++-++-+-++-+++--+-+-+-+-+--+++----+-----++++--+-+-+---+------"
+        "---+---++---+-++----+--+--+-++-+----++---++-------+--+-+-+--++++"
+        "-+++-+++++-++++-++--+++++-+-++-+--++-+++++-+-++--------++---++--"
+        "+-+-+--+-++++-+-+---+-+"
+    ),
+    (3, 3, 1, 7): (
+        "+++-+++++++-+---+---+-++++++-+--+----------------+++++++-++++-++"
+        "+--+++++-+---++-----------+-+-++-+----+--+++++++--+-+-+---------"
+        "+++---+-------++-+++-+++------------+---+-------------+--+---+--"
+        "-----+----------+-+-+++-+++-----++-+++-+++---++-++++++++----+--+"
+        "+--++-+-+-+--+---+----+++++++-++++-+++++++--+--+-++++++++--+-+-+"
+        "---+++-+-+------+-+++-+++--------+---+-----+-----+------++-+++-+"
+        "++------++-+------++-++--+---------+---+--------+--+---+-----+--"
+        "------+--+++-+++-----++-++-+++-++-+++++++--+-++--+-+-++--+---+--"
+        "--++++++-++++-++++++--+--+-+++++++--+-+-+--+++-+-++++++-+++--+++"
+        "+-+++-+++++-++++-++-+++-+++++--+++-+-++++++++-++--+-++++++++-+++"
+        "-+++++-++--+----+---------+----++----+-+--+---------+-+-++-+--++"
+        "-+-++-------+-----++-+-+++++-+--------------++-+++++++------+---"
+        "-+-+----+---++-+---+---+-+-++---+++----+++-+-+++-+-++++--++++--+"
+        "---+++-++---++-+-+-+-+-+-+++-++++-++++++----+-++---++++---+++-++"
+        "-+++---++-++----+----++-+---+---+----+-++----+++++-+++++++++++--"
+        "-+--+-----+-++---+---+-++-+----+-+-++++++-+++++++++-++++-+++++++"
+        "-++++-+++-++++-+++++++++++--++++-+++++++-+++-+++++++-++++-+-+-+-"
+        "++++++++++++----------+---+----+---+--++-+-+-+++++++++++----+---"
+        "-+--+++-+---------+-++++-+++-+--------+--+-++---+---------+-----"
+        "---+--+++-+------++---++-+-+--+--++-+---+-+++---+-++-+++-+++-++-"
+        "++-++-+++-++++-+-++--+++++++++++-+-+--++++++++-+-++++-+++++-++--"
+        "-----+-++++---++-+-----+-+-+++----++-+--++++---+++-++++++++-+-+-"
+        "---++++-+-+++++++-++++++++-++-+-+--++++-++++-++-+---+++++++++++-"
+        "+-+++++++--+-+--++--++++--++-++-+-+++++++++-++++---+++-+--+---++"
+        "+++------++---+++-+++++-+-+--+++++-++----+---------+-+--++-+--++"
+        "+--+-+--++-++++-------+++++---+-+--+++++-+-++++++++++---+-+-++++"
+        "-+++++++--++++-+++--+--+-+--++--+-+--+-+-+--+--+++++++++++-+++++"
+        "-++++-+++++--+--+--+-++++-++-+-+--+++---+++++++++---+++++-++++++"
+        "+---++++++--+++++-+++++-++-++++++++++-+-----++-++++-++++++---+++"
+        "-+++--++-++++--++++++++--+++---++-+-+-++-+++++--+++--+++-------+"
+        "-+--++++-+++++---+--+++-+--+-++-++++--+-+++++--+--+-"
+    ),
+}
+
+
+def test_tau_pinned_over_families():
+    for (v, g, m, kmax), pin in TAU_PINS.items():
+        got = "".join("+" if OrientationBridge(x).tau == 1 else "-"
+                      for _, graphs in iso_levels(1, kmax, v, g, m) for x in graphs)
+        assert got == pin, (v, g, m, kmax)

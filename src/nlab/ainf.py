@@ -6,13 +6,20 @@ V_ij x V_ji -> k, and product tensors
 
     mt_n : V_{i_1 i_2} (x) ... (x) V_{i_{n+1} i_1} -> k
 
-keyed by the index cycle (i_1, ..., i_{n+1}).  The axioms checked are
+keyed by the index cycle (i_1, ..., i_{n+1}) of at least 3 objects.  The
+axioms checked are
 
     sum_{k,l} (-1)^{l(d_1+...+d_k) + (k+1)(l+1)}
         m_{n-l+1}(1^k (x) m_l (x) 1^{n-l-k}) = 0,
 
     mt_n(v_2 (x) ... (x) v_{n+1} (x) v_1)
         = (-1)^{n + d_1 (d_2+...+d_{n+1})} mt_n(v_1 (x) ... (x) v_{n+1}).
+
+Both are checked on the stored tensors only.  Each term of the quadratic
+identity is one pair of stored tensors, the inner one's closing slot
+contracted by C into a slot of the outer one through
+ribbon.graph.tensor_contractions; the rotation identity is compared at the
+entries a tensor or its rotation stores.
 
 The weight of an oriented labeled ribbon graph contracts one tensor per
 vertex (the pairing at bivalent vertices, mt_{valence-1} otherwise)
@@ -33,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import product
 
 from .linalg import invert
 from .quiver import AdjacencyGraph, json_field
@@ -139,6 +145,8 @@ class CyclicAInfData:
         """Store a product tensor and all its rotations (cyclicity identity)."""
         if not all(isinstance(o, str) for o in cycle):
             raise AInfError("product cycle %r has an entry that is not a string" % (list(cycle),))
+        if len(cycle) < 3:
+            raise AInfError("product cycle %r has fewer than 3 objects" % (list(cycle),))
         slots = self._slot_spaces(cycle)
         for (i, j) in slots:
             if (i, j) not in self.parities:
@@ -162,28 +170,6 @@ class CyclicAInfData:
     def c_tensor(self, i, j):
         """Inverse-pairing element C in V_ij (x) V_ji: sum (G^{-1})_{ba} e_a (x) f_b."""
         return self._c_tensors[(i, j)]
-
-    # -- products reconstructed from the cyclic tensors -----------------------------
-
-    def m_apply(self, seq, idx):
-        """m_n on basis elements: seq = (i_1..i_{n+1}) object path, idx basis picks.
-
-        Returns a dict {output basis index: coefficient} in V_{i_1, i_{n+1}}.
-        """
-        i1, iL = seq[0], seq[-1]
-        if (i1, iL) not in self.parities:
-            return {}
-        # the stored tensor for (i_1..i_{n+1}) has a closing slot V_{i_{n+1} i_1}
-        mt = self.tensors.get(tuple(seq))
-        if mt is None:
-            return {}
-        idx = tuple(idx)
-        out = {}
-        for (a, b), g in self.c_tensor(i1, iL).items():
-            v = mt.get(idx + (b,))
-            if v:
-                out[a] = out.get(a, Fraction(0)) + v * g
-        return {a: v for a, v in out.items() if v}
 
 
 def _sparse(nested, dims, where):
@@ -245,64 +231,55 @@ def load_data(text) -> CyclicAInfData:
 # -- axiom checks ------------------------------------------------------------------
 
 
-def _object_paths(data, length):
-    """All (i_1..i_length) with consecutive spaces present."""
-    paths = [[o] for o in data.objects]
-    for _ in range(length - 1):
-        nxt = []
-        for p in paths:
-            for o in data.objects:
-                if (p[-1], o) in data.parities:
-                    nxt.append(p + [o])
-        paths = nxt
-    return [tuple(p) for p in paths]
-
-
 def check_ainf(data: CyclicAInfData, n_max: int):
-    """Verify the quadratic axioms for all n <= n_max on every basis tuple.
+    """Verify the quadratic axioms for all n <= n_max.
 
-    Returns a list of violations (n, seq, idx); empty means pass.
+    Each term m_p(1^k (x) m_l (x) 1^{p-1-k}) is the stored inner tensor
+    (cycle cin, l + 1 slots) contracted by C from its closing slot into
+    slot k of the stored outer tensor (cycle cout, p + 1 slots), keyed by
+    the n = p + l - 1 inputs and the outer closing index z.  The dense
+    identity at (seq, idx) is sum_z C[a, z] R(idx, z) for every output a;
+    C is invertible, so it fails exactly where some R(idx, z) is nonzero.
+    Returns the violations (n, seq, idx), sorted by n, the object
+    positions of seq and idx; empty means pass.
     """
     if n_max < 2:
         raise AInfError("n_max = %r is below 2, the first product" % (n_max,))
-    bad = []
-    for n in range(2, n_max + 1):
-        for seq in _object_paths(data, n + 1):
-            dims = [data.dim(seq[r], seq[r + 1]) for r in range(n)]
-            if any(d == 0 for d in dims):
+    acc = {}
+    for cin, inner in data.tensors.items():
+        ell = len(cin) - 1
+        for cout, outer in data.tensors.items():
+            p = len(cout) - 1
+            n = p + ell - 1
+            if n > n_max:
                 continue
-            for idx in product(*(range(d) for d in dims)):
-                acc = {}
-                for ell in range(2, n + 1):
-                    for k in range(0, n - ell + 1):
-                        inner_seq = seq[k:k + ell + 1]
-                        inner = data.m_apply(inner_seq, idx[k:k + ell])
-                        if not inner:
-                            continue
-                        d_pref = sum(data.parity(seq[r], seq[r + 1], idx[r])
-                                     for r in range(k))
-                        sign = (-1) ** (ell * d_pref + (k + 1) * (ell + 1))
-                        outer_seq = seq[:k + 1] + (seq[k + ell],) + seq[k + ell + 1:]
-                        for b, cb in inner.items():
-                            outer_idx = idx[:k] + (b,) + idx[k + ell:]
-                            for a, ca in data.m_apply(outer_seq, outer_idx).items():
-                                key = a
-                                acc[key] = acc.get(key, Fraction(0)) + sign * cb * ca
-                if any(v for v in acc.values()):
-                    bad.append((n, seq, idx))
-    return bad
+            blocks = [(range(p + 1), outer), (range(p + 1, p + ell + 2), inner)]
+            for k in range(p):
+                if (cout[k], cout[k + 1]) != (cin[0], cin[-1]):
+                    continue
+                seq = cout[:k + 1] + cin[1:-1] + cout[k + 1:]
+                edge = ((k, p + ell + 1), data.c_tensor(cin[0], cin[-1]))
+                for assign, v in tensor_contractions(blocks, [edge]):
+                    a = [assign[d] for d in range(p + ell + 1)]
+                    idx = tuple(a[:k] + a[p + 1:] + a[k + 1:p])
+                    d_pref = sum(data.parity(cout[r], cout[r + 1], a[r]) for r in range(k))
+                    sign = (-1) ** (ell * d_pref + (k + 1) * (ell + 1))
+                    key = (n, seq, idx, a[p])
+                    acc[key] = acc.get(key, 0) + sign * v
+    pos = {o: r for r, o in enumerate(data.objects)}
+    return sorted({key[:3] for key, v in acc.items() if v},
+                  key=lambda b: (b[0], [pos[o] for o in b[1]], b[2]))
 
 
 def cyclicity_check(data: CyclicAInfData):
-    """Verify the rotation identity on every stored tensor and basis tuple."""
+    """Verify the rotation identity on every stored tensor, at each index
+    tuple where the tensor or its rotation has an entry."""
     bad = []
     for cycle, flat in data.tensors.items():
-        dims = [data.dim(i, j) for (i, j) in data._slot_spaces(cycle)]
-        rot = data.tensors.get(cycle[1:] + cycle[:1], {})
-        for idx in product(*(range(d) for d in dims)):
-            lhs = rot.get(idx[1:] + idx[:1], Fraction(0))
-            rhs = data._rotation_sign(cycle, idx) * flat.get(idx, Fraction(0))
-            if lhs != rhs:
+        rot = data.tensors[cycle[1:] + cycle[:1]]
+        for idx in sorted(set(flat) | {r[-1:] + r[:-1] for r in rot}):
+            rhs = data._rotation_sign(cycle, idx) * flat.get(idx, 0)
+            if rot.get(idx[1:] + idx[:1], 0) != rhs:
                 bad.append((cycle, idx))
     return bad
 

@@ -69,33 +69,27 @@ def det_sign(rows) -> int:
     return sign if r == len(rows) else 0
 
 
-def pfaffian(a) -> Fraction:
-    """Pfaffian of an antisymmetric matrix, by expansion along the first row."""
-    n = len(a)
-    if n % 2:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    idx = tuple(range(n))
-    memo = {}
+def pfaffian(a) -> int:
+    """Pfaffian of an integer antisymmetric matrix, by expansion along the
+    first row."""
+    if len(a) % 2:
+        return 0
+    memo = {(): 1}
 
     def rec(rows):
-        if not rows:
-            return Fraction(1)
         hit = memo.get(rows)
-        if hit is not None:
-            return hit
-        i = rows[0]
-        total = Fraction(0)
-        for pos in range(1, len(rows)):
-            j = rows[pos]
-            if a[i][j]:
-                rest = rows[1:pos] + rows[pos + 1:]
-                total += Fraction(-1) ** (pos - 1) * Fraction(a[i][j]) * rec(rest)
-        memo[rows] = total
-        return total
+        if hit is None:
+            i = rows[0]
+            hit = 0
+            for pos in range(1, len(rows)):
+                j = rows[pos]
+                if a[i][j]:
+                    rest = rows[1:pos] + rows[pos + 1:]
+                    hit += (-1) ** (pos - 1) * a[i][j] * rec(rest)
+            memo[rows] = hit
+        return hit
 
-    return rec(idx)
+    return rec(tuple(range(len(a))))
 
 
 def invert(rows):

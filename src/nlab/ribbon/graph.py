@@ -9,8 +9,8 @@ written starting from its minimal dart; the reference orientation of edge
 i is the dart pair (min dart, its iota partner).
 
 tensor_contractions is the one routine that contracts a tensor per vertex
-along every edge by a pairing: A-infinity weights (module ainf) and graph
-cochains (module ribbon.cochain) both run it.
+along every edge by a pairing: A-infinity weights and axiom checks (module
+ainf) and graph cochains (module ribbon.cochain) all run it.
 """
 
 from __future__ import annotations

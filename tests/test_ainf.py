@@ -58,9 +58,11 @@ def data_group_algebra(n):
     }))
 
 
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples-data")
+
+
 def example_data(name):
-    path = os.path.join(os.path.dirname(__file__), "..", "examples-data", name)
-    with open(path) as f:
+    with open(os.path.join(EXAMPLES, name)) as f:
         return load_data(f.read())
 
 
@@ -81,6 +83,126 @@ def test_check_ainf_passes_for_associative_data():
     assert check_ainf(data_x2(0), 5) == []
     assert check_ainf(data_x2(1), 5) == []
     assert check_ainf(data_two_object(), 4) == []
+
+
+def _reference_violations(data, n_max):
+    """The quadratic axioms checked densely: every object path seq of length
+    n + 1, every basis tuple idx, with each m_n rebuilt from its cyclic
+    tensor by contracting the closing slot against C."""
+    def m_apply(seq, idx):
+        mt = data.tensors.get(tuple(seq))
+        if (seq[0], seq[-1]) not in data.parities or mt is None:
+            return {}
+        out = {}
+        for (a, b), g in data.c_tensor(seq[0], seq[-1]).items():
+            v = mt.get(tuple(idx) + (b,))
+            if v:
+                out[a] = out.get(a, Fraction(0)) + v * g
+        return {a: v for a, v in out.items() if v}
+
+    bad = []
+    for n in range(2, n_max + 1):
+        paths = [(o,) for o in data.objects]
+        for _ in range(n):
+            paths = [p + (o,) for p in paths for o in data.objects
+                     if (p[-1], o) in data.parities]
+        for seq in paths:
+            dims = [data.dim(seq[r], seq[r + 1]) for r in range(n)]
+            for idx in product(*(range(d) for d in dims)):
+                acc = {}
+                for ell in range(2, n + 1):
+                    for k in range(0, n - ell + 1):
+                        inner = m_apply(seq[k:k + ell + 1], idx[k:k + ell])
+                        d_pref = sum(data.parity(seq[r], seq[r + 1], idx[r])
+                                     for r in range(k))
+                        sign = (-1) ** (ell * d_pref + (k + 1) * (ell + 1))
+                        outer_seq = seq[:k + 1] + seq[k + ell:]
+                        for b, cb in inner.items():
+                            outer_idx = idx[:k] + (b,) + idx[k + ell:]
+                            for a, ca in m_apply(outer_seq, outer_idx).items():
+                                acc[a] = acc.get(a, Fraction(0)) + sign * cb * ca
+                if any(acc.values()):
+                    bad.append((n, seq, idx))
+    return bad
+
+
+def _rotation_invariant(rng, parities, n):
+    """A random one-object mt_n tensor, summed over its signed rotations so
+    that it satisfies the cyclic rotation identity; as a nested list."""
+    d = len(parities)
+    cur = {idx: rng.choice((-2, -1, 1, 2, 3))
+           for idx in product(range(d), repeat=n + 1) if rng.random() < 0.4}
+    total = {}
+    for _ in range(n + 1):
+        for idx, v in cur.items():
+            total[idx] = total.get(idx, 0) + v
+        odd = [[parities[a] for a in idx] for idx in cur]
+        cur = {idx[1:] + idx[:1]: (-1) ** (n + ds[0] * sum(ds[1:])) * v
+               for (idx, v), ds in zip(cur.items(), odd)}
+
+    def nest(prefix):
+        if len(prefix) == n + 1:
+            return total.get(prefix, 0)
+        return [nest(prefix + (a,)) for a in range(d)]
+    return nest(())
+
+
+def _random_one_object(rng):
+    """One object, dim 1-3 with random parities, a random graded-symmetric
+    nondegenerate pairing and random cyclic mt_2..mt_4."""
+    while True:
+        d = rng.randint(1, 3)
+        par = [rng.randint(0, 1) for _ in range(d)]
+        mat = [[0] * d for _ in range(d)]
+        for a in range(d):
+            for b in range(a, d):
+                v = 0 if a == b and par[a] else rng.choice((0, 0, 1, -1, 2))
+                mat[a][b], mat[b][a] = v, -v if par[a] and par[b] else v
+        ns = sorted(rng.sample((2, 3, 4), rng.randint(1, 3)))
+        try:
+            return load_data(json.dumps({
+                "objects": ["v"], "adjacency": [["v", "v"]],
+                "spaces": {"v,v": {"parities": par}}, "pairings": {"v,v": mat},
+                "products": [{"cycle": ["v"] * (n + 1),
+                              "tensor": _rotation_invariant(rng, par, n)} for n in ns]}))
+        except AInfError:  # a degenerate pairing: draw again
+            pass
+
+
+def _perturbed_matrix_units(rng):
+    """The matrix units with one product scaled, and sometimes a random mt_3."""
+    with open(os.path.join(EXAMPLES, "matrix_units.json")) as f:
+        base = json.load(f)
+    while True:
+        blob = json.loads(json.dumps(base))
+        rng.choice(blob["products"])["tensor"] = [[[rng.choice((-1, 2, 3))]]]
+        if rng.random() < 0.5:
+            blob["products"].append({"cycle": [rng.choice("pq") for _ in range(4)],
+                                     "tensor": [[[[rng.choice((1, -1, 2))]]]]})
+        try:
+            return load_data(json.dumps(blob))
+        except AInfError:  # the mt_3 breaks the rotation identity: draw again
+            pass
+
+
+def test_check_ainf_matches_dense_reference():
+    """The pairwise contraction of stored tensors finds the dense violations,
+    in the dense order, on associative, higher-product and random data."""
+    rng = random.Random(16)
+    cases = [(data, 5) for data in (data_k(), data_x2(0), data_x2(1), data_two_object(),
+                                    data_nonassociative(), data_group_algebra(3),
+                                    data_matrix_units(), example_data("mt4.json"),
+                                    example_data("mt2_mt4.json"))]
+    cases += [(_random_one_object(rng), 4) for _ in range(16)]
+    cases += [(_perturbed_matrix_units(rng), 5) for _ in range(8)]
+    empty = nonempty = 0
+    for data, n_max in cases:
+        for n in range(2, n_max + 1):
+            bad = check_ainf(data, n)
+            assert bad == _reference_violations(data, n)
+            empty += not bad
+            nonempty += bool(bad)
+    assert empty > 10 and nonempty > 20, (empty, nonempty)
 
 
 def test_cyclicity_passes():
@@ -295,3 +417,23 @@ def test_z4_cycle_on_05_scales_unit_cycle(tmp_path):
         {k: [lg.code for lg in b] for k, b in ucx.basis.items()}
     assert chains == {k: [256 * c for c in vec] for k, vec in unit.items()}
     assert any(any(vec) for vec in chains.values())
+
+
+def test_higher_products_mt4_and_mt2_mt4(tmp_path):
+    """One even generator with <x, x> = 1 and mt_4 = 1 (with and without
+    mt_2 = 1): the axioms hold to n = 7, every boundary vanishes, and the
+    nonzero chain coefficients per degree are pinned."""
+    expected = {"mt4.json": {(0, 5): {5: 7}, (2, 1): {5: 7}},
+                "mt2_mt4.json": {(0, 5): {5: 7, 7: 40, 9: 26},
+                                 (2, 1): {5: 7, 7: 19, 9: 9}}}
+    for name, families in expected.items():
+        data = example_data(name)
+        assert check_ainf(data, 7) == []
+        assert cyclicity_check(data) == []
+        for (g, m), nonzero in families.items():
+            cx, chains, boundaries = build_cycle(data, g, m, ("v",) * m,
+                                                 cache_dir=str(tmp_path))
+            for vec in boundaries.values():
+                assert not any(vec), (name, g, m)
+            assert {k: sum(1 for c in vec if c) for k, vec in chains.items()
+                    if any(vec)} == nonzero, (name, g, m)

@@ -528,7 +528,8 @@ def _unit_blob(key, value):
 # A-infinity data whose pairing or product tensor is not shaped by the
 # dimensions of its spaces, has a leaf that is not a number, whose pairings
 # break graded symmetry <y, x> = (-1)^{|x||y|} <x, y>, names an object by
-# something other than a string or twice, or has a parity other than the ints 0 and 1
+# something other than a string or twice, has a parity other than the ints 0
+# and 1, or a product cycle of fewer than 3 objects
 MALFORMED_AINF = {
     "object-not-a-string": (_unit_blob("objects", [["v"]]), "object ['v']"),
     "object-repeated": (_unit_blob("objects", ["v", "v"]), "object 'v' is repeated"),
@@ -537,6 +538,10 @@ MALFORMED_AINF = {
     "cycle-entry-not-a-string": (
         _unit_blob("products", [{"cycle": [["v"], "v", "v"], "tensor": [[[1]]]}]),
         "product cycle [['v'], 'v', 'v']"),
+    "cycle-of-one-object": (_unit_blob("products", [{"cycle": ["v"], "tensor": [1]}]),
+                            "product cycle ['v'] has fewer than 3 objects"),
+    "cycle-of-two-objects": (_unit_blob("products", [{"cycle": ["v", "v"], "tensor": [[1]]}]),
+                             "product cycle ['v', 'v'] has fewer than 3 objects"),
     "parity-null": (_ainf_blob(1, [[1]], [[[1]]], parity=None), "parity None"),
     "parity-list": (_ainf_blob(1, [[1]], [[[1]]], parity=[0]), "parity [0]"),
     "parity-fraction": (_ainf_blob(1, [[1]], [[[1]]], parity=1.5), "parity 1.5"),

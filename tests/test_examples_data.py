@@ -22,6 +22,8 @@ LOADERS = {
     "twovertex.json": Quiver.load,
     "frobenius.json": lambda path: load_data(_read(path)),
     "matrix_units.json": lambda path: load_data(_read(path)),
+    "mt2_mt4.json": lambda path: load_data(_read(path)),
+    "mt4.json": lambda path: load_data(_read(path)),
     "two_object.json": lambda path: load_data(_read(path)),
     "unit.json": lambda path: load_data(_read(path)),
     "p3.json": lambda path: RibbonGraph.from_json(_read(path)),

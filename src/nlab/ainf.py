@@ -41,7 +41,7 @@ import json
 import math
 from fractions import Fraction
 
-from .linalg import invert
+from .linalg import invert, relative_perm_sign
 from .quiver import AdjacencyGraph, json_field
 from .ribbon.census import LabeledRibbonGraph
 from .ribbon.graph import tensor_contractions
@@ -360,19 +360,12 @@ class WeightEngine:
             c_blocks.append(((a, b), data.c_tensor(i, j)))
             c_slots.extend((a, b))
 
-        pos_in_m = {d: k for k, d in enumerate(m_slots)}
-        target = [pos_in_m[d] for d in c_slots]
-
         total = Fraction(0)
         for assign, v in tensor_contractions(blocks, c_blocks):
             par = {d: data.parity(*slot_space[d], assign[d]) for d in assign}
-            sign = 1
             # braid the C factors (in c_slots order) into the M slot order
-            ps = [par[d] for d in c_slots]
-            for uu in range(len(target)):
-                for vv in range(uu + 1, len(target)):
-                    if target[uu] > target[vv] and ps[uu] and ps[vv]:
-                        sign = -sign
+            sign = relative_perm_sign([d for d in m_slots if par[d]],
+                                      [d for d in c_slots if par[d]])
             # internal evaluation sign of the tensor product of functionals
             pref = 0
             for darts, tensor in blocks:
@@ -401,12 +394,5 @@ def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
                        max_edges=max_edges, cache_dir=cache_dir)
     chains = {k: [eng.weight(lg) / len(lg.auts) for lg in cx.basis[k]]
               for k in sorted(cx.basis)}
-    boundaries = {}
-    for k in sorted(cx.matrices):
-        mat, vec = cx.matrices[k], chains.get(k, [])
-        if not mat or not vec:
-            boundaries[k] = [Fraction(0)] * len(cx.basis.get(k - 1, ()))
-            continue
-        boundaries[k] = [sum(mat[i][j] * vec[j] for j in range(len(vec)))
-                         for i in range(len(mat))]
+    boundaries = {k: cx.apply(k, chains[k]) for k in sorted(cx.matrices)}
     return cx, chains, boundaries

@@ -256,7 +256,7 @@ def cmd_ribbon(args):
                     item["edges"], item["vertices"], item["valences"],
                     item["aut_order"], item["orientable"], item["labels"]))
         return 0
-    from .ribbon.complexes import RibbonComplex
+    from .ribbon.complexes import RibbonComplex, top_degree
     G, X = _ribbon_family(args)
     cx = RibbonComplex(args.genus, args.faces, args.min_valence, G=G, X=X,
                        max_edges=args.max_edges, cache_dir=args.cache_dir)
@@ -275,6 +275,10 @@ def cmd_ribbon(args):
             print("degree\tdim\tbetti")
             for k, (d, b) in sorted(table.items()):
                 print("%d\t%d\t%d" % (k, d, b))
+        top = top_degree(args.genus, args.faces, args.min_valence)
+        if top is None or cx.kmax < top:
+            print("note: --max-edges caps the complex at degree %d: its betti is dim ker d_%d, "
+                  "only an upper bound" % (cx.kmax, cx.kmax), file=sys.stderr)
     return 0
 
 

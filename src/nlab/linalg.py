@@ -8,18 +8,15 @@ fast enough and immune to rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def _to_int_rows(rows):
+    """Each row scaled by the lcm of its denominators (1 for an int)."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) if isinstance(x, Fraction) else int(x) * den
-                    for x in row])
+        den = lcm(*[x.denominator for x in row])
+        out.append([int(x * den) for x in row])
     return out
 
 

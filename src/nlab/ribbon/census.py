@@ -136,19 +136,11 @@ class LabeledRibbonGraph:
         return "Labeled(%r, labels=%s)" % (self.graph, list(self.face_labels))
 
 
-def canonical_class(graph: RibbonGraph, dart_labels=None):
-    """(code, canonical graph, relabeling, auts) of a graph.
-
-    `relabeling` is the first old->new dart map reaching the canonical
-    code; `auts` are the automorphisms of the canonical graph, one per map.
-    """
-    code, perms = graph.canonical(dart_labels)
-    p0 = perms[0]
-    inv0 = [0] * graph.n
-    for d, img in enumerate(p0):
-        inv0[img] = d
-    auts = [tuple(p[inv0[d]] for d in range(graph.n)) for p in perms]
-    return code, RibbonGraph.from_code(code), p0, auts
+def automorphisms(perms):
+    """The automorphisms of a canonical graph, one per old->new dart map
+    reaching its code: p o p0^-1 for p in perms."""
+    inv0 = sorted(range(len(perms[0])), key=perms[0].__getitem__)
+    return [tuple(p[d] for d in inv0) for p in perms]
 
 
 def label_key(labels):
@@ -173,10 +165,11 @@ def dart_keys(graph: RibbonGraph, face_labels, key):
 
 def canonical_labeled(graph: RibbonGraph, face_labels, key) -> LabeledRibbonGraph:
     """Rebuild a labeled graph in its canonical form; key is a label_key."""
-    code, cg, _, auts = canonical_class(graph, dart_keys(graph, face_labels, key))
+    code, perms = graph.canonical(dart_keys(graph, face_labels, key))
+    cg = RibbonGraph.from_code(code)
     key_to_label = {v: k for k, v in key.items()}
     lab = [key_to_label[code[2][cyc[0]]] for cyc in cg.faces]
-    return LabeledRibbonGraph(cg, lab, code, auts)
+    return LabeledRibbonGraph(cg, lab, code, automorphisms(perms))
 
 
 def label_assignments(graph: RibbonGraph, G: AdjacencyGraph, X):

@@ -22,10 +22,10 @@ import os
 
 from .. import __version__
 from ..linalg import perm_sign, rank
-from .census import (LabeledRibbonGraph, canonical_class, dart_keys, iso_levels,
+from .census import (LabeledRibbonGraph, automorphisms, dart_keys, iso_levels,
                      label_key, labeled_classes, unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
-from .orientation import ef_sign, is_orientable
+from .orientation import is_orientable
 
 CACHE_VERSION = 1
 
@@ -138,9 +138,8 @@ class RibbonComplex:
         mat = [[0] * cols for _ in range(rows)]
         if not cols:
             return mat
-        key = self._label_key()
         for col, lg in enumerate(self.basis[k]):
-            for target, coeff in self._contractions(lg, k, key):
+            for target, coeff in self._contractions(lg, k):
                 mat[target][col] += coeff
         return mat
 
@@ -148,34 +147,41 @@ class RibbonComplex:
         """The label_key of the family's codes: G's vertices, or None alone."""
         return label_key(self.G.vertices if self.G is not None else ())
 
-    def _contractions(self, lg: LabeledRibbonGraph, k, key):
+    def _contractions(self, lg: LabeledRibbonGraph, k):
+        """(row, sign) per non-loop edge of lg whose contraction is in the basis.
+
+        Contraction keeps every face, so each surviving dart keeps its face's
+        label key and the contracted graph is canonicalized once.  The sign
+        is (-1)^i times the sign of the edge and face bijection from lg minus
+        edge i onto the stored target.
+        """
         g = lg.graph
+        keys = lg.code[2]  # lg.graph is canonical: its per-dart keys
         for i in range(g.num_edges):
             if g.is_loop(i):
                 continue
             contracted, dart_map = g.contract(i)
-            # faces correspond through surviving darts; collect transport sign
-            face_img = []
-            for cyc in g.faces:
-                d = next(d for d in cyc if d in dart_map)
-                face_img.append(contracted.face_of(dart_map[d]))
-            labels = [None] * contracted.num_faces
-            for old_f, new_f in enumerate(face_img):
-                labels[new_f] = lg.face_labels[old_f]
-            code, cg, p0, auts = canonical_class(contracted,
-                                                 dart_keys(contracted, labels, key))
+            code, perms = contracted.canonical([keys[d] for d in dart_map])
             pos = self.index[k - 1].get(code)
             if pos is None:
-                if is_orientable(cg, auts):
+                if is_orientable(RibbonGraph.from_code(code), automorphisms(perms)):
                     raise RibbonError("boundary left the enumerated basis")
                 continue
-            # the canonical relabeling acts on edges and faces too
-            yield pos, (-1) ** i * perm_sign(face_img) * ef_sign(contracted, p0, cg)
+            target = self.basis[k - 1][pos].graph
+            img = {d: perms[0][new] for d, new in dart_map.items()}
+            edge_img = [target.edge_of(img[a]) for a, _ in g.edges if a in img]
+            face_img = [target.face_of(next(img[d] for d in cyc if d in img))
+                        for cyc in g.faces]
+            yield pos, (-1) ** i * perm_sign(edge_img) * perm_sign(face_img)
 
     # -- exact homology ------------------------------------------------------------
 
     def betti(self):
         """degree -> (dim, betti) with fraction-free exact ranks.
+
+        With kmax below the family's top degree (always for min_valence < 3)
+        there is no d_{kmax+1}: the kmax entry is dim ker d_kmax, only an
+        upper bound for the Betti number of the full complex.
 
         Raises RibbonError if a rank exceeds its matrix's smaller side or a
         Betti number comes out negative: either means the arithmetic is wrong.
@@ -199,22 +205,20 @@ class RibbonComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * len(b) for k, b in self.basis.items())
 
-    def check_d_squared(self):
-        """Raise RibbonError unless every d_{k-1} d_k is zero.
+    def apply(self, k, vec):
+        """d_k of a coefficient list over basis[k], as a list over basis[k-1].
 
-        Each entry of the product sums over the nonzero rows of its column
-        of d_k only.
+        Only the nonzero entries of vec are read.
         """
+        nonzero = [(j, v) for j, v in enumerate(vec) if v]
+        return [sum(row[j] * v for j, v in nonzero) for row in self.matrices.get(k, ())]
+
+    def check_d_squared(self):
+        """Raise RibbonError unless every d_{k-1} d_k is zero."""
         for k in range(self.kmin + 2, self.kmax + 1):
-            a = self.matrices[k - 1]
-            b = self.matrices[k]
-            if not a or not b:
-                continue
-            for column in zip(*b):
-                nonzero = [(t, v) for t, v in enumerate(column) if v]
-                for row in a:
-                    if sum(row[t] * v for t, v in nonzero):
-                        raise RibbonError("d^2 != 0 at degree %d" % k)
+            for column in zip(*self.matrices[k]):
+                if any(self.apply(k - 1, column)):
+                    raise RibbonError("d^2 != 0 at degree %d" % k)
         return True
 
     # -- cache ---------------------------------------------------------------------

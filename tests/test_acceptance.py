@@ -16,7 +16,7 @@ from nlab.grammar import format_element, parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, adjacency, double, one_loop, two_loops, two_vertex
-from nlab.ribbon.census import canonical_class, iso_classes
+from nlab.ribbon.census import canonical_labeled, iso_classes, label_key
 from nlab.ribbon.complexes import RibbonComplex, top_degree
 from nlab.ribbon.graph import RibbonGraph
 from nlab.ribbon.orientation import is_orientable
@@ -200,7 +200,8 @@ def test_ac5_ribbon_complexes(cache_dir):
     gamma = [2, 7, 4, 1, 6, 3, 0, 5]
     g = RibbonGraph(iota, gamma)
     assert g.num_vertices == 2 and g.num_edges == 4 and g.genus() == 0
-    _, cg, _, auts = canonical_class(g)
+    lg = canonical_labeled(g, (None,) * g.num_faces, label_key(()))
+    cg, auts = lg.graph, lg.auts
     assert not is_orientable(cg, auts)
     # top labeled cells have 6g - 6 + 3m edges when trivalent graphs exist
     for (g_, m_) in [(0, 3), (1, 1), (0, 4), (1, 2)]:

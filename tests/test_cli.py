@@ -417,19 +417,40 @@ def test_unread_flags_are_usage_errors(args, flag, capsys):
     assert exc.value.code == 2 and re.search(r"\s%s[\s:]" % re.escape(flag), last), last
 
 
-def test_readme_commands_parse():
-    # every `nlab` line of the README's command-line block is accepted as is
+def _readme_commands():
+    """The argv of every `nlab` line of the README's command-line block, with
+    `\\` continuations joined and `# ...` comments dropped."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
         readme = f.read()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True)
                 for line in block.replace("\\\n", " ").splitlines()]
-    commands = [argv for argv in commands if argv]
+    return [argv for argv in commands if argv]
+
+
+def test_readme_commands_parse():
+    # every `nlab` line of the README's command-line block is accepted as is
+    commands = _readme_commands()
     assert len(commands) >= 16
     parser = build_parser()
     for argv in commands:
         assert argv[0] == "nlab", argv
         parser.parse_args(argv[1:])
+
+
+def test_readme_outputs_byte_identical(monkeypatch, capsys):
+    # every README command prints exactly its recorded stdout; a refactor
+    # must leave these bytes alone, and an intended change of output
+    # updates tests/readme_outputs.json with it
+    with open(os.path.join(os.path.dirname(__file__), "readme_outputs.json")) as f:
+        recorded = json.load(f)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    monkeypatch.delenv("NLAB_CACHE", raising=False)
+    commands = _readme_commands()
+    assert [shlex.join(argv) for argv in commands] == [line for line, _ in recorded]
+    for argv, (line, expected) in zip(commands, recorded):
+        code, out, _ = run_cli(argv[1:], capsys)
+        assert (code, out) == (0, expected), line
 
 
 def _operation_parsers(parser, prefix=()):
@@ -460,6 +481,24 @@ def test_readme_flag_table_matches_parsers():
                        if a.option_strings and a.dest != "help"}
                   for op, p in _operation_parsers(build_parser())}
     assert documented == registered
+
+
+def test_capped_homology_notes_the_upper_bound(capsys):
+    # below the top degree (always for valence 2) the last row is dim ker d_k:
+    # stdout keeps the table and stderr names the capped degree
+    capped = ["ribbon", "homology", "--genus", "1", "--faces", "2"]
+    code, out, err = run_cli(capped + ["--max-edges", "5"], capsys)
+    assert (code, out) == (0, "degree\tdim\tbetti\n3\t1\t0\n4\t5\t0\n5\t8\t4\n")
+    assert err == ("note: --max-edges caps the complex at degree 5: its betti is "
+                   "dim ker d_5, only an upper bound\n")
+    code, out, err = run_cli(["ribbon", "homology", "--genus", "0", "--faces", "2",
+                              "--min-valence", "2", "--max-edges", "4", "--format",
+                              "json"], capsys)
+    assert code == 0 and json.loads(out)["4"] == {"dim": 0, "betti": 0}
+    assert "degree 4" in err and "upper bound" in err
+    for extra in ([], ["--max-edges", "6"], ["--max-edges", "9"]):
+        code, out, err = run_cli(capped + extra, capsys)
+        assert (code, out.splitlines()[-1], err) == (0, "6\t5\t1", ""), extra
 
 
 def test_warm_ribbon_homology_checks_d_squared_once(tmp_path, monkeypatch, capsys):

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from nlab.quiver import AdjacencyGraph, Quiver, adjacency
-from nlab.ribbon.census import (iso_classes, iso_levels, labeled_classes, partitions,
-                                polygon_class, unlabeled_as_classes)
+from nlab.linalg import perm_sign
+from nlab.ribbon.census import (canonical_labeled, dart_keys, iso_classes, iso_levels,
+                                label_key, labeled_classes, partitions, polygon_class,
+                                unlabeled_as_classes)
 from nlab.ribbon.complexes import RibbonComplex, bottom_degree, family_levels, top_degree
 from nlab.ribbon.graph import RibbonGraph, RibbonError, polygon
-from nlab.ribbon.orientation import is_orientable
+from nlab.ribbon.orientation import ef_sign, is_orientable
 
 
 def loop_graph():
@@ -186,6 +188,52 @@ def test_complex_caching(tmp_path):
 
 def pq_graph():
     return adjacency(Quiver(["p", "q"], [("a", "p", "q"), ("c", "p", "p")]))
+
+
+def _reference_boundary(cx, k):
+    """d_k by the recipe that rebuilds the target: contract, relabel the
+    contracted faces, canonical_labeled, and the sign (-1)^i times the face
+    bijection times ef_sign of the canonical relabeling."""
+    key = label_key(cx.G.vertices if cx.G is not None else ())
+    mat = [[0] * len(cx.basis[k]) for _ in cx.basis.get(k - 1, ())]
+    for col, lg in enumerate(cx.basis[k]):
+        g = lg.graph
+        for i in range(g.num_edges):
+            if g.is_loop(i):
+                continue
+            contracted, dart_map = g.contract(i)
+            face_img = [contracted.face_of(dart_map[next(d for d in cyc if d in dart_map)])
+                        for cyc in g.faces]
+            labels = [None] * contracted.num_faces
+            for old_f, new_f in enumerate(face_img):
+                labels[new_f] = lg.face_labels[old_f]
+            target = canonical_labeled(contracted, labels, key)
+            pos = cx.index[k - 1].get(target.code)
+            if pos is None:
+                assert not target.is_orientable()
+                continue
+            _, perms = contracted.canonical(dart_keys(contracted, labels, key))
+            mat[pos][col] += ((-1) ** i * perm_sign(face_img)
+                              * ef_sign(contracted, perms[0], target.graph))
+    return mat
+
+
+def test_boundary_transport_matches_rebuilt_targets():
+    # the boundary carries face keys through the contraction and reads the
+    # target from the basis; it must equal the rebuild-every-target recipe
+    G = pq_graph()
+    families = [((1, 3, 3), {}), ((0, 5, 3), dict(max_edges=6)), ((2, 1, 3), {}),
+                ((0, 4, 3), dict(G=G, X=("p", "p", "q", "q"))),
+                ((1, 2, 3), dict(G=G, X=("p", "q")))]
+    rng = random.Random(17)
+    for args, kw in families:
+        cx = RibbonComplex(*args, **kw)
+        for k, mat in cx.matrices.items():
+            assert mat == _reference_boundary(cx, k), (args, k)
+            for _ in range(3):
+                vec = [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in cx.basis[k]]
+                dense = [sum(x * v for x, v in zip(row, vec)) for row in mat]
+                assert cx.apply(k, vec) == dense, (args, k)
 
 
 def test_one_pass_levels_equal_per_degree_classes():

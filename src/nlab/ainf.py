@@ -28,7 +28,9 @@ signs.  The contraction is ribbon.graph.tensor_contractions, which walks
 the vertices in turn through the nonzero entries of each vertex tensor and
 reads an edge's C entry once both of its darts are set, so only nonzero
 terms are ever completed.  Pairings, C tensors and product tensors are
-read once, at load, into dicts {index tuple: nonzero Fraction}.  The
+read once, at load, into dicts {index tuple: nonzero entry}, where an
+entry is an int when it is integral and a Fraction otherwise, so integral
+data multiply as ints and each weight makes one Fraction at the end.  The
 sign is normalized against the graph's reference orientation through the
 ciliation/vertex-order description (module ribbon.orientation).  Weight
 normalization requires the standard parity pattern (even pairings, mt_n of
@@ -128,7 +130,7 @@ class CyclicAInfData:
                 ginv = invert([[mat.get((a, b), 0) for b in range(n)] for a in range(n)])
             except ValueError:
                 raise AInfError("degenerate pairing %s,%s" % (i, j))
-            self._c_tensors[(i, j)] = {(a, b): ginv[b][a] for a in range(n)
+            self._c_tensors[(i, j)] = {(a, b): _exact(ginv[b][a]) for a in range(n)
                                        for b in range(n) if ginv[b][a]}
 
     def _slot_spaces(self, cycle):
@@ -172,9 +174,20 @@ class CyclicAInfData:
         return self._c_tensors[(i, j)]
 
 
+def _exact(x):
+    """The exact value of x (an int, a Fraction or a decimal string) as an
+    int when it is integral, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _sparse(nested, dims, where):
-    """{index tuple: Fraction} of the nonzero entries of a nested list that
-    must be shaped exactly dims, with numbers at its leaves."""
+    """{index tuple: entry} of the nonzero entries of a nested list that
+    must be shaped exactly dims, with numbers at its leaves.
+
+    Each entry is stored by _exact.  A finite float is read through its
+    shortest decimal repr, so 0.1 is 1/10 and not the nearest binary double.
+    """
     out = {}
 
     def read(v, idx):
@@ -184,7 +197,7 @@ def _sparse(nested, dims, where):
                     or isinstance(v, float) and math.isfinite(v)):
                 raise AInfError("%s: entry %s is %r, not a number" % (where, list(idx), v))
             if v:
-                out[idx] = Fraction(v)
+                out[idx] = _exact(repr(v) if isinstance(v, float) else v)
         elif isinstance(v, (list, tuple)) and len(v) == dims[k]:
             for a, x in enumerate(v):
                 read(x, idx + (a,))
@@ -322,7 +335,9 @@ class WeightEngine:
 
         tensor_contractions over the vertices in vertex_order: each vertex
         sets its darts from one nonzero entry of its tensor, and a zero C
-        entry on an edge whose darts are both set prunes the branch.
+        entry on an edge whose darts are both set prunes the branch.  The
+        terms are summed in the entries' own types (ints for integral data)
+        and made a Fraction once, at the end.
         The optional arguments rechoose the contraction presentation; the
         result must not depend on them (this is a tested invariant).
         """
@@ -360,7 +375,7 @@ class WeightEngine:
             c_blocks.append(((a, b), data.c_tensor(i, j)))
             c_slots.extend((a, b))
 
-        total = Fraction(0)
+        total = 0
         for assign, v in tensor_contractions(blocks, c_blocks):
             par = {d: data.parity(*slot_space[d], assign[d]) for d in assign}
             # braid the C factors (in c_slots order) into the M slot order
@@ -375,7 +390,7 @@ class WeightEngine:
                     sign = -sign
                 pref += bp
             total += sign * v
-        return total * OrientationBridge(g).ciliation_value(vertex_order, ciliations)
+        return Fraction(total * OrientationBridge(g).ciliation_value(vertex_order, ciliations))
 
 
 def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -437,3 +438,64 @@ def test_higher_products_mt4_and_mt2_mt4(tmp_path):
                 assert not any(vec), (name, g, m)
             assert {k: sum(1 for c in vec if c) for k, vec in chains.items()
                     if any(vec)} == nonzero, (name, g, m)
+
+
+def _stored_entries(data):
+    for store in (data.pairings, data._c_tensors, data.tensors):
+        for flat in store.values():
+            yield from flat.values()
+
+
+def _fraction_copy(data):
+    """data with every stored pairing, C and product entry a Fraction."""
+    out = copy.deepcopy(data)
+    for store in (out.pairings, out._c_tensors, out.tensors):
+        for key, flat in store.items():
+            store[key] = {idx: Fraction(v) for idx, v in flat.items()}
+    return out
+
+
+def _odd_even_paired(rng):
+    """Seeded one-object data with an odd generator and an even pairing."""
+    while True:
+        data = _random_one_object(rng)
+        try:
+            WeightEngine(data)
+        except AInfError:  # an odd or inhomogeneous pairing: draw again
+            continue
+        if any(data.parities[("v", "v")]):
+            return data
+
+
+def test_integral_entries_are_ints():
+    """Stored entries are ints exactly when integral, weights are Fractions,
+    and chains and boundaries equal those of the all-Fraction copy."""
+    rng = random.Random(18)
+    ones = [(0, ("v",) * 3, {}), (1, ("v",), {}), (0, ("v",) * 4, {})]
+    cases = [(example_data(name), ones) for name in ("unit.json", "frobenius.json",
+                                                     "mt4.json", "mt2_mt4.json")]
+    cases += [(data_group_algebra(n), ones) for n in (3, 4)]
+    cases += [(_odd_even_paired(rng), ones + [(2, ("v",), {})]) for _ in range(4)]
+    cases += [(data_matrix_units(), [(0, ("p", "p", "q"), {}), (1, ("p",), {}),
+                                     (0, ("p", "q", "q"), {})]),
+              (example_data("two_object.json"),
+               [(0, ("p", "q", "q"), {"min_valence": 2, "max_edges": 4})])]
+    kinds, nonzero = set(), 0
+    for data, families in cases:
+        entries = list(_stored_entries(data))
+        assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in entries)
+        kinds |= {type(v) for v in entries}
+        for (i, j), pairing in data.pairings.items():  # G C = 1 in the stored types
+            c, n = data.c_tensor(i, j), data.dim(i, j)
+            assert all(sum(pairing.get((r, b), 0) * c.get((a, b), 0) for b in range(n))
+                       == (r == a) for r in range(n) for a in range(n))
+        eng, ref = WeightEngine(data), _fraction_copy(data)
+        for g, X, kw in families:
+            cx, chains, boundaries = build_cycle(data, g, len(X), X, **kw)
+            assert (chains, boundaries) == build_cycle(ref, g, len(X), X, **kw)[1:]
+            assert all(type(c) is Fraction for vec in chains.values() for c in vec)
+            for basis in cx.basis.values():
+                assert all(type(eng.weight(lg)) is Fraction for lg in basis[:3])
+            nonzero += sum(bool(c) for vec in chains.values() for c in vec)
+    # integral and non-integral entries both occur, and the chains are not all zero
+    assert kinds == {int, Fraction} and nonzero > 20, (kinds, nonzero)

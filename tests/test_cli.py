@@ -599,6 +599,8 @@ MALFORMED_AINF = {
     "tensor-too-wide": (_ainf_blob(1, [[1]], [[[1, 2]]]), "cycle ('v', 'v', 'v')"),
     "tensor-too-deep": (_ainf_blob(1, [[1]], [[[[1]]]]), "cycle ('v', 'v', 'v')"),
     "tensor-boolean-entry": (_ainf_blob(1, [[1]], [[[True]]]), "cycle ('v', 'v', 'v')"),
+    "tensor-nan-entry": (_ainf_blob(1, [[1]], [[[float("nan")]]]), "cycle ('v', 'v', 'v')"),
+    "pairing-infinite-entry": (_ainf_blob(1, [[float("inf")]]), "pairing v,v"),
 }
 
 
@@ -613,6 +615,35 @@ def test_malformed_ainf_data_exits_two(name, tmp_path, capsys):
         code, out, err = run_cli(op, capsys)
         assert (code, out) == (2, ""), op
         assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1, err
+
+
+def test_ainf_decimal_entries_are_read_exactly(tmp_path, capsys):
+    # 0.1 and 0.3 are 1/10 and 3/10, not the binary doubles nearest to them
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(_ainf_blob(1, [[0.1]], [[[0.3]]])))
+    code, out, _ = run_cli(["ainf", "cycle", "--data", str(path), "--genus", "0",
+                            "--faces", "3", "--labels", "v,v,v"], capsys)
+    assert (code, out) == (0, "degree 2: 0\ndegree 3: 45 -15\n"
+                               "boundary of every chain is zero: True\n")
+
+
+def test_ainf_outputs_pinned(tmp_path, monkeypatch, capsys):
+    # each recorded `ainf` command prints exactly its recorded stdout and exit
+    # code; examples-data/ is copied beside z4.json, the group algebra of Z/4
+    # with its trace form, so every recorded line runs as written
+    with open(os.path.join(os.path.dirname(__file__), "ainf_outputs.json")) as f:
+        recorded = json.load(f)
+    n = 4
+    z4 = _ainf_blob(n, [[int((a + b) % n == 0) for b in range(n)] for a in range(n)],
+                    [[[int((a + b + c) % n == 0) for c in range(n)] for b in range(n)]
+                     for a in range(n)])
+    (tmp_path / "z4.json").write_text(json.dumps(z4))
+    shutil.copytree(DATA, tmp_path / "examples-data")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NLAB_CACHE", raising=False)
+    assert len(recorded) == 13
+    for line, code, expected in recorded:
+        assert run_cli(shlex.split(line)[1:], capsys)[:2] == (code, expected), line
 
 
 def test_console_script_entry():

@@ -1,69 +1,62 @@
-"""Exact linear algebra over Q: ranks, determinant signs, Pfaffians.
+"""Exact linear algebra over Q: ranks, determinant signs, inverses, Pfaffians.
 
-Matrices are lists of rows; entries int or Fraction.  Sizes here are desk
-scale (hundreds), so fraction-free elimination with plain integers is both
-fast enough and immune to rounding.
+Matrices are lists of rows; entries int or Fraction.  Ranks, determinant
+signs and inverses share one sparse Gaussian elimination, since boundary
+matrices are about 1% nonzero; its +-1 pivots keep integral rows in int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 
-def _to_int_rows(rows):
-    """Each row scaled by the lcm of its denominators (1 for an int)."""
-    out = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        out.append([int(x * den) for x in row])
-    return out
+def _eliminate(rows, ncols):
+    """Sparse Gaussian elimination of dense rows, pivoting in columns < ncols.
 
-
-def _bareiss(rows):
-    """Fraction-free (Bareiss) elimination: (rank, sign).
-
-    For a full-rank square matrix the last pivot is det(P A), P the row
-    swaps, so sign = sign(last pivot) * sign(P) is the sign of det(A).
+    Repeatedly takes the shortest remaining row, pivots on its first +-1
+    entry in a column < ncols (else its first such entry) and clears that
+    column from every other remaining row.  Returns [(row index, pivot
+    column, reduced row as {column: entry})] in pivot order; a pivot row is
+    zero in the pivot columns before its own.
     """
-    a = _to_int_rows(rows)
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    sign = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
+    active = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    pivots = []
+    while active:
+        i = min(active, key=lambda t: len(active[t]))
+        row = active.pop(i)
+        cols = [j for j in row if j < ncols]
+        if not cols:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r, sign if prev > 0 else -sign
+        c = next((j for j in cols if row[j] in (1, -1)), cols[0])
+        p = row[c]
+        for other in active.values():
+            if c in other:
+                # never int / int, which is a float
+                f = other[c] * p if p in (1, -1) else Fraction(other[c]) / p
+                for j, x in row.items():
+                    y = other.get(j, 0) - f * x
+                    if y:
+                        other[j] = y
+                    else:
+                        del other[j]
+        pivots.append((i, c, row))
+    return pivots
 
 
 def rank(rows) -> int:
-    """Rank over Q by fraction-free (Bareiss-style) elimination."""
-    return _bareiss(rows)[0] if rows else 0
+    """Rank over Q."""
+    return len(_eliminate(rows, len(rows[0]))) if rows else 0
 
 
 def det_sign(rows) -> int:
     """Sign of det of a square matrix (0 if singular)."""
-    if not rows:
-        return 1
-    r, sign = _bareiss(rows)
-    return sign if r == len(rows) else 0
+    pivots = sorted(_eliminate(rows, len(rows)))  # by row index
+    if len(pivots) < len(rows):
+        return 0
+    # row additions keep det; with columns permuted row -> pivot column the
+    # reduced rows are triangular in pivot order, the pivots on the diagonal
+    negative = sum(row[c] < 0 for _, c, row in pivots)
+    return (-1) ** negative * perm_sign([c for _, c, _ in pivots])
 
 
 def pfaffian(a) -> int:
@@ -90,22 +83,23 @@ def pfaffian(a) -> int:
 
 
 def invert(rows):
-    """Exact inverse of a square matrix over Q (Gauss-Jordan)."""
+    """Exact inverse of a square matrix over Q, as rows of Fractions."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    pivots = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    # back-substitution in reverse pivot order: solved[c] is the reduced row
+    # with 1 at column c and 0 at every other column < n
+    solved = {}
+    for _, c, row in reversed(pivots):
+        for j in [j for j in row if j < n and j != c]:
+            f = row[j]
+            for k, x in solved[j].items():
+                row[k] = row.get(k, 0) - f * x
+        p = row[c]
+        solved[c] = {k: Fraction(x) / p for k, x in row.items() if x}
+    return [[solved[c].get(n + j, Fraction(0)) for j in range(n)] for c in range(n)]
 
 
 def perm_sign(perm) -> int:

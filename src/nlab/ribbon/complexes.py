@@ -177,7 +177,7 @@ class RibbonComplex:
     # -- exact homology ------------------------------------------------------------
 
     def betti(self):
-        """degree -> (dim, betti) with fraction-free exact ranks.
+        """degree -> (dim, betti), the ranks exact over Q by sparse elimination.
 
         With kmax below the family's top degree (always for min_valence < 3)
         there is no d_{kmax+1}: the kmax entry is dim ker d_kmax, only an

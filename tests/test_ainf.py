@@ -10,6 +10,7 @@ from itertools import product
 
 from nlab.ainf import (AInfError, CyclicAInfData, WeightEngine, build_cycle,
                        check_ainf, cyclicity_check, load_data)
+from nlab.linalg import rank
 from nlab.ribbon.census import polygon_class
 from nlab.ribbon.orientation import OrientationBridge
 
@@ -438,6 +439,26 @@ def test_higher_products_mt4_and_mt2_mt4(tmp_path):
                 assert not any(vec), (name, g, m)
             assert {k: sum(1 for c in vec if c) for k, vec in chains.items()
                     if any(vec)} == nonzero, (name, g, m)
+
+
+def test_higher_product_chains_boundary_or_class(tmp_path):
+    """rank d_{k+1} -> rank [d_{k+1} | z] for each nonzero chain z below the
+    top degree: every one is a boundary except the degree-7 chain of
+    mt_2 = mt_4 = 1 on (2,1), the class behind b_7 = 1 of the full (2,1)
+    complex.  The chains have Fraction entries."""
+    expected = {("mt4.json", 0, 5): {5: (18, 18)},
+                ("mt4.json", 2, 1): {5: (17, 17)},
+                ("mt2_mt4.json", 0, 5): {5: (18, 18), 7: (45, 45)},
+                ("mt2_mt4.json", 2, 1): {5: (17, 17), 7: (20, 21)}}
+    for (name, g, m), ranks in expected.items():
+        cx, chains, _ = build_cycle(example_data(name), g, m, ("v",) * m,
+                                    cache_dir=str(tmp_path))
+        got = {}
+        for k, z in chains.items():
+            d = cx.matrices.get(k + 1)
+            if any(z) and d:
+                got[k] = (rank(d), rank([row + [c] for row, c in zip(d, z)]))
+        assert got == ranks, (name, g, m)
 
 
 def _stored_entries(data):

@@ -3,8 +3,10 @@
 A path is a composable word of edges of the double quiver (or a vertex
 idempotent 1_v).  A necklace is a closed path up to rotation, stored as its
 minimal rotation under the fixed edge order; vertex idempotents are genuine
-degree-0 necklaces.  Elements of Sym L are finite Q[h]-combinations of
-multisets of necklaces.
+degree-0 necklaces.  Each `NecklaceAlgebra` interns its necklaces: it holds
+one `Necklace` object per canonical necklace, found by any rotation seen so
+far, so necklaces compare and hash by identity.  Elements of Sym L are finite
+Q[h]-combinations of multisets of necklaces, sorted by `Necklace.key`.
 
 The bracket is
 
@@ -20,7 +22,7 @@ with D_e the double derivation cutting at occurrences of e.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import attrgetter
 
 from .quiver import DoubleQuiver, QuiverError
 from .rational import LinComb, QPoly
@@ -70,20 +72,31 @@ class Path:
         return "Path(1_%s)" % self.tail
 
 
-class Necklace:
-    """A cyclic edge word in minimal rotation, or a vertex idempotent."""
+_KEY = attrgetter("_key")
 
-    __slots__ = ("word", "vertex", "_key", "_hash")
+
+class Necklace:
+    """A cyclic edge word in minimal rotation, or a vertex idempotent.
+
+    Necklaces are interned: a `NecklaceAlgebra` builds exactly one object per
+    canonical necklace, so `==` and `hash` are the built-in identity ones and
+    every multiset key hashes and compares in C.  Necklaces of two algebras
+    are distinct even over equal quivers.  They are immutable: copying returns
+    the object itself, and they are not pickled.
+    """
+
+    __slots__ = ("word", "vertex", "_key")
 
     def __init__(self, word, vertex, key):
         self.word = word
         self.vertex = vertex
         self._key = key
-        self._hash = hash(key)
 
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild, never copy _hash
-        return (Necklace, (self.word, self.vertex, self._key))
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def is_idempotent(self):
         return not self.word
@@ -94,14 +107,8 @@ class Necklace:
     def key(self):
         return self._key
 
-    def __eq__(self, other):
-        return isinstance(other, Necklace) and self._key == other._key
-
     def __lt__(self, other):
         return self._key < other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.word:
@@ -114,6 +121,9 @@ class NecklaceAlgebra:
 
     def __init__(self, dq: DoubleQuiver):
         self.dq = dq
+        # the interned necklaces: every rotation seen so far -> its one object
+        self._necklaces = {}
+        self._idempotents = {}
 
     # -- construction -------------------------------------------------
 
@@ -121,8 +131,11 @@ class NecklaceAlgebra:
         return Path(self.dq, word, vertex)
 
     def idempotent(self, v) -> Necklace:
-        self.dq.check_vertex(v)
-        return Necklace((), v, (0, (), v))
+        n = self._idempotents.get(v)
+        if n is None:
+            self.dq.check_vertex(v)
+            n = self._idempotents[v] = Necklace((), v, (0, (), v))
+        return n
 
     def necklace(self, word) -> Necklace:
         """Canonical necklace of a closed word (minimal rotation)."""
@@ -134,16 +147,24 @@ class NecklaceAlgebra:
         return self._canonical(tuple(word))
 
     def _canonical(self, word) -> Necklace:
+        """The interned necklace of a closed word given as a tuple."""
+        n = self._necklaces.get(word)
+        if n is not None:
+            return n
         idx = self.dq.order_index
-        n = len(word)
         best = None
-        for r in range(n):
+        for r in range(len(word)):
             rot = word[r:] + word[:r]
             k = tuple(idx[e] for e in rot)
             if best is None or k < best[0]:
                 best = (k, rot)
         rot = best[1]
-        return Necklace(rot, self.dq.tail[rot[0]], (len(rot), best[0], ""))
+        n = self._necklaces.get(rot)
+        if n is None:
+            n = self._necklaces[rot] = Necklace(
+                rot, self.dq.tail[rot[0]], (len(rot), best[0], ""))
+        self._necklaces[word] = n
+        return n
 
     def pr(self, p: Path) -> Necklace:
         """Projection P -> L = P/[P,P]; errors on non-closed paths."""
@@ -154,7 +175,7 @@ class NecklaceAlgebra:
         return self._canonical(p.word)
 
     def multiset(self, necklaces) -> tuple:
-        return tuple(sorted(necklaces, key=Necklace.key))
+        return tuple(sorted(necklaces, key=_KEY))
 
     def element(self, terms=None) -> "SymElement":
         return SymElement(self, terms)
@@ -236,30 +257,6 @@ class NecklaceAlgebra:
                         acc[key] = acc.get(key, 0) + s
         terms = {k: QPoly.const(c) for k, c in acc.items() if c}
         return TensorElement(self, 2, terms)
-
-    def hamiltonian_action(self, f: Necklace, p: Path):
-        """The derivation e -> -df/de*, e* -> df/de applied to p.
-
-        Returns a dict {Path: Fraction}.
-        """
-        out = {}
-        w = p.word
-        for r, a in enumerate(w):
-            rev = self.dq.reverse(a)
-            if self.dq.is_base(a):
-                repls = [(q, -1) for q in self.cyclic_derivative(f, rev)]
-            else:
-                repls = [(q, 1) for q in self.cyclic_derivative(f, rev)]
-            for q, s in repls:
-                if q.word:
-                    word = w[:r] + q.word + w[r + 1:]
-                    new = self.path(word)
-                else:
-                    # idempotent replacement: drop the letter
-                    word = w[:r] + w[r + 1:]
-                    new = self.path(word, vertex=q.tail)
-                out[new] = out.get(new, Fraction(0)) + s
-        return {k: v for k, v in out.items() if v}
 
     def symplectic_form(self, e: str, f: str) -> int:
         if not self.dq.is_edge(e) or not self.dq.is_edge(f):

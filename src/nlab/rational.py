@@ -35,7 +35,7 @@ class QPoly:
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                if type(v) is not int:
+                if type(v) is not int and type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
                     c[int(k)] = v
@@ -108,7 +108,7 @@ class QPoly:
         return self.scale(other)
 
     def scale(self, v) -> "QPoly":
-        if type(v) is not int:
+        if type(v) is not int and type(v) is not Fraction:
             v = Fraction(v)
         if not v:
             return QPoly()

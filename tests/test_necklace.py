@@ -1,13 +1,42 @@
+import copy
+from fractions import Fraction
+
 import pytest
 
 from nlab.grammar import parse_element
-from nlab.necklace import NecklaceAlgebra
+from nlab.moyal import MoyalHopf
+from nlab.necklace import Necklace, NecklaceAlgebra
 from nlab.quiver import Quiver, QuiverError, double, one_loop, two_loops
 from nlab.rational import QPoly
 
 
 def alg_for(q):
     return NecklaceAlgebra(double(q))
+
+
+def hamiltonian_action(alg, f, p):
+    """The derivation e -> -df/de*, e* -> df/de applied to p.
+
+    Returns a dict {Path: Fraction}.
+    """
+    out = {}
+    w = p.word
+    for r, a in enumerate(w):
+        rev = alg.dq.reverse(a)
+        if alg.dq.is_base(a):
+            repls = [(q, -1) for q in alg.cyclic_derivative(f, rev)]
+        else:
+            repls = [(q, 1) for q in alg.cyclic_derivative(f, rev)]
+        for q, s in repls:
+            if q.word:
+                word = w[:r] + q.word + w[r + 1:]
+                new = alg.path(word)
+            else:
+                # idempotent replacement: drop the letter
+                word = w[:r] + w[r + 1:]
+                new = alg.path(word, vertex=q.tail)
+            out[new] = out.get(new, Fraction(0)) + s
+    return {k: v for k, v in out.items() if v}
 
 
 def test_canonical_rotations():
@@ -21,6 +50,73 @@ def test_canonical_rotations():
     for r in range(3):
         w = n.word[r:] + n.word[:r]
         assert alg2.necklace(w) == n
+
+
+def test_interned_rotations():
+    alg = alg_for(two_loops())
+    n = alg.necklace(["a", "b", "a*", "b"])
+    for r in range(4):
+        assert alg.necklace(n.word[r:] + n.word[:r]) is n
+    # a rotation seen first is found again, and canonicalizes to the same object
+    m = alg.necklace(["b", "b", "a"])
+    assert alg.necklace(("b", "b", "a")) is m is alg.necklace(["a", "b", "b"])
+    assert alg.idempotent("v") is alg.idempotent("v")
+    assert alg.pr(alg.path([], vertex="v")) is alg.idempotent("v")
+    with pytest.raises(QuiverError):
+        alg.idempotent("w")
+
+
+def test_interned_results():
+    alg = alg_for(two_loops())
+    f = alg.necklace(["a", "b"])
+    g = alg.necklace(["a*", "b*"])
+    assert alg.pr(alg.path(["b", "a"])) is f
+    for (n,), _ in alg.bracket(f, g).terms.items():
+        assert alg.necklace(n.word) is n
+    ab = alg.necklace(["a", "a*", "b", "b*"])
+    for (msa, msb), _ in alg.cobracket(ab).terms.items():
+        for n in msa + msb:
+            want = alg.idempotent(n.vertex) if n.is_idempotent() else alg.necklace(n.word)
+            assert n is want
+    # cutting a of (a b b) against a* of (b a*) glues the rest into (b b b)
+    H = MoyalHopf(alg)
+    ms = (alg.necklace(["a", "b", "b"]), alg.necklace(["b", "a*"]))
+    pieces, _ = H.cut_and_glue(ms, [((0, 0), (1, ms[1].word.index("a*")))])
+    assert len(pieces) == 1 and pieces[0] is alg.necklace(["b", "b", "b"])
+    aa = alg.necklace(["a", "a*"])
+    pieces, _ = H.cut_and_glue((aa,), [((0, 0), (0, 1))])
+    assert pieces[0] is pieces[1] is alg.idempotent("v")
+    (ms,) = parse_element(alg, "(b a) & I(v) & (b* a*)").terms
+    assert ms == alg.multiset([f, alg.idempotent("v"), g])
+    assert all(x is y for x, y in zip(ms, alg.multiset([g, f, alg.idempotent("v")])))
+
+
+def test_identity_equality_and_copies():
+    assert "__eq__" not in vars(Necklace) and "__hash__" not in vars(Necklace)
+    alg = alg_for(two_loops())
+    necks = [alg.necklace(w) for w in (["b", "b"], ["a", "b"], ["a"], ["b"], ["a*"])]
+    necks.append(alg.idempotent("v"))
+    ms = alg.multiset(necks)
+    assert list(ms) == sorted(necks, key=Necklace.key)
+    assert [repr(n) for n in ms] == ["I(v)", "(a)", "(a*)", "(b)", "(a b)", "(b b)"]
+    P = parse_element(alg, "(a a*) & (b) - 1/2 h (a b)")
+    Q = copy.deepcopy(P)
+    assert Q == P and Q is not P
+    assert all(x is y for x, y in zip(sorted(Q.terms), sorted(P.terms)))
+    n = alg.necklace(["a", "b"])
+    assert copy.copy(n) is n and copy.deepcopy(n) is n
+
+
+def test_two_algebras_are_distinct():
+    alg1, alg2 = alg_for(two_loops()), alg_for(two_loops())
+    n1, n2 = alg1.necklace(["a", "b"]), alg2.necklace(["a", "b"])
+    assert n1 is not n2 and n1 != n2 and n1.key() == n2.key()
+    assert alg1.idempotent("v") != alg2.idempotent("v")
+    H = MoyalHopf(alg1)
+    with pytest.raises(QuiverError, match="mismatched quivers"):
+        H.star(alg1.single([n1]), alg2.single([n2]))
+    with pytest.raises(QuiverError, match="mismatched quivers"):
+        alg1.bracket_sym(alg1.single([n1]), alg2.single([n2]))
 
 
 def test_canonical_requires_closed():
@@ -89,14 +185,14 @@ def test_cobracket_examples():
 def test_hamiltonian_action():
     alg = alg_for(one_loop())
     f = alg.necklace(["e", "e*"])
-    out = alg.hamiltonian_action(f, alg.path(["e"]))
+    out = hamiltonian_action(alg, f, alg.path(["e"]))
     assert len(out) == 1
     (p, c), = out.items()
     assert p.word == ("e",) and c == -1
-    assert alg.hamiltonian_action(f, alg.path([], vertex="v")) == {}
+    assert hamiltonian_action(alg, f, alg.path([], vertex="v")) == {}
     alg2 = alg_for(two_loops())
-    assert alg2.hamiltonian_action(alg2.necklace(["a", "a"]),
-                                   alg2.path(["b"])) == {}
+    assert hamiltonian_action(alg2, alg2.necklace(["a", "a"]),
+                              alg2.path(["b"])) == {}
 
 
 def test_action_compatible_with_bracket():
@@ -106,7 +202,7 @@ def test_action_compatible_with_bracket():
     necks = necklaces_of_length(alg, 2) + necklaces_of_length(alg, 3)
     for f in necks:
         for g in necks:
-            acted = alg.hamiltonian_action(f, alg.path(g.word))
+            acted = hamiltonian_action(alg, f, alg.path(g.word))
             got = {}
             for p, c in acted.items():
                 n = alg.pr(p)

@@ -409,5 +409,5 @@ def build_cycle(data: CyclicAInfData, genus, faces, X, min_valence=3,
                        max_edges=max_edges, cache_dir=cache_dir)
     chains = {k: [eng.weight(lg) / len(lg.auts) for lg in cx.basis[k]]
               for k in sorted(cx.basis)}
-    boundaries = {k: cx.apply(k, chains[k]) for k in sorted(cx.matrices)}
+    boundaries = {k: cx.apply(k, chains[k]) for k in sorted(cx.boundary)}
     return cx, chains, boundaries

@@ -1,17 +1,21 @@
 """Exact linear algebra over Q: ranks, determinant signs, inverses, Pfaffians.
 
-Matrices are lists of rows; entries int or Fraction.  Ranks, determinant
-signs and inverses share one sparse Gaussian elimination, since boundary
-matrices are about 1% nonzero; its +-1 pivots keep integral rows in int.
+Matrices are lists of rows; entries int or Fraction.  A row is a dense
+list or, for `rank`, a sparse {column: entry} dict of its nonzeros, the
+form in which ribbon complexes store their boundaries (about 1% nonzero).
+Ranks, determinant signs and inverses share one sparse Gaussian
+elimination; its +-1 pivots keep integral rows in int.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
 def _eliminate(rows, ncols):
-    """Sparse Gaussian elimination of dense rows, pivoting in columns < ncols.
+    """Sparse Gaussian elimination of dense or {column: entry} rows, pivoting
+    in columns < ncols.
 
     Repeatedly takes the shortest remaining row, pivots on its first +-1
     entry in a column < ncols (else its first such entry) and clears that
@@ -19,7 +23,9 @@ def _eliminate(rows, ncols):
     column, reduced row as {column: entry})] in pivot order; a pivot row is
     zero in the pivot columns before its own.
     """
-    active = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    active = {i: {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row))
+                  if x}
+              for i, row in enumerate(rows)}
     pivots = []
     while active:
         i = min(active, key=lambda t: len(active[t]))
@@ -44,8 +50,8 @@ def _eliminate(rows, ncols):
 
 
 def rank(rows) -> int:
-    """Rank over Q."""
-    return len(_eliminate(rows, len(rows[0]))) if rows else 0
+    """Rank over Q of dense or {column: entry} rows."""
+    return len(_eliminate(rows, math.inf))
 
 
 def det_sign(rows) -> int:

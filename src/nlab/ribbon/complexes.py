@@ -27,7 +27,7 @@ from .census import (LabeledRibbonGraph, automorphisms, dart_keys, iso_levels,
 from .graph import RibbonGraph, RibbonError
 from .orientation import is_orientable
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def top_degree(g, m, min_valence):
@@ -93,7 +93,7 @@ def family_levels(kmin, kmax, genus, faces, min_valence, G=None, X=None):
 
 
 class RibbonComplex:
-    """Bases and boundary matrices for one (g, m [, G, X]) family."""
+    """Bases and sparse boundaries for one (g, m [, G, X]) family."""
 
     SIZE_GUARD = 50000  # total basis elements; raise it explicitly if needed
 
@@ -107,7 +107,7 @@ class RibbonComplex:
         self.X = tuple(sorted(X)) if X is not None else None
         self.basis = {}       # degree -> list of LabeledRibbonGraph (orientable)
         self.index = {}       # degree -> {code: position}
-        self.matrices = {}    # degree k -> boundary C_k -> C_{k-1} (row-major)
+        self.boundary = {}    # degree k -> d_k, one {column: coeff} per basis[k-1] element
         if not self._load(cache_dir):
             self._build()
             self.check_d_squared()
@@ -127,21 +127,26 @@ class RibbonComplex:
             self.basis[k] = basis
             self.index[k] = {lg.code: i for i, lg in enumerate(basis)}
         for k in range(self.kmin + 1, self.kmax + 1):
-            self.matrices[k] = self._boundary(k)
+            self.boundary[k] = self._boundary(k)
 
     def dims(self):
         return {k: len(self.basis.get(k, ())) for k in range(self.kmin, self.kmax + 1)}
 
+    @property
+    def matrices(self):
+        """degree k -> d_k as dense rows, built from the sparse boundary."""
+        return {k: [[row.get(j, 0) for j in range(len(self.basis[k]))] for row in rows]
+                for k, rows in self.boundary.items()}
+
     def _boundary(self, k):
-        rows = len(self.basis.get(k - 1, ()))
-        cols = len(self.basis.get(k, ()))
-        mat = [[0] * cols for _ in range(rows)]
-        if not cols:
-            return mat
-        for col, lg in enumerate(self.basis[k]):
+        rows = [{} for _ in self.basis.get(k - 1, ())]
+        for col, lg in enumerate(self.basis.get(k, ())):
             for target, coeff in self._contractions(lg, k):
-                mat[target][col] += coeff
-        return mat
+                row = rows[target]
+                row[col] = row.get(col, 0) + coeff
+                if not row[col]:
+                    del row[col]
+        return rows
 
     def _label_key(self):
         """The label_key of the family's codes: G's vertices, or None alone."""
@@ -189,11 +194,11 @@ class RibbonComplex:
         out = {}
         ranks = {}
         for k in range(self.kmin, self.kmax + 1):
-            mat = self.matrices.get(k)
-            ranks[k] = rank(mat) if mat else 0
-            if mat and ranks[k] > min(len(mat), len(mat[0])):
+            rows = self.boundary.get(k)
+            ranks[k] = rank(rows) if rows else 0
+            if rows and ranks[k] > min(len(rows), len(self.basis[k])):
                 raise RibbonError("rank %d exceeds the %d x %d boundary at degree %d"
-                                  % (ranks[k], len(mat), len(mat[0]), k))
+                                  % (ranks[k], len(rows), len(self.basis[k]), k))
         for k in range(self.kmin, self.kmax + 1):
             dim = len(self.basis.get(k, ()))
             b = dim - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -206,18 +211,19 @@ class RibbonComplex:
         return sum((-1) ** k * len(b) for k, b in self.basis.items())
 
     def apply(self, k, vec):
-        """d_k of a coefficient list over basis[k], as a list over basis[k-1].
-
-        Only the nonzero entries of vec are read.
-        """
-        nonzero = [(j, v) for j, v in enumerate(vec) if v]
-        return [sum(row[j] * v for j, v in nonzero) for row in self.matrices.get(k, ())]
+        """d_k of a coefficient list over basis[k], as a list over basis[k-1]."""
+        return [sum(c * vec[j] for j, c in row.items()) for row in self.boundary.get(k, ())]
 
     def check_d_squared(self):
-        """Raise RibbonError unless every d_{k-1} d_k is zero."""
+        """Raise RibbonError unless every d_{k-1} d_k is zero: each of its rows
+        sums the rows of d_k that a row of d_{k-1} names."""
         for k in range(self.kmin + 2, self.kmax + 1):
-            for column in zip(*self.matrices[k]):
-                if any(self.apply(k - 1, column)):
+            for row in self.boundary[k - 1]:
+                product = {}
+                for t, c in row.items():
+                    for j, x in self.boundary[k][t].items():
+                        product[j] = product.get(j, 0) + c * x
+                if any(product.values()):
                     raise RibbonError("d^2 != 0 at degree %d" % k)
         return True
 
@@ -241,12 +247,12 @@ class RibbonComplex:
         return os.path.join(cache_dir, "complex-%s.json" % self._cache_key())
 
     def _load(self, cache_dir):
-        """Read bases and matrices from the cache.
+        """Read bases and boundaries from the cache.
 
         A missing file, another version, a file that does not parse, one
-        whose face labels are not this family's, one whose matrix shapes
-        disagree with its basis sizes or one whose matrices fail d^2 = 0 is
-        a miss.
+        whose face labels are not this family's, one whose boundary entries
+        do not fit its basis sizes (see _stored_boundary) or one whose
+        boundaries fail d^2 = 0 is a miss.
         """
         if not cache_dir:
             return False
@@ -273,25 +279,40 @@ class RibbonComplex:
                     auts = [tuple(p) for p in item["auts"]]
                     basis[int(k_str)].append(
                         LabeledRibbonGraph(cg, face_labels, code, auts))
-            matrices = {int(k): v for k, v in data["matrices"].items()}
-            if not self._shapes_agree(basis, matrices):
+            boundary = self._stored_boundary(basis, data["boundary"])
+            if boundary is None:
                 return False
-            self.matrices = matrices
+            self.boundary = boundary
             self.check_d_squared()  # raises RibbonError, a ValueError
         except (ValueError, LookupError, TypeError, AttributeError):
-            self.matrices = {}
+            self.boundary = {}
             return False
         self.basis = basis
         self.index = {k: {lg.code: i for i, lg in enumerate(b)} for k, b in basis.items()}
         return True
 
-    def _shapes_agree(self, basis, matrices):
+    def _stored_boundary(self, basis, stored):
+        """The sparse rows of stored {"k": [[[column, coeff], ...] per row]}, or
+        None unless each d_k has one row per basis[k-1] element and every entry
+        a distinct column 0 <= j < dim C_k and a nonzero int coefficient."""
         if set(basis) != set(range(self.kmin, self.kmax + 1)) or \
-                set(matrices) != set(range(self.kmin + 1, self.kmax + 1)):
-            return False
-        return all(len(mat) == len(basis[k - 1]) and
-                   all(len(row) == len(basis[k]) for row in mat)
-                   for k, mat in matrices.items())
+                set(map(int, stored)) != set(range(self.kmin + 1, self.kmax + 1)):
+            return None
+        boundary = {}
+        for k, rows in stored.items():
+            k = int(k)
+            ncols = len(basis[k])
+            if len(rows) != len(basis[k - 1]):
+                return None
+            boundary[k] = []
+            for row in rows:
+                entries = dict(row)
+                if len(entries) != len(row) or not all(
+                        type(j) is int and 0 <= j < ncols and type(c) is int and c
+                        for j, c in row):
+                    return None
+                boundary[k].append(entries)
+        return boundary
 
     def _store(self, cache_dir):
         if not cache_dir:
@@ -309,7 +330,8 @@ class RibbonComplex:
         data = {
             "version": CACHE_VERSION,
             "basis": basis,
-            "matrices": {str(k): v for k, v in self.matrices.items()},
+            "boundary": {str(k): [list(row.items()) for row in rows]
+                         for k, rows in self.boundary.items()},
         }
         tmp = self._cache_path(cache_dir) + ".tmp"
         with open(tmp, "w") as f:

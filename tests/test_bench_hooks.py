@@ -27,7 +27,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 def test_traced_builds_reach_the_wrapped_entry_points(monkeypatch, tmp_path):
     # a cold build must run one base pairing scan per family and count its
-    # classes through the wrapped census functions
+    # classes through the wrapped census functions, and betti() must rank
+    # each nonempty boundary through the wrapped linalg.rank, or the
+    # linalg.rank.* layers read zero
     monkeypatch.syspath_prepend(ROOT)
     from nlabbench.tracing import Tracer, install
     from nlab.quiver import Quiver, adjacency
@@ -40,10 +42,15 @@ def test_traced_builds_reach_the_wrapped_entry_points(monkeypatch, tmp_path):
         for n, (g, m, max_edges, G, X) in enumerate([(1, 2, 5, None, None),
                                                      (1, 2, None, pq, ("p", "q"))]):
             tracer.reset()
-            complexes.RibbonComplex(g, m, 3, G=G, X=X, max_edges=max_edges,
-                                    cache_dir=str(tmp_path / str(n)))
+            cx = complexes.RibbonComplex(g, m, 3, G=G, X=X, max_edges=max_edges,
+                                         cache_dir=str(tmp_path / str(n)))
             assert tracer.stats["kernels.scan_pairings"].calls == 1, (g, m, X)
             assert tracer.counters["census.classes"] > 0, (g, m, X)
             assert tracer.counters["complexes.cache_miss"] == 1
+            tracer.reset()
+            cx.betti()
+            nonempty = sum(1 for rows in cx.boundary.values() if rows)
+            assert nonempty > 1 and tracer.stats["linalg.rank"].calls == nonempty, (g, m, X)
+            assert tracer.counters["linalg.rank.entries"] > 0, (g, m, X)
     finally:
         tracer.uninstall()

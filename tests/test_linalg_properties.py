@@ -45,6 +45,8 @@ def matrices(draw):
 @given(matrices())
 def test_rank_matches_gauss_jordan(m):
     assert rank(m) == gauss_jordan_rank(m)
+    # the same rows as {column: entry} dicts of their nonzeros
+    assert rank([{j: x for j, x in enumerate(row) if x} for row in m]) == rank(m)
 
 
 def cofactor_det(a):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -260,12 +261,14 @@ def test_one_pass_levels_equal_per_degree_classes():
     assert seen > 50
 
 
-# sha256 of the cache files written for these families before the one-pass
-# generation, the pruned canonical search and the one-shot JSON encoding:
-# class order, automorphism order and the encoder's bytes must not move
+# sha256 of the version-2 cache files (sparse boundaries) of these families;
+# their "basis" objects are byte-identical to those of the version-1 files
+# written before the one-pass generation, the pruned canonical search and
+# the one-shot JSON encoding: class order, automorphism order and the
+# encoder's bytes must not move
 CACHE_SHA256 = {
-    (1, 2, 7, None): "39160303a4b2dca8563d62d33872917821eaf339fda660c5a5ccd1cc82f68a2c",
-    (1, 2, None, ("p", "q")): "8286ee89dc73f858887e3ab7023579d7f33986147a32303f961c77661d9e11bb",
+    (1, 2, 7, None): "e2042d13e3ff2103e3ef769b95658e286f659c58dd5cec6feff669abdc632ef5",
+    (1, 2, None, ("p", "q")): "70dcb3c2a0a737475e946f2d7dd556c4c6b99c498ac362ac700e2389f4e8cd1c",
 }
 
 
@@ -296,25 +299,66 @@ def matmul(a, b):
             for i in range(len(a))]
 
 
+def dense_rows(stored, ncols):
+    return [[dict(row).get(j, 0) for j in range(ncols)] for row in stored]
+
+
 def test_complex_cache_validated_on_load(tmp_path):
-    # a truncated file, one without bases, one with a matrix one row short
-    # and one with an entry changed so that d^2 != 0 are misses: the
-    # complex is rebuilt and the file rewritten
+    # a truncated file, one without bases, one with a boundary one row
+    # short or one row long, one with an entry changed so that d^2 != 0,
+    # ones with an entry whose column is out of range (negative ones
+    # included) or not an int or whose coefficient is zero or not an int, and
+    # one with a column listed twice are misses: the complex is rebuilt and
+    # the file rewritten
     G = loop_graph()
     cold = RibbonComplex(1, 2, 3, G=G, X=("v", "v"))
     RibbonComplex(1, 2, 3, G=G, X=("v", "v"), cache_dir=str(tmp_path))
     (path,) = tmp_path.glob("complex-*.json")
     text = path.read_text()
+    stored = json.loads(text)
+    assert stored["version"] == 2
+    dim = {int(k): len(b) for k, b in stored["basis"].items()}
     short = json.loads(text)
-    short["matrices"]["5"] = short["matrices"]["5"][1:]
+    short["boundary"]["5"] = short["boundary"]["5"][1:]
     broken = json.loads(text)
-    d4, d5 = broken["matrices"]["4"], broken["matrices"]["5"]
-    assert not any(any(row) for row in matmul(d4, d5))
-    t = next(t for t, row in enumerate(d5) if any(row))
-    d4[0][t] += 1
-    assert any(any(row) for row in matmul(d4, d5))
-    for bad in (text[:len(text) // 2], json.dumps({"version": 1}), json.dumps(short),
-                json.dumps(broken)):
+    d4, d5 = broken["boundary"]["4"], broken["boundary"]["5"]
+    assert not any(any(row) for row in matmul(dense_rows(d4, dim[4]), dense_rows(d5, dim[5])))
+    t = next(t for t, row in enumerate(d5) if row)
+    row = dict(d4[0])
+    row[t] = row.get(t, 0) + 1
+    d4[0] = [[j, c] for j, c in row.items() if c]
+    assert any(any(row) for row in matmul(dense_rows(d4, dim[4]), dense_rows(d5, dim[5])))
+
+    def with_row(k, pick, change):
+        bad = json.loads(text)
+        rows = bad["boundary"][str(k)]
+        t = next(t for t, row in enumerate(rows) if pick(t, row))
+        rows[t] = change(rows[t])
+        return json.dumps(bad)
+
+    # d^2 = 0 cannot see these: a negative column of d_4 reads the same row
+    # of d_5 from the end, and d_5 d_6 never reads row t of d_6 when column
+    # t of d_5 is zero
+    unread = set(range(dim[5])) - {j for row in stored["boundary"]["5"] for j, _ in row}
+
+    def unread_row(t, row):
+        return t in unread and row
+
+    entries = [
+        with_row(4, lambda t, row: row, lambda row: [[row[0][0] - dim[4], row[0][1]]] + row[1:]),
+        with_row(6, unread_row, lambda row: row + [[dim[6], 1]]),
+        with_row(6, unread_row, lambda row: [[float(row[0][0]), row[0][1]]] + row[1:]),
+        with_row(6, lambda t, row: unread_row(t, row) and len(row) < dim[6],
+                 lambda row: row + [[min(set(range(dim[6])) - {j for j, _ in row}), 0]]),
+        with_row(6, unread_row, lambda row: [[j, float(c)] for j, c in row]),
+        with_row(6, unread_row, lambda row: [[row[0][0], True]] + row[1:]),
+        with_row(6, unread_row, lambda row: row + row[:1]),
+    ]
+    extra = json.loads(text)
+    extra["boundary"]["6"].append([])
+    entries.append(json.dumps(extra))
+    for bad in (text[:len(text) // 2], json.dumps({"version": 2}), json.dumps(short),
+                json.dumps(broken), *entries):
         path.write_text(bad)
         cx = RibbonComplex(1, 2, 3, G=G, X=("v", "v"), cache_dir=str(tmp_path))
         assert cx.matrices == cold.matrices
@@ -328,13 +372,13 @@ def test_built_complex_checks_d_squared(tmp_path, monkeypatch):
     boundary = RibbonComplex._boundary
 
     def broken(self, k):
-        mat = boundary(self, k)
+        rows = boundary(self, k)
         if k == self.kmin + 2:
-            prev = self.matrices[k - 1]
-            t, j = next((t, j) for t, row in enumerate(mat) for j, v in enumerate(row)
-                        if v and any(r[t] for r in prev))
-            mat[t][j] *= 2
-        return mat
+            prev = self.boundary[k - 1]
+            t, j = next((t, j) for t, row in enumerate(rows) for j in row
+                        if any(t in r for r in prev))
+            rows[t][j] *= 2
+        return rows
 
     monkeypatch.setattr(RibbonComplex, "_boundary", broken)
     for family in (dict(), dict(G=loop_graph(), X=("v",) * 4)):
@@ -398,6 +442,32 @@ def test_complex_cache_keyed_by_package_version(tmp_path, monkeypatch):
         assert builds == [1]
     assert RibbonComplex(0, 4, 3, cache_dir=str(tmp_path)).matrices == cold.matrices
     assert builds == [1]
+
+
+def moduli_betti(g, m):
+    """The nonzero Betti numbers, by edge degree, of the (g, m) family whose
+    m faces carry distinct labels over the complete graph with every loop:
+    the ribbon complex of M_{g,m}, edge degree E carrying H^{6g-6+3m-E}."""
+    labels = "abcdefgh"[:m]
+    G = AdjacencyGraph(labels, itertools.combinations_with_replacement(labels, 2))
+    table = RibbonComplex(g, m, 3, G=G, X=tuple(labels)).betti()
+    return {k: b for k, (_, b) in table.items() if b}
+
+
+def test_distinct_labels_give_moduli_space_cohomology():
+    # the Poincare polynomial of M_{0,n} is prod_{k=2}^{n-2} (1 + kt)
+    # (Arnold; Keel)
+    for n in (3, 4):
+        poly = [1]
+        for k in range(2, n - 1):
+            poly = [a + k * b for a, b in zip(poly + [0], [0] + poly)]
+        top = top_degree(0, n, 3)
+        assert moduli_betti(0, n) == {top - i: c for i, c in enumerate(poly)}, n
+    assert moduli_betti(0, 4) == {5: 2, 6: 1}
+    # measured: H^0 of M_{1,1} and M_{1,2}, and H^0, H^3 of M_{1,3}
+    assert moduli_betti(1, 1) == {3: 1}
+    assert moduli_betti(1, 2) == {6: 1}
+    assert moduli_betti(1, 3) == {6: 1, 9: 1}
 
 
 def euler_characteristic_moduli(g, m):

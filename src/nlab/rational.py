@@ -264,11 +264,6 @@ class LinComb:
         out.terms = {k: c.scale(v) for k, c in self.terms.items()}
         return out._clean()
 
-    def mul_qpoly(self, q: QPoly):
-        out = self._empty()
-        out.terms = {k: c * q for k, c in self.terms.items()}
-        return out._clean()
-
     def h_coefficient(self, k):
         """The element multiplying h^k, with constant coefficients."""
         out = self._empty()

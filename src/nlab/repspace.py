@@ -204,8 +204,12 @@ class RepSpace:
                 raise QuiverError("dimension vector misses vertex %r" % v)
             if self.dims[v] < 0:
                 raise QuiverError("negative dimension %d at vertex %r" % (self.dims[v], v))
-        self._phi_memo = {}    # sorted letters -> their ordering average
-        self._trace_memo = {}  # necklace -> trace_necklace value
+        # Memos of shared results, each dropped with this RepSpace; callers
+        # read them and never accumulate into them.
+        self._phi_memo = {}       # sorted letters -> their ordering average
+        self._trace_memo = {}     # necklace -> trace_necklace value
+        self._trace_ms_memo = {}  # necklace multiset -> terms of its trace product
+        self._weyl_memo = {}      # monomial -> terms of its Weyl image
 
     # trace representation --------------------------------------------------
 
@@ -242,12 +246,16 @@ class RepSpace:
         return P.linear(self._trace_ms, out=RepPolynomial())
 
     def _trace_ms(self, ms):
-        """The terms of the product of the traces of ms's necklaces."""
-        poly = None
-        for n in ms:
-            t = self.trace_necklace(n)
-            poly = t if poly is None else poly * t
-        return (poly if poly is not None else RepPolynomial.const(1)).terms.items()
+        """The terms of the product of the traces of ms's necklaces, memoized
+        (interned necklaces make ms hash by identity); shared, never
+        accumulate into them."""
+        hit = self._trace_ms_memo.get(ms)
+        if hit is None:
+            poly = RepPolynomial.const(1) if not ms else self.trace_necklace(ms[0])
+            for n in ms[1:]:
+                poly = poly * self.trace_necklace(n)
+            hit = self._trace_ms_memo[ms] = poly.terms.items()
+        return hit
 
     # classical Moyal product ------------------------------------------------
 
@@ -321,7 +329,12 @@ class RepSpace:
         return f.linear(self._weyl_monomial, out=DiffOperator())
 
     def _weyl_monomial(self, m):
-        return self._average([v for v, e in m for _ in range(e)]).terms.items()
+        """The terms of m's Weyl image, memoized and shared like `_trace_ms`."""
+        hit = self._weyl_memo.get(m)
+        if hit is None:
+            hit = self._weyl_memo[m] = \
+                self._average([v for v, e in m for _ in range(e)]).terms.items()
+        return hit
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:
         """Inverse of weyl_symmetrize; degree-descending elimination."""

@@ -212,23 +212,29 @@ def diagram_checks(alg: NecklaceAlgebra, dims_list, max_len=4,
     out = [c_tr, c_weyl, c_phi, c_rt]
     for dims in dims_list:
         rs = RepSpace(alg, dims)
-        # Each image is computed once per pair or single and shared by the
-        # checks that need it; nothing is kept across pairs.
+        # Each single's trace and Weyl image is computed once per RepSpace,
+        # keyed by the single's identity (pairs hold the same objects), and
+        # read by every pair and the singles loop.  Each pair's star, its
+        # trace, the classical product, its Weyl image and the operator
+        # product are computed fresh, so every check still compares two
+        # independent computations.
+        images = {}
+        for P in singles:
+            tp = rs.trace_rep(P)
+            images[id(P)] = (tp, rs.weyl_symmetrize(tp))
         for (P, R) in pairs:
-            tp, tr = rs.trace_rep(P), rs.trace_rep(R)
+            (tp, wp), (tr, wr) = images[id(P)], images[id(R)]
             classical = rs.moyal_star_classical(tp, tr)
             c_tr.record(rs.trace_rep(H.star(P, R)) == classical,
                         lambda P=P, R=R, dims=dims: _rerun(
                             quiver_path, ("trace", H.star(P, R)),
                             ("moyal-classical", P, R), dims=dims))
-            prod = rs.weyl_symmetrize(tp) * rs.weyl_symmetrize(tr)
-            c_weyl.record(rs.weyl_symmetrize(classical) == prod,
+            c_weyl.record(rs.weyl_symmetrize(classical) == wp * wr,
                           lambda P=P, R=R, dims=dims: _rerun(
                               quiver_path, ("weyl", H.star(P, R)), ("weyl", P),
                               ("weyl", R), dims=dims))
         for P in singles:
-            tr = rs.trace_rep(P)
-            sym = rs.weyl_symmetrize(tr)
+            tr, sym = images[id(P)]
             c_phi.record(rs.phi_w_realized(P) == sym,
                          lambda P=P, dims=dims: _rerun(quiver_path, ("weyl", P), dims=dims))
             c_rt.record(rs.weyl_unsymmetrize(sym) == tr,

@@ -5,12 +5,14 @@ from math import comb, factorial
 
 import pytest
 
+from nlab import sweeps
 from nlab.grammar import parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, double, one_loop, two_loops
 from nlab.rational import QPoly
-from nlab.repspace import DiffOperator, RepPolynomial, RepSpace, _reorder, partner
+from nlab.repspace import (DiffOperator, RepPolynomial, RepSpace, _reorder, _word_operator,
+                           partner)
 
 
 def setup(q=None, dims=1):
@@ -101,7 +103,7 @@ def test_weyl_symmetrize_examples():
               DiffOperator.generator(("M", "e", 1, 1)) *
               DiffOperator.generator(("M", "e*", 1, 1)) *
               DiffOperator.generator(("M", "e*", 1, 1)))
-    expect = expect + xy.scale(1).mul_qpoly(QPoly({1: Fraction(-2)})) \
+    expect = expect + xy * DiffOperator.const(QPoly({1: Fraction(-2)})) \
         + DiffOperator.const(QPoly({2: Fraction(1, 4)}))
     assert x2y2 == expect
 
@@ -246,17 +248,80 @@ def test_trace_memo_is_never_mutated():
     alg, rs = setup(q=two_loops(), dims=2)
     P = parse_element(alg, "(a a*)&(a a*) + 2 (a a* b b*) + h (b) + (a)&(b)&I(v) - 1/3 (b b*)")
     first = rs.trace_rep(P)
-    snapshot = {n: dict(t.terms) for n, t in rs._trace_memo.items()}
-    assert len(snapshot) == 6
     R = parse_element(alg, "(a a*) + (b b*)")
-    rs.moyal_star_classical(first, rs.trace_rep(R))
+    tr = rs.trace_rep(R)
+    rs.weyl_symmetrize(first)
+
+    def contents():
+        # copies down to each coefficient's dict, so an in-place change shows
+        def copy(items):
+            return {k: dict(c.c) for k, c in items}
+        return ({n: copy(t.terms.items()) for n, t in rs._trace_memo.items()},
+                {ms: copy(t) for ms, t in rs._trace_ms_memo.items()},
+                {m: copy(t) for m, t in rs._weyl_memo.items()})
+
+    snapshot = contents()
+    assert [len(memo) for memo in snapshot] == [6, 6, len(first.terms)]
+    rs.moyal_star_classical(first, tr)
+    rs.moyal_star_classical(tr, first)
     rs.weyl_unsymmetrize(rs.weyl_symmetrize(first))
+    rs.weyl_unsymmetrize(rs.weyl_symmetrize(tr))
     second = rs.trace_rep(P)
     assert second == first and second is not first
     assert second == RepSpace(alg, {"v": 2}).trace_rep(P)
-    assert {n: t.terms for n, t in rs._trace_memo.items()} == snapshot
+    now = contents()
+    assert [{k: now[i][k] for k in memo} for i, memo in enumerate(snapshot)] == list(snapshot)
     n = alg.necklace(["a", "a*"])
     assert rs.trace_necklace(n) is rs.trace_necklace(n)
+    ms = alg.multiset([n, n, alg.necklace(["b"])])
+    assert rs._trace_ms(ms) is rs._trace_ms(ms)
+    m = next(iter(first.terms))
+    assert rs._weyl_monomial(m) is rs._weyl_monomial(m)
+
+
+def _one_loop_diagram(max_len):
+    alg = NecklaceAlgebra(double(one_loop()))
+    return sweeps.diagram_checks(alg, [{"v": 1}, {"v": 2}], max_len=max_len)
+
+
+def test_diagram_checks_compute_single_images_once(monkeypatch):
+    # per dims: one trace and one Weyl image per single, read by every pair
+    # and the singles loop; each pair traces its star and symmetrizes its
+    # classical product; the round trip symmetrizes once more per single
+    calls = {"trace_rep": 0, "weyl_symmetrize": 0}
+    for name in calls:
+        def counted(self, x, _orig=getattr(RepSpace, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, x)
+        monkeypatch.setattr(RepSpace, name, counted)
+    c_tr, c_weyl, c_phi, c_rt = _one_loop_diagram(max_len=4)
+    assert all(c.ok for c in (c_tr, c_weyl, c_phi, c_rt))
+    singles, pairs = c_phi.cases, c_tr.cases
+    assert (singles, pairs) == (114, 466)
+    assert calls == {"trace_rep": singles + pairs, "weyl_symmetrize": 2 * singles + pairs}
+
+
+def test_diagram_checks_catch_a_wrong_star(monkeypatch):
+    # R star P in place of P star R: its trace is not the classical product
+    # of the cached single traces in the order P, R
+    star = MoyalHopf.star
+    monkeypatch.setattr(MoyalHopf, "star", lambda self, P, R: star(self, R, P))
+    c_tr, c_weyl, c_phi, c_rt = _one_loop_diagram(max_len=3)
+    assert " FAIL " in c_tr.report_line()
+    assert c_tr.failure.startswith("nlab trace ")
+    assert " vs nlab moyal-classical " in c_tr.failure
+    assert c_weyl.ok and c_phi.ok and c_rt.ok
+
+
+def test_diagram_checks_catch_a_wrong_weyl_map(monkeypatch):
+    # normal ordering in place of the symmetric average agrees on single
+    # letters and differs on products
+    monkeypatch.setattr(RepSpace, "_weyl_monomial",
+                        lambda self, m: _word_operator([v for v, e in m for _ in range(e)]))
+    c_tr, c_weyl, c_phi, c_rt = _one_loop_diagram(max_len=3)
+    assert " FAIL " in c_weyl.report_line()
+    assert c_weyl.failure.startswith("nlab weyl ")
+    assert c_tr.ok
 
 
 def test_partner_is_a_signed_involution():

@@ -286,7 +286,11 @@ def check_ainf(data: CyclicAInfData, n_max: int):
 
 def cyclicity_check(data: CyclicAInfData):
     """Verify the rotation identity on every stored tensor, at each index
-    tuple where the tensor or its rotation has an entry."""
+    tuple where the tensor or its rotation has an entry.
+
+    This re-verifies what loading enforces: `CyclicAInfData._install` stores
+    every rotation and rejects any conflict, and the full-circle sign is +1,
+    so on loaded data the list is empty unless `tensors` was edited since."""
     bad = []
     for cycle, flat in data.tensors.items():
         rot = data.tensors[cycle[1:] + cycle[:1]]
@@ -309,14 +313,10 @@ class WeightEngine:
             if data.pairing_parity(i, j) % 2:
                 raise AInfError("weights need even pairings (standard parity pattern)")
 
-    def _vertex_tensor(self, lg, cyc, ciliation_start):
+    def _vertex_tensor(self, lg, ciliation_start):
         """(darts, slot spaces, tensor dict) for one vertex, darts from the cilium."""
         g = lg.graph
-        darts = []
-        d = ciliation_start
-        for _ in range(len(cyc)):
-            darts.append(d)
-            d = g.gamma[d]
+        darts = g.cycle_from(ciliation_start)
         labels = [lg.face_labels[g.face_of(d)] for d in darts]
         slots = [(labels[r], lg.face_labels[g.face_of(g.iota[darts[r]])])
                  for r in range(len(darts))]
@@ -355,7 +355,7 @@ class WeightEngine:
         blocks = []
         slot_space = {}
         for v in vertex_order:
-            darts, slots, tensor = self._vertex_tensor(lg, g.vertices[v], ciliations[v])
+            darts, slots, tensor = self._vertex_tensor(lg, ciliations[v])
             if not tensor:
                 return Fraction(0)
             blocks.append((darts, tensor))

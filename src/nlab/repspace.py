@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from .necklace import Necklace, NecklaceAlgebra, SymElement
 from .quiver import QuiverError, reverse_id
@@ -58,19 +58,18 @@ def mono_degree(m):
 
 
 def mono_diff(m, var, order=1):
-    """(coefficient, reduced monomial) of d^order/d var^order, or None."""
-    d = dict(m)
-    e = d.get(var, 0)
-    if e < order:
-        return None
-    coeff = 1
-    for t in range(order):
-        coeff *= (e - t)
-    if e == order:
-        del d[var]
-    else:
-        d[var] = e - order
-    return coeff, tuple(sorted(d.items()))
+    """(coefficient, reduced monomial) of d^order/d var^order, or None.
+    Dropping or lowering one pair of a monomial keeps it sorted."""
+    for i, (v, e) in enumerate(m):
+        if v == var:
+            if e < order:
+                return None
+            coeff = 1
+            for t in range(order):
+                coeff *= (e - t)
+            rest = ((v, e - order),) if e > order else ()
+            return coeff, m[:i] + rest + m[i + 1:]
+    return None
 
 
 def _render(terms, factors):
@@ -206,19 +205,18 @@ class RepSpace:
                 raise QuiverError("negative dimension %d at vertex %r" % (self.dims[v], v))
         # Memos of shared results, each dropped with this RepSpace; callers
         # read them and never accumulate into them.
-        self._phi_memo = {}       # sorted letters -> their ordering average
-        self._trace_memo = {}     # necklace -> trace_necklace value
-        self._trace_ms_memo = {}  # necklace multiset -> terms of its trace product
-        self._weyl_memo = {}      # monomial -> terms of its Weyl image
+        self._trace_memo = {}  # necklace multiset -> the product of its traces
+        self._weyl_memo = {}   # monomial -> its Weyl image
 
     # trace representation --------------------------------------------------
 
     def trace_necklace(self, n: Necklace) -> RepPolynomial:
-        """Trace of a necklace's word, memoized; the result is shared, never
-        accumulate into it."""
-        hit = self._trace_memo.get(n)
+        """Trace of a necklace's word, memoized as the multiset (n,); the
+        result is shared, never accumulate into it."""
+        key = (n,)
+        hit = self._trace_memo.get(key)
         if hit is None:
-            hit = self._trace_memo[n] = self._trace_word(n)
+            hit = self._trace_memo[key] = self._trace_word(n)
         return hit
 
     def _expand(self, word):
@@ -249,13 +247,13 @@ class RepSpace:
         """The terms of the product of the traces of ms's necklaces, memoized
         (interned necklaces make ms hash by identity); shared, never
         accumulate into them."""
-        hit = self._trace_ms_memo.get(ms)
+        hit = self._trace_memo.get(ms)
         if hit is None:
-            poly = RepPolynomial.const(1) if not ms else self.trace_necklace(ms[0])
+            hit = RepPolynomial.const(1) if not ms else self.trace_necklace(ms[0])
             for n in ms[1:]:
-                poly = poly * self.trace_necklace(n)
-            hit = self._trace_ms_memo[ms] = poly.terms.items()
-        return hit
+                hit = hit * self.trace_necklace(n)
+            self._trace_memo[ms] = hit
+        return hit.terms.items()
 
     # classical Moyal product ------------------------------------------------
 
@@ -300,30 +298,22 @@ class RepSpace:
 
     # Weyl symmetrization ------------------------------------------------------
 
-    def _average(self, letters):
-        """Average of the compositions of a sorted letter list over all orderings.
-
-        Recursion on the letter multiset: orderings ending with letter t
-        contribute Av(rest) * t with weight mult(t)/n.
-        """
-        key = tuple(letters)
-        hit = self._phi_memo.get(key)
-        if hit is not None:
-            return hit
-        if not letters:
-            res = DiffOperator.const(1)
-        else:
-            n = len(letters)
-            last = LinComb({t: Fraction(letters.count(t), n) for t in dict.fromkeys(letters)})
-            res = last.linear(lambda t: self._ending_with(letters, t), out=DiffOperator())
-        self._phi_memo[key] = res
-        return res
-
-    def _ending_with(self, letters, t):
-        """The terms of Av(letters without one t) * t."""
-        rest = list(letters)
-        rest.remove(t)
-        return (self._average(rest) * DiffOperator.generator(t)).terms.items()
+    def _average(self, m):
+        """Weyl image of monomial m, memoized: the average of the compositions
+        of its letters over all orderings.  Orderings ending with letter t
+        contribute Av(m / t) * t with weight exponent(t) / deg m."""
+        hit = self._weyl_memo.get(m)
+        if hit is None:
+            if not m:
+                hit = DiffOperator.const(1)
+            else:
+                n = mono_degree(m)
+                last = LinComb({t: Fraction(e, n) for t, e in m})
+                hit = last.linear(lambda t: (self._average(mono_diff(m, t)[1])
+                                             * DiffOperator.generator(t)).terms.items(),
+                                  out=DiffOperator())
+            self._weyl_memo[m] = hit
+        return hit
 
     def weyl_symmetrize(self, f: RepPolynomial) -> DiffOperator:
         return f.linear(self._weyl_monomial, out=DiffOperator())
@@ -332,20 +322,21 @@ class RepSpace:
         """The terms of m's Weyl image, memoized and shared like `_trace_ms`."""
         hit = self._weyl_memo.get(m)
         if hit is None:
-            hit = self._weyl_memo[m] = \
-                self._average([v for v, e in m for _ in range(e)]).terms.items()
-        return hit
+            hit = self._average(m)
+        return hit.terms.items()
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:
-        """Inverse of weyl_symmetrize; degree-descending elimination."""
+        """Inverse of weyl_symmetrize; degree-descending elimination.  The
+        Weyl image of a monomial is its normal-ordered self plus terms of
+        lower degree, so each step cancels the top degree exactly."""
         f = RepPolynomial()
         rem = D
-        guard = 0
+        prev = inf
         while not rem.is_zero():
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("weyl_unsymmetrize failed to terminate")
             deg = max(mono_degree(cm) + mono_degree(ym) for (cm, ym) in rem.terms)
+            if deg >= prev:
+                raise RuntimeError("weyl_unsymmetrize: top degree %d did not drop" % deg)
+            prev = deg
             # coordinate and Y letters are disjoint, so merging (cm, ym) is injective
             top = RepPolynomial({mono_mul(cm, ym): c for (cm, ym), c in rem.terms.items()
                                  if mono_degree(cm) + mono_degree(ym) == deg})
@@ -393,5 +384,6 @@ class RepSpace:
     def _phi_ms(self, ms) -> DiffOperator:
         scalar, expansions = self._height_letters(ms)
         sorted_letters = Counter(tuple(sorted(v for _, v in letters)) for letters in expansions)
-        return LinComb(sorted_letters).linear(lambda key: self._average(key).terms.items(),
-                                              out=DiffOperator()).scale(scalar)
+        return LinComb(sorted_letters).linear(
+            lambda key: self._weyl_monomial(tuple(Counter(key).items())),
+            out=DiffOperator()).scale(scalar)

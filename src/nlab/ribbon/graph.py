@@ -179,8 +179,8 @@ class RibbonGraph:
             raise RibbonError("cannot contract a loop")
         gam = list(self.gamma)
 
-        cyc_a = self._cycle_through(a)
-        cyc_b = self._cycle_through(b)
+        cyc_a = self.cycle_from(a)
+        cyc_b = self.cycle_from(b)
         merged = cyc_a[1:] + cyc_b[1:]  # both start at the dead dart
         if merged:
             for i, d in enumerate(merged):
@@ -201,7 +201,8 @@ class RibbonGraph:
             i2[dart_map[d]] = dart_map[self.iota[d]]
         return RibbonGraph(i2, g2, check=False), dart_map
 
-    def _cycle_through(self, d):
+    def cycle_from(self, d):
+        """The darts of d's vertex in cyclic order, starting at d."""
         cyc = [d]
         cur = self.gamma[d]
         while cur != d:

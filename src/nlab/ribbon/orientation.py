@@ -105,10 +105,7 @@ class OrientationBridge:
             ref_seq.extend((a, b))
         target = []
         for v in w:
-            d = ciliations[v]
-            for _ in range(val[v]):
-                target.append(d)
-                d = g.gamma[d]
+            target.extend(g.cycle_from(ciliations[v]))
         s *= relative_perm_sign(ref_seq, target)
         return s
 

@@ -213,6 +213,17 @@ def test_cyclicity_passes():
     assert cyclicity_check(data_x2(0)) == []
 
 
+def test_cyclicity_check_reports_an_edited_rotation():
+    # loading stores every rotation and rejects conflicts; an entry edited
+    # afterwards breaks the two rotation identities that read it, its own
+    # and the one from the previous rotation
+    data = example_data("matrix_units.json")
+    assert cyclicity_check(data) == []
+    data.tensors[("p", "q", "p")][(0, 0, 0)] = 2
+    assert cyclicity_check(data) == [(("p", "p", "q"), (0, 0, 0)),
+                                     (("p", "q", "p"), (0, 0, 0))]
+
+
 def test_nonassociative_fails_at_n3():
     bad = check_ainf(data_nonassociative(), 3)
     assert bad and all(n == 3 for n, _, _ in bad)
@@ -338,7 +349,7 @@ def _reference_weight(eng, lg, vertex_order, ciliations, edge_order, edge_flips)
     data, g = eng.data, lg.graph
     blocks, slot_space = [], {}
     for v in vertex_order:
-        darts, slots, tensor = eng._vertex_tensor(lg, g.vertices[v], ciliations[v])
+        darts, slots, tensor = eng._vertex_tensor(lg, ciliations[v])
         blocks.append((darts, tensor))
         slot_space.update(zip(darts, slots))
     m_slots = [d for darts, _ in blocks for d in darts]

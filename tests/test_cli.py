@@ -388,6 +388,39 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
 
 
+def test_cobracket_output_pinned(capsys):
+    code, out, err = run_cli(["algebra", "cobracket", "-q", q("twoloops.json"),
+                              "-l", "(a b a* b*)"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "(a) (x) (a*) - (a*) (x) (a) - (b) (x) (b*) + (b*) (x) (b)\n"
+
+
+# arguments a command needs but argparse cannot demand, since other
+# operations of the same parser do without them
+INCOMPLETE = [
+    (["rho", "-q", q("loop.json"), "-l", "(e e*) + (e)", "--dims", "1"],
+     "single multiset term"),
+    (["rho", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1", "--heights", "1"],
+     "need 2 heights"),
+    (["ribbon", "homology", "--faces", "3"], "need --genus and --faces"),
+    (["ribbon", "homology", "--genus", "0", "--faces", "3", *TWOVERTEX],
+     "both --graph and --labels"),
+    (["ribbon", "cochain", "-q", q("loop.json"), "--necklaces", "(e e*)"],
+     "cochain needs --ribbon"),
+    (["ribbon", "cochain", "--ribbon", q("p3.json"), "-q", q("loop.json"),
+      "--necklaces", "(e e*)&(e e*);(e e*);(e e*)"], "single necklace"),
+    (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3"],
+     "cycle needs --genus, --faces, --labels"),
+]
+
+
+@pytest.mark.parametrize("args, key", INCOMPLETE)
+def test_incomplete_commands_exit_two(args, key, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, ""), args
+    assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
+
+
 # an operation parses only the flags its code reads: any other flag, or a
 # value no code path handles, is a usage error that names the flag
 UNREAD_FLAGS = [

@@ -20,6 +20,7 @@ LOADERS = {
     "loop.json": Quiver.load,
     "twoloops.json": Quiver.load,
     "twovertex.json": Quiver.load,
+    "complete4.json": Quiver.load,
     "frobenius.json": lambda path: load_data(_read(path)),
     "matrix_units.json": lambda path: load_data(_read(path)),
     "mt2_mt4.json": lambda path: load_data(_read(path)),

@@ -256,12 +256,12 @@ def test_trace_memo_is_never_mutated():
         # copies down to each coefficient's dict, so an in-place change shows
         def copy(items):
             return {k: dict(c.c) for k, c in items}
-        return ({n: copy(t.terms.items()) for n, t in rs._trace_memo.items()},
-                {ms: copy(t) for ms, t in rs._trace_ms_memo.items()},
-                {m: copy(t) for m, t in rs._weyl_memo.items()})
+        return ({ms: copy(t.terms.items()) for ms, t in rs._trace_memo.items()},
+                {m: copy(t.terms.items()) for m, t in rs._weyl_memo.items()})
 
     snapshot = contents()
-    assert [len(memo) for memo in snapshot] == [6, 6, len(first.terms)]
+    assert len(snapshot[0]) == 8  # six necklaces and two multisets of more
+    assert set(first.terms) <= set(snapshot[1])
     rs.moyal_star_classical(first, tr)
     rs.moyal_star_classical(tr, first)
     rs.weyl_unsymmetrize(rs.weyl_symmetrize(first))
@@ -271,12 +271,44 @@ def test_trace_memo_is_never_mutated():
     assert second == RepSpace(alg, {"v": 2}).trace_rep(P)
     now = contents()
     assert [{k: now[i][k] for k in memo} for i, memo in enumerate(snapshot)] == list(snapshot)
+    # the oracles hand out views of the memo entries, which stay the same objects
     n = alg.necklace(["a", "a*"])
-    assert rs.trace_necklace(n) is rs.trace_necklace(n)
+    assert rs.trace_necklace(n) is rs._trace_memo[(n,)]
     ms = alg.multiset([n, n, alg.necklace(["b"])])
-    assert rs._trace_ms(ms) is rs._trace_ms(ms)
+    rs._trace_ms(ms)
+    hit = rs._trace_memo[ms]
+    rs._trace_ms(ms)
+    assert rs._trace_memo[ms] is hit
     m = next(iter(first.terms))
-    assert rs._weyl_monomial(m) is rs._weyl_monomial(m)
+    hit = rs._weyl_memo[m]
+    rs._weyl_monomial(m)
+    assert rs._weyl_memo[m] is hit
+
+
+def test_phi_w_fills_the_weyl_memo_for_its_trace(monkeypatch):
+    # the joint expansions phi_W averages are the monomials of the trace
+    # product, so the Weyl image of the trace is read from the memo alone
+    alg, rs = setup(q=two_loops(), dims=2)
+    P = parse_element(alg, "(a a*)&(b b*) + 2 (a a* b b*) + (a b a* b*) + h (b) + (a)&I(v)")
+    phi = rs.phi_w_realized(P)
+    entries = len(rs._weyl_memo)
+    calls = []
+    generator = DiffOperator.generator
+    monkeypatch.setattr(DiffOperator, "generator",
+                        staticmethod(lambda v: calls.append(v) or generator(v)))
+    assert rs.weyl_symmetrize(rs.trace_rep(P)) == phi
+    assert len(rs._weyl_memo) == entries and calls == []
+
+
+def test_weyl_unsymmetrize_raises_when_the_top_degree_stays(monkeypatch):
+    alg, rs = setup(dims=2)
+    D = rs.weyl_symmetrize(rs.trace_rep(parse_element(alg, "(e e* e e*) + (e e*)")))
+    calls = []
+    monkeypatch.setattr(RepSpace, "weyl_symmetrize",
+                        lambda self, f: calls.append(f) or DiffOperator())
+    with pytest.raises(RuntimeError, match="top degree 4 did not drop"):
+        rs.weyl_unsymmetrize(D)
+    assert len(calls) == 1
 
 
 def _one_loop_diagram(max_len):

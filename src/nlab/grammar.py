@@ -128,11 +128,11 @@ def _ms_str(ms):
 
 
 def _sorted_scalar_terms(terms):
-    """Expand {multiset: QPoly} into [(hdeg, multiset, Fraction)] sorted."""
+    """Expand {multiset: QPoly} into [(hdeg, multiset, coefficient of h^hdeg)] sorted."""
     flat = []
     for ms, c in terms.items():
         for k in sorted(c.c):
-            flat.append((k, tuple(n.key() for n in ms), ms, c.c[k]))
+            flat.append((k, tuple(n.key() for n in ms), ms, c.coeff(k)))
     flat.sort(key=lambda t: (t[0], t[1]))
     return [(k, ms, v) for (k, _key, ms, v) in flat]
 
@@ -169,7 +169,7 @@ def format_tensor(t) -> str:
     flat = []
     for key, c in t.terms.items():
         for k in sorted(c.c):
-            flat.append((k, tuple(tuple(n.key() for n in ms) for ms in key), key, c.c[k]))
+            flat.append((k, tuple(tuple(n.key() for n in ms) for ms in key), key, c.coeff(k)))
     flat.sort(key=lambda it: (it[0], it[1]))
     flat = [(k, key, v) for (k, _sk, key, v) in flat]
     return _render(flat, lambda key: " (x) ".join(_ms_str(ms) for ms in key))

@@ -22,12 +22,14 @@ multiset along pairs inside it.
                 over component assignments c with the comparison sign of the
                 start/target components of each cut base edge.
 
+Each coefficient is stored per (h/2)^k (see `QPoly`), so every structure
+constant is the int +-1 before terms are summed.
+
 The antipode is diagonal: (-1)^m on a multiset of m necklaces.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .necklace import NecklaceAlgebra, SymElement, TensorElement
@@ -137,7 +139,7 @@ class MoyalHopf:
             sign = (-1) ** sum(not dq.is_base(ms[i].word[j]) for (i, j), _y in pairs)
             pieces, _ = self.cut_and_glue(ms, pairs)
             glued = alg.multiset(pieces)
-            coeff = QPoly({k: Fraction(sign, 2 ** k)})
+            coeff = QPoly.halves({k: sign})
             cur = out.get(glued)
             out[glued] = coeff if cur is None else cur + coeff
         out = {g: c for g, c in out.items() if not c.is_zero()}
@@ -167,7 +169,6 @@ class MoyalHopf:
             m = len(pieces)
             starts = [orbit_of[x] for x, _y in pairs]
             targets = [orbit_of[i, (j + 1) % len(ms[i].word)] for (i, j), _y in pairs]
-            base = Fraction(1, 2 ** k)
             for c in product(range(slots), repeat=m):
                 sign = 1
                 for a, b in zip(starts, targets):
@@ -182,7 +183,7 @@ class MoyalHopf:
                 for idx, piece in enumerate(pieces):
                     placed[c[idx]].append(piece)
                 tkey = tuple(alg.multiset(p) for p in placed)
-                coeff = QPoly({k: base * sign})
+                coeff = QPoly.halves({k: sign})
                 cur = out.get(tkey)
                 out[tkey] = coeff if cur is None else cur + coeff
         out = {t: c for t, c in out.items() if not c.is_zero()}

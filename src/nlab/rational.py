@@ -2,11 +2,14 @@
 
 All algebraic identities in this package are coefficient-wise in h, so h is
 never specialized to a number; every scalar is a QPoly, a polynomial in the
-formal parameter h over the rationals.  Its coefficients are exact: an `int`
-when the value was built from integers, a `Fraction` otherwise; the two
-compare, hash and print alike.  Every element type (Sym L[h], its
-tensor powers, trace polynomials, operators) is a LinComb: a finite sum of
-keys with QPoly coefficients.
+formal parameter h over the rationals.  A QPoly stores the coefficient of
+(h/2)^k, not of h^k: in the Moyal quantization every cut adds a factor h/2,
+so the star product and the coproduct have structure constants +-(h/2)^k
+and compute with ints.  Its coefficients are exact: an `int` exactly when
+the value is integral, a `Fraction` otherwise; the two compare, hash and
+print alike.  Every element type (Sym L[h], its tensor powers, trace
+polynomials, operators) is a LinComb: a finite sum of keys with QPoly
+coefficients.
 """
 
 from __future__ import annotations
@@ -16,12 +19,31 @@ from fractions import Fraction
 _UNIT = {0: 1}  # coefficient dict of the unit polynomial
 
 
+def ratio(n: int, d: int):
+    """n / d for ints n and d != 0: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _per_h(v, k):
+    """The coefficient of h^k whose coefficient of (h/2)^k is v."""
+    if not k:
+        return v
+    if type(v) is int:
+        return ratio(v, 1 << k)
+    return v / (1 << k)
+
+
 class QPoly:
     """Polynomial in h with exact coefficients, stored sparsely.
 
-    A coefficient is an `int` or a `Fraction`: integer input stays an `int`,
-    since `1 == Fraction(1)` with equal hashes, so `==`, `hash` and `str` do
-    not depend on which of the two a coefficient is.
+    `c` maps an exponent k to the coefficient of (h/2)^k.  The constructor,
+    `coeff`, `str` and everything that reads or prints a coefficient work
+    per h^k; the change of basis is a ring isomorphism, so sums, products
+    and scales act on `c` unchanged.  A stored value is an `int` when it is
+    integral, whichever type it was given as, so the structure constants
+    of the Moyal Hopf layer stay ints; a `Fraction` operand can leave an
+    integral `Fraction`, which compares, hashes and prints like the `int`.
 
     Instances are immutable and may be shared between results: a product with
     the unit polynomial returns the other operand itself, not a copy.  Never
@@ -31,15 +53,32 @@ class QPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        # coeffs: dict {exponent: int or Fraction-like}; zeros are dropped.
+        # coeffs: dict {exponent: coefficient of h^exponent, int or
+        # Fraction-like}; zeros are dropped.
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                if type(v) is not int and type(v) is not Fraction:
-                    v = Fraction(v)
+                k = int(k)
+                if type(v) is int:
+                    v <<= k
+                else:
+                    if type(v) is not Fraction:
+                        v = Fraction(v)
+                    if k:
+                        v *= 1 << k
+                    if v.denominator == 1:
+                        v = v.numerator
                 if v:
-                    c[int(k)] = v
+                    c[k] = v
         self.c = c
+
+    @staticmethod
+    def halves(c) -> "QPoly":
+        """The sum of c[k] (h/2)^k.  c is kept as given: its values must be
+        nonzero, and ints where they are integral."""
+        out = QPoly()
+        out.c = c
+        return out
 
     @staticmethod
     def zero():
@@ -62,7 +101,7 @@ class QPoly:
 
     def coeff(self, k):
         """Coefficient of h^k, an int or a Fraction."""
-        return self.c.get(k, 0)
+        return _per_h(self.c.get(k, 0), k)
 
     def degree(self):
         return max(self.c) if self.c else -1
@@ -133,22 +172,17 @@ class QPoly:
         return "QPoly(%s)" % self.str()
 
     def str(self) -> str:
-        """Render like `3/2 h^2` or `1 - 1/4 h^2`; `0` when zero."""
+        """Render like `3/2 h^2` or `1 - 1/4 h^2`, per h^k; `0` when zero."""
         if not self.c:
             return "0"
-        parts = []
-        for k in sorted(self.c):
-            v = self.c[k]
-            parts.append((v, k))
         out = []
-        for i, (v, k) in enumerate(parts):
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            body = monomial_str(mag, k)
+        for i, k in enumerate(sorted(self.c)):
+            v = self.coeff(k)
+            body = monomial_str(abs(v), k)
             if i == 0:
                 out.append(body if v > 0 else "-" + body)
             else:
-                out.append("%s %s" % (sign, body))
+                out.append("%s %s" % ("-" if v < 0 else "+", body))
         return " ".join(out)
 
 

@@ -31,7 +31,7 @@ from math import comb, factorial, inf
 
 from .necklace import Necklace, NecklaceAlgebra, SymElement
 from .quiver import QuiverError, reverse_id
-from .rational import ONE, LinComb, QPoly
+from .rational import ONE, LinComb, QPoly, ratio
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -70,6 +70,28 @@ def mono_diff(m, var, order=1):
             rest = ((v, e - order),) if e > order else ()
             return coeff, m[:i] + rest + m[i + 1:]
     return None
+
+
+def _runs(letters):
+    """The monomial of a sorted letter tuple: each letter with the length of
+    its run."""
+    out = []
+    if letters:
+        prev, n = letters[0], 0
+        for v in letters:
+            if v == prev:
+                n += 1
+            else:
+                out.append((prev, n))
+                prev, n = v, 1
+        out.append((prev, n))
+    return tuple(out)
+
+
+def _integral_as_int(c):
+    """A fresh QPoly equal to c, with each integral Fraction stored as an int."""
+    return QPoly.halves({k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                         for k, v in c.c.items()})
 
 
 def _render(terms, factors):
@@ -143,13 +165,14 @@ class DiffOperator(LinComb):
 
 def _compose(left, right):
     """The normal-ordered terms of the product of two operator keys: the
-    left key's Y monomial moves right past the right key's coordinates."""
+    left key's Y monomial moves right past the right key's coordinates.
+    A coefficient of h^k is stored as 2^k times it, per (h/2)^k."""
     c1, y1 = left
     c2, y2 = right
     if not y1 or not c2:
         return (((mono_mul(c1, c2), mono_mul(y1, y2)), ONE),)
     return [((mono_mul(c1, cm), mono_mul(ym, y2)),
-             QPoly({hpow: coeff}) if coeff != 1 or hpow else ONE)
+             QPoly.halves({hpow: coeff << hpow}) if coeff != 1 or hpow else ONE)
             for cm, ym, coeff, hpow in _reorder(y1, c2)]
 
 
@@ -290,8 +313,9 @@ class RepSpace:
             for (a, b), n in cur.items():
                 m = mono_mul(a, b)
                 by_mono[m] = by_mono.get(m, 0) + n
-            weight = 2 ** d * factorial(d)
-            out.extend((m, QPoly({d: Fraction(n, weight)})) for m, n in by_mono.items() if n)
+            # (h/2)^d / d! is stored as 1/d! per (h/2)^d
+            weight = factorial(d)
+            out.extend((m, QPoly.halves({d: ratio(n, weight)})) for m, n in by_mono.items() if n)
             cur = self._pi(cur)
             d += 1
         return out
@@ -312,6 +336,8 @@ class RepSpace:
                 hit = last.linear(lambda t: (self._average(mono_diff(m, t)[1])
                                              * DiffOperator.generator(t)).terms.items(),
                                   out=DiffOperator())
+                # the weights e/n leave integral Fractions: store them as ints
+                hit.terms = {key: _integral_as_int(c) for key, c in hit.terms.items()}
             self._weyl_memo[m] = hit
         return hit
 
@@ -385,5 +411,5 @@ class RepSpace:
         scalar, expansions = self._height_letters(ms)
         sorted_letters = Counter(tuple(sorted(v for _, v in letters)) for letters in expansions)
         return LinComb(sorted_letters).linear(
-            lambda key: self._weyl_monomial(tuple(Counter(key).items())),
+            lambda key: self._weyl_monomial(_runs(key)),
             out=DiffOperator()).scale(scalar)

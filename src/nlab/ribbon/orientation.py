@@ -51,17 +51,6 @@ def ef_sign(graph: RibbonGraph, perm, target: RibbonGraph) -> int:
     return perm_sign(edge_img) * perm_sign(face_img)
 
 
-def aut_sign_vertex_edge(graph: RibbonGraph, perm) -> int:
-    """Sign of an automorphism on det(R^V) x (edge orientation lines)."""
-    vert_img = [graph.vertex_of(perm[cyc[0]]) for cyc in graph.vertices]
-    s = perm_sign(vert_img)
-    for (a, b) in graph.edges:
-        ia, ib = graph.edges[graph.edge_of(perm[a])]
-        if perm[a] == ib:  # reference dart lands on the non-reference dart
-            s = -s
-    return s
-
-
 def is_orientable(graph: RibbonGraph, auts) -> bool:
     return all(ef_sign(graph, p, graph) == 1 for p in auts)
 

@@ -3,7 +3,7 @@ import pytest
 from nlab.grammar import format_element, format_tensor, parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
-from nlab.quiver import QuiverError, double, one_loop, two_loops
+from nlab.quiver import QuiverError, double, one_loop, two_loops, two_vertex
 
 
 def test_parse_and_format_round_trip():
@@ -12,6 +12,17 @@ def test_parse_and_format_round_trip():
                  "1 - 1/4 h^2 I(v)&I(v)", "(a b a b)", "h (a a*)"):
         el = parse_element(alg, text)
         assert parse_element(alg, format_element(el)) == el
+
+
+def test_format_of_parse_is_unchanged():
+    # coefficients are printed per h^k, as they are written
+    for q, texts in ((one_loop(), ("-1/4 h^2 I(v)&I(v)", "(e e*)&(e e*) - 1/4 h^2 I(v)&I(v)",
+                                   "1/3 + 5/8 h (e e*) - 7 h^2 (e)&(e*)",
+                                   "-3/2 h (e) + 1/16 h^4 I(v)", "2 h^3 (e e* e e*)")),
+                     (two_vertex(), ("-1/4 h^2 I(v1)&I(v2) + 3/8 h^3 (c)&(a a*)",))):
+        alg = NecklaceAlgebra(double(q))
+        for text in texts:
+            assert format_element(parse_element(alg, text)) == text
 
 
 def test_format_is_sorted_and_deterministic():

@@ -5,7 +5,8 @@ import pytest
 from nlab.grammar import format_element, format_tensor, parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
-from nlab.quiver import Quiver, QuiverError, double, one_loop, two_loops
+from nlab.quiver import Quiver, QuiverError, double, one_loop, two_loops, two_vertex
+from nlab.sweeps import multisets_up_to
 from nlab.rational import QPoly
 
 
@@ -27,6 +28,22 @@ def test_star_worked_example():
     S = H.star(P, P)
     assert format_element(S) == "(e e*)&(e e*) - 1/4 h^2 I(v)&I(v)"
     assert S.h_coefficient(1).is_zero()
+
+
+def test_structure_constants_are_ints():
+    # every cut adds a factor h/2, so the star product and the coproduct are
+    # defined over Z[h/2]: each coefficient per (h/2)^k is an int
+    for q in (one_loop(), two_loops(), two_vertex()):
+        alg, H = setup(q)
+        mss = multisets_up_to(alg, 4) + [(alg.idempotent(v),) for v in alg.dq.vertices]
+        size = {ms: sum(len(n.word) for n in ms) for ms in mss}
+        tables = [H.star_ms(a, b) for a in mss for b in mss if size[a] + size[b] <= 4]
+        tables += [H.coproduct_ms(ms, slots) for ms in mss for slots in (2, 3)]
+        coeffs = [c for table in tables for c in table.values()]
+        assert any(c.degree() > 0 for c in coeffs)
+        for c in coeffs:
+            assert all(type(v) is int for v in c.c.values()), c
+            assert all(c.coeff(k) == Fraction(v, 2 ** k) for k, v in c.c.items())
 
 
 def test_cut_and_glue_cases():

@@ -25,7 +25,8 @@ polys = st.one_of(
 
 
 def ref(p):
-    return {k: Fraction(v) for k, v in p.c.items()}
+    """p's coefficients of h^k, read through `coeff` whatever basis p stores."""
+    return {k: Fraction(p.coeff(k)) for k in p.c}
 
 
 def ref_mul(a, b):
@@ -46,16 +47,16 @@ def ref_add(a, b):
 @settings(max_examples=300, deadline=None)
 @given(polys, polys)
 def test_mul_add_match_reference(p, q):
-    assert (p * q).c == ref_mul(ref(p), ref(q))
-    assert (q * p).c == ref_mul(ref(q), ref(p))
-    assert (p + q).c == ref_add(ref(p), ref(q))
-    assert (p - q).c == ref_add(ref(p), {k: -v for k, v in ref(q).items()})
+    assert ref(p * q) == ref_mul(ref(p), ref(q))
+    assert ref(q * p) == ref_mul(ref(q), ref(p))
+    assert ref(p + q) == ref_add(ref(p), ref(q))
+    assert ref(p - q) == ref_add(ref(p), {k: -v for k, v in ref(q).items()})
 
 
 @settings(max_examples=200, deadline=None)
 @given(polys, coeff)
 def test_scale_matches_reference(p, v):
-    assert p.scale(v).c == {k: w * v for k, w in ref(p).items() if w * v}
+    assert ref(p.scale(v)) == {k: w * v for k, w in ref(p).items() if w * v}
     assert (p * v).c == p.scale(v).c
 
 
@@ -148,19 +149,36 @@ def as_fractions(d):
 @settings(max_examples=200, deadline=None)
 @given(int_coeffs, int_coeffs, st.integers(-3, 3))
 def test_int_and_fraction_coefficients_agree(a, b, v):
-    # integral input stays int; it compares, hashes, prints and multiplies
-    # exactly like the same values given as Fractions
+    # an integral value is stored as an int whichever type it was given as;
+    # it compares, hashes, prints and multiplies exactly like the same values
+    # given as Fractions
     pi, pf = QPoly(a), QPoly(as_fractions(a))
     qi, qf = QPoly(b), QPoly(as_fractions(b))
     assert all(type(c) is int for c in pi.c.values())
-    assert all(type(c) is Fraction for c in pf.c.values())
+    assert all(type(c) is int for c in pf.c.values())
     assert pi == pf and hash(pi) == hash(pf) and pi.str() == pf.str()
     assert all(pi.coeff(k) == pf.coeff(k) for k in range(6))
     for x, y in ((pi * qi, pf * qf), (pi * qf, pf * qi), (qi * pi, qf * pf),
                  (pi + qi, pf + qf), (pi - qi, pf - qf),
                  (pi.scale(v), pf.scale(Fraction(v)))):
         assert x == y and hash(x) == hash(y) and x.str() == y.str()
-        assert x.c == ref(y)
+        assert ref(x) == ref(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), coeff, max_size=4))
+def test_h_coefficients_round_trip(d):
+    # given per h^k, stored per (h/2)^k as an int exactly when integral, and
+    # read back per h^k
+    p = QPoly(d)
+    assert all(p.coeff(k) == d.get(k, 0) for k in range(8))
+    assert set(p.c) == {k for k, v in d.items() if v}
+    for k, v in p.c.items():
+        assert v == d[k] * 2 ** k
+        assert (type(v) is int) == (Fraction(v).denominator == 1)
+    # the same values given as ints where integral
+    q = QPoly({k: v.numerator if v.denominator == 1 else v for k, v in d.items()})
+    assert p == q and hash(p) == hash(q) and p.str() == q.str() and p.c == q.c
 
 
 # -- linear extensions ---------------------------------------------------------

@@ -285,6 +285,18 @@ def test_trace_memo_is_never_mutated():
     assert rs._weyl_memo[m] is hit
 
 
+def test_weyl_memo_coefficients_are_ints():
+    # per (h/2)^k the Weyl image of a monomial has integral coefficients
+    # (k! C(a, k) C(b, k) up to sign for one coordinate and its partner), and
+    # the averages store them as ints, not as integral Fractions
+    alg, rs = setup(q=two_loops(), dims=2)
+    P = parse_element(alg, "(a a*)&(a a*) + 2 (a a* b b*) + (a b a* b*) + h (b) + (a)&I(v)")
+    rs.phi_w_realized(P)
+    values = [v for D in rs._weyl_memo.values() for c in D.terms.values() for v in c.c.values()]
+    assert len(rs._weyl_memo) > 50 and any(v not in (1, -1) for v in values)
+    assert all(type(v) is int for v in values)
+
+
 def test_phi_w_fills_the_weyl_memo_for_its_trace(monkeypatch):
     # the joint expansions phi_W averages are the monomials of the trace
     # product, so the Weyl image of the trace is read from the memo alone

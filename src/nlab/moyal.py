@@ -34,7 +34,7 @@ from itertools import combinations, permutations, product
 
 from .necklace import NecklaceAlgebra, SymElement, TensorElement
 from .quiver import QuiverError
-from .rational import QPoly
+from .rational import QPoly, accumulate
 
 
 def _occurrences(ms, offset=0):
@@ -126,25 +126,21 @@ class MoyalHopf:
         """Star product of two necklace multisets: dict {multiset: QPoly}."""
         key = (msP, msR)
         hit = self._star_cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._star_cache[key] = accumulate(self._star_terms(msP, msR))
+        return hit
+
+    def _star_terms(self, msP, msR):
+        """One (glued multiset, +-(h/2)^k) pair per cut specification."""
         alg = self.alg
         dq = alg.dq
         ms = msP + msR
         xs = _occurrences(msP)
         ys = _occurrences(msR, len(msP))
-        out = {}
         for pairs in _cuts((xs.get(e), ys.get(dq.reverse(e))) for e in dq.edge_order):
-            k = len(pairs)
             sign = (-1) ** sum(not dq.is_base(ms[i].word[j]) for (i, j), _y in pairs)
             pieces, _ = self.cut_and_glue(ms, pairs)
-            glued = alg.multiset(pieces)
-            coeff = QPoly.halves({k: sign})
-            cur = out.get(glued)
-            out[glued] = coeff if cur is None else cur + coeff
-        out = {g: c for g, c in out.items() if not c.is_zero()}
-        self._star_cache[key] = out
-        return out
+            yield alg.multiset(pieces), QPoly.halves({len(pairs): sign})
 
     def star(self, P: SymElement, R: SymElement) -> SymElement:
         if P.alg is not self.alg or R.alg is not self.alg:
@@ -157,12 +153,16 @@ class MoyalHopf:
         """Delta_h of one multiset: dict {(ms_1,..,ms_slots): QPoly}."""
         key = (ms, slots)
         hit = self._coproduct_cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._coproduct_cache[key] = accumulate(self._coproduct_terms(ms, slots))
+        return hit
+
+    def _coproduct_terms(self, ms, slots):
+        """One (slots-tuple of multisets, +-(h/2)^k) pair per self-pairing
+        and component assignment with a nonzero sign."""
         alg = self.alg
         dq = alg.dq
         occ = _occurrences(ms)
-        out = {}
         for pairs in _cuts((occ.get(e), occ.get(dq.reverse(e))) for e in dq.base_edges):
             k = len(pairs)
             pieces, orbit_of = self.cut_and_glue(ms, pairs)
@@ -182,13 +182,7 @@ class MoyalHopf:
                 placed = [[] for _ in range(slots)]
                 for idx, piece in enumerate(pieces):
                     placed[c[idx]].append(piece)
-                tkey = tuple(alg.multiset(p) for p in placed)
-                coeff = QPoly.halves({k: sign})
-                cur = out.get(tkey)
-                out[tkey] = coeff if cur is None else cur + coeff
-        out = {t: c for t, c in out.items() if not c.is_zero()}
-        self._coproduct_cache[key] = out
-        return out
+                yield tuple(alg.multiset(p) for p in placed), QPoly.halves({k: sign})
 
     def coproduct(self, P: SymElement, slots=2) -> TensorElement:
         return P.linear(lambda ms: self.coproduct_ms(ms, slots).items(),

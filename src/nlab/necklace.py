@@ -229,16 +229,9 @@ class NecklaceAlgebra:
                 for pf in self.cyclic_derivative(f, u):
                     for pg in self.cyclic_derivative(g, v):
                         w = pf.word + pg.word
-                        if w:
-                            n = self._canonical(w)
-                        else:
-                            n = self.idempotent(pf.tail)
-                        acc[n] = acc.get(n, 0) + s
-        terms = {}
-        for n, c in acc.items():
-            if c:
-                terms[(n,)] = QPoly.const(c)
-        return SymElement(self, terms)
+                        key = (self._canonical(w) if w else self.idempotent(pf.tail),)
+                        acc[key] = acc.get(key, 0) + s
+        return SymElement(self, acc)
 
     def cobracket(self, f: Necklace) -> "TensorElement":
         """delta(f) in L (x) L, before antisymmetrization.
@@ -255,8 +248,7 @@ class NecklaceAlgebra:
                     for (a, b) in self.double_derivation(p, u):
                         key = ((self.pr(a),), (self.pr(b),))
                         acc[key] = acc.get(key, 0) + s
-        terms = {k: QPoly.const(c) for k, c in acc.items() if c}
-        return TensorElement(self, 2, terms)
+        return TensorElement(self, 2, acc)
 
     def symplectic_form(self, e: str, f: str) -> int:
         if not self.dq.is_edge(e) or not self.dq.is_edge(f):

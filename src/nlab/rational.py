@@ -9,12 +9,15 @@ and compute with ints.  Its coefficients are exact: an `int` exactly when
 the value is integral, a `Fraction` otherwise; the two compare, hash and
 print alike.  Every element type (Sym L[h], its tensor powers, trace
 polynomials, operators) is a LinComb: a finite sum of keys with QPoly
-coefficients.
+coefficients.  Every such sum, and every structure-constant table of the
+Moyal layer, is computed by the one loop `accumulate`, which adds the
+coefficients of equal keys and drops the keys that cancel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 _UNIT = {0: 1}  # coefficient dict of the unit polynomial
 
@@ -199,17 +202,37 @@ ZERO = QPoly.zero()
 ONE = QPoly.one()
 
 
+def accumulate(items) -> dict:
+    """Sum (key, QPoly) pairs into a fresh {key: QPoly} of nonzero sums.
+
+    A key whose sum cancels is dropped, and enters again, last, if a later
+    term brings it back; a zero first term adds no key.  No QPoly is
+    mutated: a key met once keeps its QPoly object itself, so the result may
+    share coefficients with the inputs, and with memos.
+    """
+    acc = {}
+    for key, c in items:
+        cur = acc.get(key)
+        if cur is not None:
+            c = cur + c
+        if c.c:
+            acc[key] = c
+        elif cur is not None:
+            del acc[key]
+    return acc
+
+
 class LinComb:
     """A finite Q[h]-linear combination: `terms` maps keys to nonzero QPolys.
 
     Subclasses fix what a key is and override `_empty` when their elements
     carry context.  `terms` is a plain public dict.
 
-    Invariant: an element never changes once it is built.  Every operation
-    accumulates into a fresh element of its own, drops the zero coefficients
-    (`_clean`) and returns it, so results may be shared freely, by memos
-    too.  Maps extended linearly or bilinearly go through `linear`,
-    `bilinear` and `monoid_product`, which keep this rule for their callers.
+    Invariant: an element never changes once it is built.  Every sum is
+    computed by `accumulate` into a fresh dict of a fresh element, so results
+    may be shared freely, by memos too.  Maps extended linearly or
+    bilinearly go through `linear`, `bilinear` and `monoid_product`, which
+    keep this rule for their callers.
     """
 
     __slots__ = ("terms",)
@@ -227,9 +250,11 @@ class LinComb:
         """A zero element of the same kind."""
         return type(self)()
 
-    def _clean(self):
-        self.terms = {k: c for k, c in self.terms.items() if c.c}
-        return self
+    def _summed(self, items):
+        """A fresh element of self's kind whose terms are accumulate(items)."""
+        out = self._empty()
+        out.terms = accumulate(items)
+        return out
 
     def linear(self, f, out=None):
         """The linear extension of f: sum over terms c k of c f(k).
@@ -238,65 +263,36 @@ class LinComb:
         `.items()`.  The result is a fresh element of out's kind (self's
         when out is None); out itself is left unchanged.
         """
-        res = (self if out is None else out)._empty()
-        acc = res.terms
-        for k, c in self.terms.items():
-            unit = c.c == _UNIT
-            for key, ck in f(k):
-                if ck.c == _UNIT:
-                    ck = c
-                elif not unit:
-                    ck = ck * c
-                cur = acc.get(key)
-                acc[key] = ck if cur is None else cur + ck
-        return res._clean()
+        return (self if out is None else out)._summed(
+            (key, ck * c) for k, c in self.terms.items() for key, ck in f(k))
 
     def bilinear(self, other, f, out=None):
         """The bilinear extension of f: sum over term pairs c1 k1, c2 k2 of
         c1 c2 f(k1, k2), with f and out as in `linear`."""
-        res = (self if out is None else out)._empty()
-        acc = res.terms
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                unit = c.c == _UNIT
-                for key, ck in f(k1, k2):
-                    if ck.c == _UNIT:
-                        ck = c
-                    elif not unit:
-                        ck = ck * c
-                    cur = acc.get(key)
-                    acc[key] = ck if cur is None else cur + ck
-        return res._clean()
+        def items():
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    c = c1 * c2
+                    for key, ck in f(k1, k2):
+                        yield key, ck * c
+
+        return (self if out is None else out)._summed(items())
 
     def monoid_product(self, other, keymul):
         """The bilinear extension of a product of keys: sum over term pairs
         of c1 c2 keymul(k1, k2), a fresh element of self's kind."""
-        res = self._empty()
-        acc = res.terms
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = keymul(k1, k2)
-                c = c1 * c2
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        return res._clean()
+        return self._summed((keymul(k1, k2), c1 * c2) for k1, c1 in self.terms.items()
+                            for k2, c2 in other.terms.items())
 
     def __add__(self, other):
-        out = self._empty()
-        acc = out.terms = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = acc.get(key)
-            acc[key] = c if cur is None else cur + c
-        return out._clean()
+        return self._summed(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._summed(chain(self.terms.items(),
+                                  ((k, -c) for k, c in other.terms.items())))
 
     def scale(self, v):
-        out = self._empty()
-        out.terms = {k: c.scale(v) for k, c in self.terms.items()}
-        return out._clean()
+        return self._summed((k, c.scale(v)) for k, c in self.terms.items())
 
     def h_coefficient(self, k):
         """The element multiplying h^k, with constant coefficients."""

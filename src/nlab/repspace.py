@@ -47,6 +47,8 @@ def partner(v):
 
 
 def mono_mul(m1, m2):
+    if not m1 or not m2:
+        return m1 or m2
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import shlex
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .grammar import format_element
@@ -61,13 +62,17 @@ def multisets_up_to(alg: NecklaceAlgebra, total):
     return out
 
 
-def random_element(alg: NecklaceAlgebra, rng: random.Random, total):
-    """A single random multiset term with total length <= total (length >= 1)."""
+def random_element(alg: NecklaceAlgebra, rng: random.Random, total, by_len):
+    """A single random multiset term with total length <= total (length >= 1).
+
+    by_len(l) lists the necklaces of length l, as `necklaces_of_length`
+    does; the suites pass one memo of it, so each length is enumerated once.
+    """
     parts = []
     rest = total
     while rest > 0:
         l = rng.randint(1, rest)
-        options = necklaces_of_length(alg, l)
+        options = by_len(l)
         if not options:
             break
         parts.append(rng.choice(options))
@@ -75,7 +80,7 @@ def random_element(alg: NecklaceAlgebra, rng: random.Random, total):
         if rng.random() < 0.3:
             break
     if not parts:
-        options = necklaces_of_length(alg, 1) or [alg.idempotent(alg.dq.vertices[0])]
+        options = by_len(1) or [alg.idempotent(alg.dq.vertices[0])]
         parts = [rng.choice(options)]
     return alg.single(parts)
 
@@ -122,12 +127,13 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     triples = _bounded_tuples(singles, 3, max_len)
 
     rng = random.Random(seed)
+    by_len = cache(lambda l: necklaces_of_length(alg, l))
     for _ in range(random_cases):
-        triples.append((random_element(alg, rng, random_len // 3 or 1),
-                        random_element(alg, rng, random_len // 3 or 1),
-                        random_element(alg, rng, random_len // 3 or 1)))
-        pairs.append((random_element(alg, rng, random_len // 2 or 1),
-                      random_element(alg, rng, random_len // 2 or 1)))
+        triples.append((random_element(alg, rng, random_len // 3 or 1, by_len),
+                        random_element(alg, rng, random_len // 3 or 1, by_len),
+                        random_element(alg, rng, random_len // 3 or 1, by_len)))
+        pairs.append((random_element(alg, rng, random_len // 2 or 1, by_len),
+                      random_element(alg, rng, random_len // 2 or 1, by_len)))
 
     for (P, R, S) in triples:
         lhs = H.star(H.star(P, R), S)
@@ -171,9 +177,10 @@ def limit_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
         [alg.single(ms) for ms in multisets_up_to(alg, max_len)]
     pairs = _bounded_tuples(singles, 2, max_len)
     rng = random.Random(seed)
+    by_len = cache(lambda l: necklaces_of_length(alg, l))
     for _ in range(random_cases):
-        pairs.append((random_element(alg, rng, random_len // 2 or 1),
-                      random_element(alg, rng, random_len // 2 or 1)))
+        pairs.append((random_element(alg, rng, random_len // 2 or 1, by_len),
+                      random_element(alg, rng, random_len // 2 or 1, by_len)))
     c_h0 = Check("h^0 of star = sym product")
     c_h1 = Check("h^1 of star = bracket/2")
     c_comm = Check("commutator/h at h=0")

@@ -42,6 +42,7 @@ def test_structure_constants_are_ints():
         coeffs = [c for table in tables for c in table.values()]
         assert any(c.degree() > 0 for c in coeffs)
         for c in coeffs:
+            assert isinstance(c, QPoly) and c, c
             assert all(type(v) is int for v in c.c.values()), c
             assert all(c.coeff(k) == Fraction(v, 2 ** k) for k, v in c.c.items())
 

@@ -95,8 +95,8 @@ def lin_ref(x):
 def mul_qpoly(x, q):
     """x with every coefficient multiplied by q, an element of x's kind."""
     out = x._empty()
-    out.terms = {k: c * q for k, c in x.terms.items()}
-    return out._clean()
+    out.terms = {k: p for k, c in x.terms.items() if (p := c * q)}
+    return out
 
 
 def lin_add(a, b, s=1):
@@ -289,8 +289,9 @@ def test_monoid_product_matches_reference(x, y, keymul):
 
 
 def test_only_rational_accumulates_in_place():
-    # every other module extends its maps through linear, bilinear or
-    # monoid_product, so no element a memo holds can be accumulated into
+    # every other module sums through accumulate, directly or by linear,
+    # bilinear or monoid_product, so no element a memo holds can be
+    # accumulated into
     root = os.path.dirname(nlab.__file__)
     found = []
     for folder, _dirs, files in os.walk(root):

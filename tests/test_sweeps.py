@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from nlab import sweeps
+from nlab.grammar import format_element
 from nlab.necklace import Necklace, NecklaceAlgebra
 from nlab.quiver import Quiver, double, one_loop, two_loops, two_vertex
 from nlab.sweeps import multisets_up_to
@@ -47,3 +49,31 @@ def test_multisets_up_to_matches_brute_force(name):
         assert len(got) == len(set(got)), (name, total)
         assert set(got) == _reference(alg, total), (name, total)
         assert all(list(ms) == sorted(ms, key=Necklace.key) for ms in got), (name, total)
+
+
+def _drawn(monkeypatch, suite, **kw):
+    """The random elements a suite draws, formatted, in drawing order."""
+    out = []
+    draw = sweeps.random_element
+
+    def recording(*args):
+        P = draw(*args)
+        out.append(format_element(P))
+        return P
+
+    monkeypatch.setattr(sweeps, "random_element", recording)
+    suite(NecklaceAlgebra(double(two_loops())), max_len=0, seed=0, **kw)
+    return out
+
+
+def test_seeded_draws_are_pinned(monkeypatch):
+    # the seeded random cases of both suites on the two-loop quiver: three
+    # triples and pairs of the Hopf suite, then four pairs of the classical
+    # limit at random_len 12, which draws from lengths 1..6
+    assert _drawn(monkeypatch, sweeps.hopf_checks, random_cases=3) == [
+        "(a* b*)", "(a* b*)", "(b b)", "(a*)", "(b)&(b)",
+        "(b)&(b)", "(a)&(b*)", "(a)&(a)", "(a*)&(a b*)", "(a*)&(b*)",
+        "(b b*)", "(a a*)", "(a a*)", "(a a* b*)", "(a* b b*)"]
+    assert _drawn(monkeypatch, sweeps.limit_checks, random_cases=4, random_len=12) == [
+        "(a* b a* b)", "(b*)&(a b b* b* a*)", "(b b*)", "(b)&(a a*)&(a* b b*)",
+        "(b)&(b)&(a a)&(b b*)", "(a a a a b*)", "(a b*)&(a a a a)", "(a a a* a* a* a*)"]

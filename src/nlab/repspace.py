@@ -16,6 +16,11 @@ factors left of all Y factors).  Three independent computations live here:
     representation of height words (factors composed with height 1 leftmost),
     and the average over all height assignments.
 
+The Weyl image of a monomial, the average of its letters' compositions over
+all orderings, is computed in closed form per conjugate pair (see
+`RepSpace._weyl_monomial`), with an int coefficient per (h/2)^k; `rho`
+composes the letters one by one and stays the independent definition.
+
 The only letter is ("M", e, i, j), for any edge e of the double quiver: a
 reversed edge's letter is both the Weyl symbol (M_{e*})_{ij} and the operator
 Y_{e,ij}, printed Y[e][i][j].  `partner` pairs the letters.  A monomial is a
@@ -25,7 +30,6 @@ sorted tuple of (letter, exponent) pairs.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial, inf
 
@@ -47,12 +51,28 @@ def partner(v):
 
 
 def mono_mul(m1, m2):
+    """The product of two sorted monomials, by one merge; an empty operand
+    returns the other itself."""
     if not m1 or not m2:
         return m1 or m2
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        if p1[0] < p2[0]:
+            out.append(p1)
+            i += 1
+        elif p2[0] < p1[0]:
+            out.append(p2)
+            j += 1
+        else:
+            out.append((p1[0], p1[1] + p2[1]))
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
 
 
 def mono_degree(m):
@@ -88,12 +108,6 @@ def _runs(letters):
                 prev, n = v, 1
         out.append((prev, n))
     return tuple(out)
-
-
-def _integral_as_int(c):
-    """A fresh QPoly equal to c, with each integral Fraction stored as an int."""
-    return QPoly.halves({k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
-                         for k, v in c.c.items()})
 
 
 def _render(terms, factors):
@@ -231,7 +245,7 @@ class RepSpace:
         # Memos of shared results, each dropped with this RepSpace; callers
         # read them and never accumulate into them.
         self._trace_memo = {}  # necklace multiset -> the product of its traces
-        self._weyl_memo = {}   # monomial -> its Weyl image
+        self._weyl_memo = {}   # monomial asked for -> its Weyl image, in closed form
 
     # trace representation --------------------------------------------------
 
@@ -324,33 +338,43 @@ class RepSpace:
 
     # Weyl symmetrization ------------------------------------------------------
 
-    def _average(self, m):
-        """Weyl image of monomial m, memoized: the average of the compositions
-        of its letters over all orderings.  Orderings ending with letter t
-        contribute Av(m / t) * t with weight exponent(t) / deg m."""
-        hit = self._weyl_memo.get(m)
-        if hit is None:
-            if not m:
-                hit = DiffOperator.const(1)
-            else:
-                n = mono_degree(m)
-                last = LinComb({t: Fraction(e, n) for t, e in m})
-                hit = last.linear(lambda t: (self._average(mono_diff(m, t)[1])
-                                             * DiffOperator.generator(t)).terms.items(),
-                                  out=DiffOperator())
-                # the weights e/n leave integral Fractions: store them as ints
-                hit.terms = {key: _integral_as_int(c) for key, c in hit.terms.items()}
-            self._weyl_memo[m] = hit
-        return hit
-
     def weyl_symmetrize(self, f: RepPolynomial) -> DiffOperator:
         return f.linear(self._weyl_monomial, out=DiffOperator())
 
     def _weyl_monomial(self, m):
-        """The terms of m's Weyl image, memoized and shared like `_trace_ms`."""
+        """The terms of m's Weyl image, the average of the compositions of its
+        letters over all orderings; memoized and shared like `_trace_ms`.
+
+        Letters of different conjugate pairs commute, so the average is the
+        product over the pairs x = (M_e)_{ij}, Y = Y_{e,ji} of
+
+            W(x^a Y^b) = sum_k (-1)^k k! C(a, k) C(b, k) (h/2)^k x^(a-k) Y^(b-k),
+
+        and a letter whose partner is not in m passes through unchanged.
+        """
         hit = self._weyl_memo.get(m)
         if hit is None:
-            hit = self._average(m)
+            pos = {v: r for r, (v, _) in enumerate(m)}
+            signs, pairs = [], []
+            for r, (v, a) in enumerate(m):
+                w, s = partner(v)
+                signs.append(s)
+                if s > 0 and w in pos:
+                    pairs.append((r, pos[w], a, m[pos[w]][1]))
+            terms = {}
+            for ks in product(*[range(min(a, b) + 1) for _, _, a, b in pairs]):
+                exps = [e for _, e in m]
+                coeff = 1
+                for (r, t, a, b), k in zip(pairs, ks):
+                    if k:
+                        coeff *= (-1) ** k * factorial(k) * comb(a, k) * comb(b, k)
+                        exps[r] -= k
+                        exps[t] -= k
+                cm = tuple((v, e) for (v, _), e, s in zip(m, exps, signs) if e and s > 0)
+                ym = tuple((v, e) for (v, _), e, s in zip(m, exps, signs) if e and s < 0)
+                hpow = sum(ks)
+                terms[(cm, ym)] = QPoly.halves({hpow: coeff}) if hpow else ONE
+            hit = self._weyl_memo[m] = DiffOperator(terms)
         return hit.terms.items()
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:

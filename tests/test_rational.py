@@ -1,5 +1,6 @@
 """Property tests: QPoly and LinComb arithmetic against references over plain dicts."""
 
+import ast
 import os
 
 import pytest
@@ -14,7 +15,7 @@ import nlab  # noqa: E402
 from nlab.necklace import NecklaceAlgebra  # noqa: E402
 from nlab.quiver import double, one_loop  # noqa: E402
 from nlab.rational import ONE, ZERO, LinComb, QPoly  # noqa: E402
-from nlab.repspace import RepPolynomial  # noqa: E402
+from nlab.repspace import RepPolynomial, mono_mul  # noqa: E402
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.one_of(
@@ -288,10 +289,76 @@ def test_monoid_product_matches_reference(x, y, keymul):
     assert unit.monoid_product(x, lambda a, b: b) == x and snapshot(x) == bx
 
 
+LETTERS = [("M", e, i, j) for e in ("a", "a*", "b", "b*") for i in (1, 2) for j in (1, 2)]
+monomials = st.dictionaries(st.sampled_from(LETTERS), st.integers(1, 4), max_size=6).map(
+    lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, monomials)
+def test_mono_mul_matches_dict_reference(m1, m2):
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    got = mono_mul(m1, m2)
+    assert got == tuple(sorted(d.items()))
+    assert all(p[0] < q[0] for p, q in zip(got, got[1:]))
+    assert mono_mul((), m2) is m2 and mono_mul(m1, ()) is m1
+
+
+def _is_get(value):
+    """Whether value is a one-argument `.get(key)` call."""
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "get" and len(value.args) == 1 and not value.keywords)
+
+
+def _hand_sums(source):
+    """(line, name) for each operand of `+` or `+=` whose latest binding
+    before it in its function, in source order, is a one-argument
+    `.get(key)`: a hand-written sum over a key dict.  `.get(key, 0)` int
+    sums, and a name bound again before the sum, are not flagged."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        gets = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and _is_get(node.value):
+                gets.add(id(node.targets[0]))
+            elif isinstance(node, ast.NamedExpr) and _is_get(node.value):
+                gets.add(id(node.target))
+        bindings = {}  # name -> [(position, bound by a .get(key))]
+        uses = []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bindings.setdefault(node.id, []).append(
+                    ((node.lineno, node.col_offset), id(node) in gets))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                uses += [node.left, node.right]
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                uses += [node.target, node.value]
+        for o in uses:
+            if isinstance(o, ast.Name):
+                before = [b for b in bindings.get(o.id, ()) if b[0] < (o.lineno, o.col_offset)]
+                if before and max(before)[1]:
+                    found.add((o.lineno, o.id))
+    return sorted(found)
+
+
+PLANTED_SUM = """
+def _add(self, key, c):
+    cur = self.terms.get(key)
+    if cur is None:
+        self.terms[key] = c
+    else:
+        self.terms[key] = cur + c
+"""
+
+
 def test_only_rational_accumulates_in_place():
-    # every other module sums through accumulate, directly or by linear,
-    # bilinear or monoid_product, so no element a memo holds can be
-    # accumulated into
+    # every other module sums Q[h] coefficients through accumulate, directly
+    # or by linear, bilinear or monoid_product, so no element a memo holds
+    # can be accumulated into
     root = os.path.dirname(nlab.__file__)
     found = []
     for folder, _dirs, files in os.walk(root):
@@ -300,7 +367,14 @@ def test_only_rational_accumulates_in_place():
             if not name.endswith(".py") or path == os.path.join(root, "rational.py"):
                 continue
             with open(path) as f:
-                text = f.read()
-            found += [(os.path.relpath(path, root), token)
-                      for token in ("._add(", "_add_all", "._clean(") if token in text]
+                found += [(os.path.relpath(path, root), hit) for hit in _hand_sums(f.read())]
     assert found == []
+    # the check sees accumulate's own loop, and a hand-written sum planted
+    # into another module, but not an int count
+    with open(os.path.join(root, "rational.py")) as f:
+        assert [name for _, name in _hand_sums(f.read())] == ["cur"]
+    with open(os.path.join(root, "repspace.py")) as f:
+        source = f.read()
+    assert [name for _, name in _hand_sums(source + PLANTED_SUM)] == ["cur"]
+    assert _hand_sums("def f(acc, key):\n    acc[key] = acc.get(key, 0) + 1\n") == []
+    assert _hand_sums("def f(memo, key):\n    n = memo.get(key)\n    n = 0\n    n += 1\n") == []

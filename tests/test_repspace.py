@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -10,9 +10,9 @@ from nlab.grammar import parse_element
 from nlab.moyal import MoyalHopf
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, double, one_loop, two_loops
-from nlab.rational import QPoly
-from nlab.repspace import (DiffOperator, RepPolynomial, RepSpace, _reorder, _word_operator,
-                           partner)
+from nlab.rational import LinComb, QPoly
+from nlab.repspace import (DiffOperator, RepPolynomial, RepSpace, _reorder, _runs,
+                           _word_operator, partner)
 
 
 def setup(q=None, dims=1):
@@ -287,14 +287,38 @@ def test_trace_memo_is_never_mutated():
 
 def test_weyl_memo_coefficients_are_ints():
     # per (h/2)^k the Weyl image of a monomial has integral coefficients
-    # (k! C(a, k) C(b, k) up to sign for one coordinate and its partner), and
-    # the averages store them as ints, not as integral Fractions
+    # ((-1)^k k! C(a, k) C(b, k) per conjugate pair), stored as ints, not as
+    # integral Fractions; the memo holds exactly the monomials asked for
     alg, rs = setup(q=two_loops(), dims=2)
     P = parse_element(alg, "(a a*)&(a a*) + 2 (a a* b b*) + (a b a* b*) + h (b) + (a)&I(v)")
     rs.phi_w_realized(P)
     values = [v for D in rs._weyl_memo.values() for c in D.terms.values() for v in c.c.values()]
-    assert len(rs._weyl_memo) > 50 and any(v not in (1, -1) for v in values)
+    assert set(rs._weyl_memo) == set(rs.trace_rep(P).terms)
+    assert any(v not in (1, -1) for v in values)
     assert all(type(v) is int for v in values)
+
+
+def _ordering_average(m):
+    """The Weyl image of m by its definition: the composition of every
+    distinct ordering of its letters, summed and divided by their number."""
+    orderings = set(permutations([v for v, e in m for _ in range(e)]))
+    total = LinComb({w: 1 for w in orderings}).linear(_word_operator, out=DiffOperator())
+    return total.scale(Fraction(1, len(orderings)))
+
+
+def test_weyl_closed_form_matches_the_ordering_average():
+    letters = sorted(("M", e, i, j) for e in ("e", "e*") for i in (1, 2) for j in (1, 2))
+    monos = [_runs(key) for deg in range(5)
+             for key in combinations_with_replacement(letters, deg)]
+    x, y, z, w = ("M", "e", 1, 2), ("M", "e*", 2, 1), ("M", "e", 2, 2), ("M", "e*", 2, 2)
+    # a lone coordinate, a lone Y, one pair, and two different pairs
+    assert {((x, 1),), ((y, 1),), ((x, 2), (y, 2)), ((x, 1), (z, 1), (y, 1), (w, 1))} \
+        <= set(monos)
+    assert len(monos) == 495
+    alg, rs = setup(dims=2)
+    for m in monos:
+        f = RepPolynomial({m: 1})
+        assert rs.weyl_symmetrize(f) == _ordering_average(m), m
 
 
 def test_phi_w_fills_the_weyl_memo_for_its_trace(monkeypatch):

@@ -1,20 +1,22 @@
 """The quantized Hopf structure on Sym L[h].
 
 Both the star product and the coproduct are driven by one cut-and-glue
-engine over one tuple of necklaces.  An abstract edge is a position (i, j)
-in that tuple: necklace index i, letter index j.  A cut specification pairs
-abstract edges with reverse-labeled partners; gluing deletes the cut edges
-and reads off the orbits of the next-edge map
+engine over one tuple of necklaces, laid out flat: its abstract edges are
+numbered x = 0, 1, .. in reading order (necklace by necklace, letter by
+letter), letters[x] is the label of x and succ[x] its cyclic successor
+inside its necklace word.  A cut specification pairs abstract edges with
+reverse-labeled partners; mate is its involution, an uncut edge being its
+own mate.  Gluing deletes the cut edges and reads off the orbits of the
+next-edge map
 
-    f(z) = succ(z)          if z is not cut,
-    f(z) = succ(pair(z))    if z is cut,
+    f(z) = succ[mate[z]],
 
-where succ is the cyclic successor inside a necklace word.  Every f-cycle
-containing an uncut edge yields one necklace; an f-cycle consisting
-entirely of cut edges yields one vertex idempotent at the common tail
-vertex of its members.  The star product glues the tuple msP + msR, the
-indices of R's necklaces shifted by len(msP); the coproduct glues one
-multiset along pairs inside it.
+kept in one flat orbit list.  Every f-cycle containing an uncut edge yields
+one necklace; an f-cycle consisting entirely of cut edges yields one vertex
+idempotent at the common tail vertex of its members.  The star product
+glues the tuple msP + msR, R's edges numbered after P's; the coproduct glues
+one multiset along pairs inside it.  `cut_and_glue` takes a cut given by
+positions (i, j), letter j of necklace i, for callers outside the engine.
 
     P *_h R   = sum over (I_X, I_Y, phi) of (h/2)^{#I_X} s(I_X, I_Y, phi)
                 times the glued multiset, with s = (-1)^{#(I_Y cut at base edges)}.
@@ -37,12 +39,26 @@ from .quiver import QuiverError
 from .rational import QPoly, accumulate
 
 
-def _occurrences(ms, offset=0):
-    """Each label's abstract edges (i + offset, j) in ms, in reading order."""
+def _layout(ms):
+    """The flat layout of a necklace tuple: letters[x] for the abstract edges
+    x = 0, 1, .. in reading order, and succ[x], x's cyclic successor inside
+    its necklace."""
+    letters = []
+    succ = []
+    for n in ms:
+        first = len(letters)
+        letters += n.word
+        if n.word:
+            succ += range(first + 1, len(letters))
+            succ.append(first)
+    return letters, succ
+
+
+def _occurrences(letters, lo, hi):
+    """Each label's abstract edges x in lo..hi-1, in reading order."""
     out = {}
-    for i, n in enumerate(ms, offset):
-        for j, e in enumerate(n.word):
-            out.setdefault(e, []).append((i, j))
+    for x in range(lo, hi):
+        out.setdefault(letters[x], []).append(x)
     return out
 
 
@@ -74,51 +90,70 @@ class MoyalHopf:
 
     # -- gluing ---------------------------------------------------------
 
-    def cut_and_glue(self, ms, cut_pairs):
-        """Cut-and-glue a tuple of necklaces along paired abstract edges.
+    def _glue(self, ms, letters, succ, pairs):
+        """Cut-and-glue ms, laid out flat as (letters, succ), along the pairs
+        (x, y) of abstract edges.
 
-        cut_pairs: list of ((i, j), (i', j')) with reverse labels, each
-        position in at most one pair.  Returns (pieces, orbit_of) where
-        pieces is a list of Necklace and orbit_of maps every position to its
-        piece index.  The idempotents of ms are appended after the glued
-        pieces.
+        mate is the involution of the cut (an uncut edge is its own mate), so
+        the next-edge map is f(z) = succ[mate[z]].  Returns (pieces, orbit):
+        orbit[x] is the index in pieces of the piece through x, and the
+        idempotents of ms follow the glued pieces.
         """
         alg = self.alg
-        dq = alg.dq
-        pair = {}
-        for a, b in cut_pairs:
-            if a in pair or b in pair or a == b:
-                raise QuiverError("overlapping cut indices")
-            if dq.reverse(ms[a[0]].word[a[1]]) != ms[b[0]].word[b[1]]:
-                raise QuiverError("cut pair is not reverse-labeled")
-            pair[a] = b
-            pair[b] = a
-
-        orbit_of = {}
+        mate = list(range(len(letters)))
+        for x, y in pairs:
+            mate[x] = y
+            mate[y] = x
+        orbit = [-1] * len(letters)
         pieces = []
+        for start in range(len(letters)):
+            if orbit[start] >= 0:
+                continue
+            idx = len(pieces)
+            word = []
+            z = start
+            while True:
+                orbit[z] = idx
+                m = mate[z]
+                if m == z:
+                    word.append(letters[z])
+                z = succ[m]
+                if z == start:
+                    break
+            if word:
+                pieces.append(alg._canonical(tuple(word)))
+            else:
+                pieces.append(alg.idempotent(alg.dq.tail[letters[start]]))
+        pieces.extend(n for n in ms if n.is_idempotent())
+        return pieces, orbit
+
+    def cut_and_glue(self, ms, cut_pairs):
+        """Cut-and-glue a tuple of necklaces along paired positions.
+
+        cut_pairs: list of ((i, j), (i', j')), position (i, j) being letter j
+        of necklace i, with reverse labels, each position in at most one
+        pair.  Returns (pieces, orbit_of) as `_glue` does, with orbit_of
+        keyed by position.
+        """
+        letters, succ = _layout(ms)
+        flat_of = {}
         for i, n in enumerate(ms):
             for j in range(len(n.word)):
-                start = cur = (i, j)
-                if start in orbit_of:
-                    continue
-                idx = len(pieces)
-                word = []
-                while True:
-                    orbit_of[cur] = idx
-                    if cur in pair:
-                        ci, cj = pair[cur]
-                    else:
-                        ci, cj = cur
-                        word.append(ms[ci].word[cj])
-                    cur = (ci, (cj + 1) % len(ms[ci].word))
-                    if cur == start:
-                        break
-                if word:
-                    pieces.append(alg._canonical(tuple(word)))
-                else:
-                    pieces.append(alg.idempotent(dq.tail[n.word[j]]))
-        pieces.extend(n for n in ms if n.is_idempotent())
-        return pieces, orbit_of
+                flat_of[i, j] = len(flat_of)
+        flat = []
+        seen = set()
+        for a, b in cut_pairs:
+            if a not in flat_of or b not in flat_of:
+                raise QuiverError("cut position is not a letter")
+            if a in seen or b in seen or a == b:
+                raise QuiverError("overlapping cut indices")
+            x, y = flat_of[a], flat_of[b]
+            if self.alg.dq.reverse(letters[x]) != letters[y]:
+                raise QuiverError("cut pair is not reverse-labeled")
+            seen.update((a, b))
+            flat.append((x, y))
+        pieces, orbit = self._glue(ms, letters, succ, flat)
+        return pieces, {pos: orbit[x] for pos, x in flat_of.items()}
 
     # -- star product -----------------------------------------------------
 
@@ -135,11 +170,13 @@ class MoyalHopf:
         alg = self.alg
         dq = alg.dq
         ms = msP + msR
-        xs = _occurrences(msP)
-        ys = _occurrences(msR, len(msP))
+        letters, succ = _layout(ms)
+        split = sum(len(n.word) for n in msP)
+        xs = _occurrences(letters, 0, split)
+        ys = _occurrences(letters, split, len(letters))
         for pairs in _cuts((xs.get(e), ys.get(dq.reverse(e))) for e in dq.edge_order):
-            sign = (-1) ** sum(not dq.is_base(ms[i].word[j]) for (i, j), _y in pairs)
-            pieces, _ = self.cut_and_glue(ms, pairs)
+            sign = (-1) ** sum(not dq.is_base(letters[x]) for x, _y in pairs)
+            pieces, _ = self._glue(ms, letters, succ, pairs)
             yield alg.multiset(pieces), QPoly.halves({len(pairs): sign})
 
     def star(self, P: SymElement, R: SymElement) -> SymElement:
@@ -162,16 +199,22 @@ class MoyalHopf:
         and component assignment with a nonzero sign."""
         alg = self.alg
         dq = alg.dq
-        occ = _occurrences(ms)
+        letters, succ = _layout(ms)
+        occ = _occurrences(letters, 0, len(letters))
         for pairs in _cuts((occ.get(e), occ.get(dq.reverse(e))) for e in dq.base_edges):
+            pieces, orbit = self._glue(ms, letters, succ, pairs)
+            # (start, target) pieces of each cut base edge; a cut inside one
+            # piece makes every assignment's sign 0
+            cuts = [(orbit[x], orbit[succ[x]]) for x, _y in pairs]
+            if any(a == b for a, b in cuts):
+                continue
             k = len(pairs)
-            pieces, orbit_of = self.cut_and_glue(ms, pairs)
-            m = len(pieces)
-            starts = [orbit_of[x] for x, _y in pairs]
-            targets = [orbit_of[i, (j + 1) % len(ms[i].word)] for (i, j), _y in pairs]
-            for c in product(range(slots), repeat=m):
+            signed = {1: QPoly.halves({k: 1}), -1: QPoly.halves({k: -1})}
+            # pieces in multiset order, so each slot's list comes out sorted
+            order = sorted(range(len(pieces)), key=lambda i: pieces[i].key())
+            for c in product(range(slots), repeat=len(pieces)):
                 sign = 1
-                for a, b in zip(starts, targets):
+                for a, b in cuts:
                     if c[a] == c[b]:
                         sign = 0
                         break
@@ -180,9 +223,9 @@ class MoyalHopf:
                 if not sign:
                     continue
                 placed = [[] for _ in range(slots)]
-                for idx, piece in enumerate(pieces):
-                    placed[c[idx]].append(piece)
-                yield tuple(alg.multiset(p) for p in placed), QPoly.halves({k: sign})
+                for i in order:
+                    placed[c[i]].append(pieces[i])
+                yield tuple(map(tuple, placed)), signed[sign]
 
     def coproduct(self, P: SymElement, slots=2) -> TensorElement:
         return P.linear(lambda ms: self.coproduct_ms(ms, slots).items(),

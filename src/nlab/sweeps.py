@@ -85,6 +85,15 @@ def random_element(alg: NecklaceAlgebra, rng: random.Random, total, by_len):
     return alg.single(parts)
 
 
+def _check_bounds(max_len, random_cases=0, random_len=1):
+    """Reject sweep bounds below their least meaningful value."""
+    for name, value, least in (("max_len", max_len, 0),
+                               ("random_cases", random_cases, 0),
+                               ("random_len", random_len, 1)):
+        if value < least:
+            raise ValueError("%s = %r is below %d" % (name, value, least))
+
+
 class Check:
     """One named property; failures carry a minimal counterexample string."""
 
@@ -113,6 +122,7 @@ class Check:
 def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
                 seed=0, quiver_path="quiver.json"):
     """The Hopf axiom suite; returns a list of Check objects."""
+    _check_bounds(max_len, random_cases, random_len)
     H = MoyalHopf(alg)
     singles = [] if max_len <= 0 else \
         [alg.single(ms) for ms in multisets_up_to(alg, max_len)]
@@ -135,18 +145,24 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
         pairs.append((random_element(alg, rng, random_len // 2 or 1, by_len),
                       random_element(alg, rng, random_len // 2 or 1, by_len)))
 
+    # the triples come grouped by their (P, R) prefix: one left inner star
+    # per group
+    inner = None
     for (P, R, S) in triples:
-        lhs = H.star(H.star(P, R), S)
+        if inner is None or inner[0] is not P or inner[1] is not R:
+            inner = (P, R, H.star(P, R))
+        lhs = H.star(inner[2], S)
         rhs = H.star(P, H.star(R, S))
         c_assoc.record(lhs == rhs, lambda P=P, R=R, S=S: _rerun(
             quiver_path, ("algebra star", H.star(P, R), S),
             ("algebra star", P, H.star(R, S))))
 
+    coproducts = {}
     for P in singles:
         l, r, single = H.coassoc_probe(P)
         c_coassoc.record(l == r == single,
                          lambda P=P: _rerun(quiver_path, ("algebra coprod", P)))
-        d = H.coproduct(P)
+        d = coproducts[id(P)] = H.coproduct(P)
         c_counit.record(d.slot(0) == P and d.slot(1) == P,
                         lambda P=P: _rerun(quiver_path, ("algebra coprod", P)))
         sp = H.mul_tensor(H.antipode_slot(d, 0))
@@ -160,9 +176,13 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
                   for ms in P.terms)
         c_s2.record(ss == P and eig, lambda P=P: _rerun(quiver_path, ("algebra antipode", P)))
 
+    def coproduct(P):
+        d = coproducts.get(id(P))
+        return H.coproduct(P) if d is None else d
+
     for (P, R) in pairs:
         lhs = H.coproduct(H.star(P, R))
-        rhs = H.star_tensor(H.coproduct(P), H.coproduct(R))
+        rhs = H.star_tensor(coproduct(P), coproduct(R))
         c_bialg.record(lhs == rhs,
                        lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
 
@@ -172,6 +192,7 @@ def hopf_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
 def limit_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
                  seed=0, quiver_path="quiver.json"):
     """Classical-limit suite: h^0, h^1 of star and coproduct."""
+    _check_bounds(max_len, random_cases, random_len)
     H = MoyalHopf(alg)
     singles = [] if max_len <= 0 else \
         [alg.single(ms) for ms in multisets_up_to(alg, max_len)]
@@ -186,14 +207,25 @@ def limit_checks(alg: NecklaceAlgebra, max_len=4, random_cases=0, random_len=6,
     c_comm = Check("commutator/h at h=0")
     c_cobr = Check("h^1 of Delta - Delta^op = delta")
 
+    # each ordered pair's star is computed once: a pair whose twin (R, P)
+    # comes later leaves both stars for the twin, which pops them
+    keys = {(id(P), id(R)) for P, R in pairs}
+    pending = {}
     for (P, R) in pairs:
-        st = H.star(P, R)
+        got = pending.pop((id(P), id(R)), None)
+        if got is None:
+            st = H.star(P, R)
+            ts = st if P is R else H.star(R, P)
+            if P is not R and (id(R), id(P)) in keys:
+                pending[id(R), id(P)] = (ts, st)
+        else:
+            st, ts = got
         c_h0.record(st.h_coefficient(0) == P.sym_product(R),
                     lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
         br = alg.bracket_sym(P, R)
         c_h1.record(st.h_coefficient(1) == br.scale(Fraction(1, 2)),
                     lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
-        comm = H.star(P, R) - H.star(R, P)
+        comm = st - ts
         c_comm.record(comm.h_coefficient(0).is_zero()
                       and comm.h_coefficient(1) == br,
                       lambda P=P, R=R: _rerun(quiver_path, ("algebra star", P, R)))
@@ -209,6 +241,7 @@ def diagram_checks(alg: NecklaceAlgebra, dims_list, max_len=4,
                    quiver_path="quiver.json"):
     """Representation suite: trace/Moyal oracle and Weyl/height closure."""
     from .repspace import RepSpace
+    _check_bounds(max_len)
     H = MoyalHopf(alg)
     singles = [alg.single(ms) for ms in multisets_up_to(alg, max_len)]
     pairs = _bounded_tuples(singles, 2, max_len)

@@ -378,6 +378,16 @@ def test_usage_errors_exit_two(capsys):
          "max_edges = 0"),
         (["ribbon", "homology", "--genus", "0", "--faces", "4", "--max-edges", "2"],
          "max_edges = 2"),
+        (["verify", "hopf", "-q", q("loop.json"), "--max-len", "-1"], "max_len = -1"),
+        (["verify", "limits", "-q", q("loop.json"), "--max-len", "-1"], "max_len = -1"),
+        (["verify", "diagram", "-q", q("loop.json"), "--max-len", "-1"], "max_len = -1"),
+        (["verify", "hopf", "-q", q("loop.json"), "--random-cases", "-2"],
+         "random_cases = -2"),
+        (["verify", "limits", "-q", q("loop.json"), "--random-cases", "-2"],
+         "random_cases = -2"),
+        (["verify", "hopf", "-q", q("loop.json"), "--random-len", "-4",
+          "--random-cases", "2"], "random_len = -4"),
+        (["verify", "limits", "-q", q("loop.json"), "--random-len", "0"], "random_len = 0"),
     ]:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args

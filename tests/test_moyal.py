@@ -1,13 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from nlab.grammar import format_element, format_tensor, parse_element
-from nlab.moyal import MoyalHopf
+from nlab.moyal import MoyalHopf, _cuts
 from nlab.necklace import NecklaceAlgebra
 from nlab.quiver import Quiver, QuiverError, double, one_loop, two_loops, two_vertex
 from nlab.sweeps import multisets_up_to
-from nlab.rational import QPoly
+from nlab.rational import QPoly, accumulate
 
 
 def setup(q=None):
@@ -45,6 +46,122 @@ def test_structure_constants_are_ints():
             assert isinstance(c, QPoly) and c, c
             assert all(type(v) is int for v in c.c.values()), c
             assert all(c.coeff(k) == Fraction(v, 2 ** k) for k, v in c.c.items())
+
+
+# -- a reference engine: cut-and-glue over (i, j) positions and dicts ------
+
+def _ref_occurrences(ms, offset=0):
+    out = {}
+    for i, n in enumerate(ms, offset):
+        for j, e in enumerate(n.word):
+            out.setdefault(e, []).append((i, j))
+    return out
+
+
+def _ref_glue(alg, ms, cut_pairs):
+    """Pieces and the position -> piece map, following the orbits of
+    f(z) = succ(pair(z)) through dicts keyed by position."""
+    pair = {}
+    for a, b in cut_pairs:
+        pair[a] = b
+        pair[b] = a
+    orbit_of = {}
+    pieces = []
+    for i, n in enumerate(ms):
+        for j in range(len(n.word)):
+            start = cur = (i, j)
+            if start in orbit_of:
+                continue
+            idx = len(pieces)
+            word = []
+            while True:
+                orbit_of[cur] = idx
+                if cur in pair:
+                    ci, cj = pair[cur]
+                else:
+                    ci, cj = cur
+                    word.append(ms[ci].word[cj])
+                cur = (ci, (cj + 1) % len(ms[ci].word))
+                if cur == start:
+                    break
+            if word:
+                pieces.append(alg._canonical(tuple(word)))
+            else:
+                pieces.append(alg.idempotent(alg.dq.tail[n.word[j]]))
+    pieces.extend(n for n in ms if n.is_idempotent())
+    return pieces, orbit_of
+
+
+def _ref_star_ms(alg, msP, msR):
+    dq = alg.dq
+    ms = msP + msR
+    xs = _ref_occurrences(msP)
+    ys = _ref_occurrences(msR, len(msP))
+
+    def terms():
+        for pairs in _cuts((xs.get(e), ys.get(dq.reverse(e))) for e in dq.edge_order):
+            sign = (-1) ** sum(not dq.is_base(ms[i].word[j]) for (i, j), _y in pairs)
+            pieces, _ = _ref_glue(alg, ms, pairs)
+            yield alg.multiset(pieces), QPoly.halves({len(pairs): sign})
+
+    return accumulate(terms())
+
+
+def _ref_coproduct_ms(alg, ms, slots):
+    dq = alg.dq
+    occ = _ref_occurrences(ms)
+
+    def terms():
+        for pairs in _cuts((occ.get(e), occ.get(dq.reverse(e))) for e in dq.base_edges):
+            pieces, orbit_of = _ref_glue(alg, ms, pairs)
+            starts = [orbit_of[x] for x, _y in pairs]
+            targets = [orbit_of[i, (j + 1) % len(ms[i].word)] for (i, j), _y in pairs]
+            for c in product(range(slots), repeat=len(pieces)):
+                sign = 1
+                for a, b in zip(starts, targets):
+                    if c[a] == c[b]:
+                        sign = 0
+                        break
+                    if c[a] > c[b]:
+                        sign = -sign
+                if sign:
+                    placed = [[] for _ in range(slots)]
+                    for idx, piece in enumerate(pieces):
+                        placed[c[idx]].append(piece)
+                    yield (tuple(alg.multiset(p) for p in placed),
+                           QPoly.halves({len(pairs): sign}))
+
+    return accumulate(terms())
+
+
+def _same_table(got, want):
+    # equal as dicts, and built in the same key order
+    return got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("q", [one_loop(), two_loops(), two_vertex()],
+                         ids=["one-loop", "two-loop", "two-vertex"])
+def test_flat_engine_matches_reference(q):
+    alg, H = setup(q)
+    mss = multisets_up_to(alg, 4) + [(alg.idempotent(v),) for v in alg.dq.vertices]
+    size = {ms: sum(len(n.word) for n in ms) for ms in mss}
+    for a in mss:
+        for b in mss:
+            if size[a] + size[b] <= 4:
+                assert _same_table(H.star_ms(a, b), _ref_star_ms(alg, a, b)), (a, b)
+    for ms in mss:
+        for slots in (2, 3):
+            assert _same_table(H.coproduct_ms(ms, slots),
+                               _ref_coproduct_ms(alg, ms, slots)), (ms, slots)
+
+
+def test_cut_and_glue_matches_reference_orbits():
+    alg, H = setup(two_loops())
+    for ms in multisets_up_to(alg, 4):
+        occ = _ref_occurrences(ms)
+        for pairs in _cuts((occ.get(e), occ.get(alg.dq.reverse(e)))
+                           for e in alg.dq.base_edges):
+            assert H.cut_and_glue(ms, pairs) == _ref_glue(alg, ms, pairs), (ms, pairs)
 
 
 def test_cut_and_glue_cases():

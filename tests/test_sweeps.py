@@ -1,13 +1,17 @@
-"""The sweep enumeration against a brute-force reference spelled out here."""
+"""The sweep enumeration against a brute-force reference spelled out here,
+and the suites against planted faults."""
 
+import inspect
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from nlab import sweeps
 from nlab.grammar import format_element
+from nlab.moyal import MoyalHopf
 from nlab.necklace import Necklace, NecklaceAlgebra
 from nlab.quiver import Quiver, double, one_loop, two_loops, two_vertex
+from nlab.rational import QPoly, accumulate
 from nlab.sweeps import multisets_up_to
 
 QUIVERS = {
@@ -77,3 +81,46 @@ def test_seeded_draws_are_pinned(monkeypatch):
     assert _drawn(monkeypatch, sweeps.limit_checks, random_cases=4, random_len=12) == [
         "(a* b a* b)", "(b*)&(a b b* b* a*)", "(b b*)", "(b)&(a a*)&(a* b b*)",
         "(b)&(b)&(a a)&(b b*)", "(a a a a b*)", "(a b*)&(a a a a)", "(a a a* a* a* a*)"]
+
+
+# -- planted faults: the suites reuse stars and coproducts within one call,
+# -- and every check must still compare two independently computed sides
+
+def _plant(monkeypatch, method, bad_args, extra_key):
+    """Add h/2 times extra_key to the one table MoyalHopf.method(*bad_args),
+    whether or not a call spells out the defaults."""
+    orig = getattr(MoyalHopf, method)
+    sig = inspect.signature(orig)
+
+    def planted(self, *args):
+        table = orig(self, *args)
+        bound = sig.bind(self, *args)
+        bound.apply_defaults()
+        if bound.args[1:] == bad_args:
+            table = accumulate([*table.items(), (extra_key, QPoly.halves({1: 1}))])
+        return table
+
+    monkeypatch.setattr(MoyalHopf, method, planted)
+
+
+def _failed(checks):
+    return {c.name for c in checks if not c.ok}
+
+
+def test_planted_star_fault_fails_commutator_and_associativity(monkeypatch):
+    alg = NecklaceAlgebra(double(one_loop()))
+    e, es = alg.necklace(["e"]), alg.necklace(["e*"])
+    assert _failed(sweeps.limit_checks(alg, max_len=3)) == set()
+    assert _failed(sweeps.hopf_checks(alg, max_len=3)) == set()
+    # one ordering only: star_ms((e*), (e)) is wrong, star_ms((e), (e*)) is not
+    _plant(monkeypatch, "star_ms", ((es,), (e,)), ())
+    assert "commutator/h at h=0" in _failed(sweeps.limit_checks(alg, max_len=3))
+    assert "associativity" in _failed(sweeps.hopf_checks(alg, max_len=3))
+
+
+def test_planted_coproduct_fault_fails_coassociativity_and_bialgebra(monkeypatch):
+    alg = NecklaceAlgebra(double(one_loop()))
+    e, es = alg.necklace(["e"]), alg.necklace(["e*"])
+    _plant(monkeypatch, "coproduct_ms", ((e, es), 2), ((), ()))
+    failed = _failed(sweeps.hopf_checks(alg, max_len=3))
+    assert {"coassociativity", "bialgebra compatibility"} <= failed, failed

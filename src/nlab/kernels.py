@@ -106,7 +106,8 @@ def scan_pairings(valences, want_genus, want_faces):
     gamma is fixed with one cycle per valence on consecutive darts; all
     fixed-point-free pairings are scanned and deduplicated by canonical
     form.  Only maps with the requested genus and face count are kept.
-    Returns a sorted list of canonical codes.
+    Returns a sorted list of canonical codes.  A one-vertex map is connected
+    (gamma is a single cycle), so only several valences test connectivity.
     """
     n = sum(valences)
     if n % 2:
@@ -123,7 +124,7 @@ def scan_pairings(valences, want_genus, want_faces):
     found = {}
 
     def emit():
-        if not is_connected(iota, gamma):
+        if nvert > 1 and not is_connected(iota, gamma):
             return
         faces = _count_faces(iota, gamma)
         if faces != want_faces or 2 - (nvert - nedge + faces) != 2 * want_genus:

@@ -94,6 +94,12 @@ def _splits(graphs, min_valence):
     A split cuts a contiguous arc out of a vertex's cyclic order and joins
     it to the rest of that vertex by a new edge (darts n, n + 1), keeping
     both new valences >= min_valence.  Contracting the new edge undoes it.
+
+    Split (i, j) puts the arc cyc[i .. i+j-1] on dart n + 1 and the rest on
+    dart n; split ((i + j) mod a, a - j) makes the same two arcs with n and
+    n + 1 swapped.  Swapping n <-> n + 1 commutes with iota, which pairs
+    them, so the two maps are isomorphic and only j <= a/2 is split: every
+    i when 2j < a, and i < j when 2j = a (there i and i + j are mirrors).
     """
     out = set()
     for g in graphs:
@@ -102,8 +108,8 @@ def _splits(graphs, min_valence):
         zeros = [0] * (n + 2)
         for cyc in g.vertices:
             a = len(cyc)
-            for j in range(min_valence - 1, a + 2 - min_valence):
-                for i in range(a):
+            for j in range(min_valence - 1, a // 2 + 1):
+                for i in range(a if 2 * j < a else j):
                     gamma = list(g.gamma) + [n, n + 1]
                     _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
                     _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])

@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 
-from .. import __version__
+from .. import __version__, kernels
 from ..linalg import perm_sign, rank
 from .census import (LabeledRibbonGraph, automorphisms, dart_keys, iso_levels,
                      label_key, labeled_classes, unlabeled_as_classes)
@@ -158,25 +158,34 @@ class RibbonComplex:
         Contraction keeps every face, so each surviving dart keeps its face's
         label key and the contracted graph is canonicalized once.  The sign
         is (-1)^i times the sign of the edge and face bijection from lg minus
-        edge i onto the stored target.
+        edge i onto the stored target, read through new[d] and perms[0].
         """
         g = lg.graph
         keys = lg.code[2]  # lg.graph is canonical: its per-dart keys
-        for i in range(g.num_edges):
+        for i, (a, b) in enumerate(g.edges):
             if g.is_loop(i):
                 continue
-            contracted, dart_map = g.contract(i)
-            code, perms = contracted.canonical([keys[d] for d in dart_map])
+            contracted, new = g.contract(i)
+            if not contracted.n:
+                # the single edge contracts to a valence-0 vertex, which lies
+                # outside every complex (min_valence >= 1)
+                continue
+            code, perms = kernels.canonical_data(
+                contracted.iota, contracted.gamma, keys[:a] + keys[a + 1:b] + keys[b + 1:])
             pos = self.index[k - 1].get(code)
             if pos is None:
                 if is_orientable(RibbonGraph.from_code(code), automorphisms(perms)):
                     raise RibbonError("boundary left the enumerated basis")
                 continue
             target = self.basis[k - 1][pos].graph
-            img = {d: perms[0][new] for d, new in dart_map.items()}
-            edge_img = [target.edge_of(img[a]) for a, _ in g.edges if a in img]
-            face_img = [target.face_of(next(img[d] for d in cyc if d in img))
-                        for cyc in g.faces]
+            p0 = perms[0]
+            edge_img = [target.edge_of(p0[new[x]]) for x, _ in g.edges if x != a]
+            face_img = []
+            for cyc in g.faces:
+                for d in cyc:
+                    if d != a and d != b:
+                        break
+                face_img.append(target.face_of(p0[new[d]]))
             yield pos, (-1) ** i * perm_sign(edge_img) * perm_sign(face_img)
 
     # -- exact homology ------------------------------------------------------------

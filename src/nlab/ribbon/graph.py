@@ -74,7 +74,7 @@ class RibbonGraph:
     def vertices(self):
         if self._vertices is None:
             self._vertices = _orbits(self.gamma)
-            self._vertex_of = {}
+            self._vertex_of = [0] * self.n
             for i, cyc in enumerate(self._vertices):
                 for d in cyc:
                     self._vertex_of[d] = i
@@ -84,7 +84,7 @@ class RibbonGraph:
     def edges(self):
         if self._edges is None:
             self._edges = [(d, self.iota[d]) for d in range(self.n) if d < self.iota[d]]
-            self._edge_of = {}
+            self._edge_of = [0] * self.n
             for i, (a, b) in enumerate(self._edges):
                 self._edge_of[a] = i
                 self._edge_of[b] = i
@@ -95,7 +95,7 @@ class RibbonGraph:
         if self._faces is None:
             fperm = [self.gamma[self.iota[d]] for d in range(self.n)]
             self._faces = _orbits(fperm)
-            self._face_of = {}
+            self._face_of = [0] * self.n
             for i, cyc in enumerate(self._faces):
                 for d in cyc:
                     self._face_of[d] = i
@@ -156,50 +156,28 @@ class RibbonGraph:
         g2, i2, _ = code
         return RibbonGraph(i2, g2, check=False)
 
-    def relabel(self, perm):
-        """Image under an old->new dart bijection."""
-        n = self.n
-        g2 = [0] * n
-        i2 = [0] * n
-        for d in range(n):
-            g2[perm[d]] = perm[self.gamma[d]]
-            i2[perm[d]] = perm[self.iota[d]]
-        return RibbonGraph(i2, g2, check=False)
-
     # -- contraction -----------------------------------------------------------
 
     def contract(self, edge_index):
-        """Contract a non-loop edge.
+        """Contract a non-loop edge (a, b), a < b.
 
-        Returns (graph, dart_map) with dart_map the order-preserving map
-        from surviving old darts to new darts.
+        Returns (graph, new): the merged vertex is a's cycle after a, then
+        b's cycle after b, and new[d] = d - (d > a) - (d > b) renumbers each
+        surviving dart d in order (new[a] = new[b] = -1).
         """
         a, b = self.edges[edge_index]
-        if self.vertex_of(a) == self.vertex_of(b):
+        if self.is_loop(edge_index):
             raise RibbonError("cannot contract a loop")
+        n = self.n
+        new = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n - 2)]
         gam = list(self.gamma)
-
-        cyc_a = self.cycle_from(a)
-        cyc_b = self.cycle_from(b)
-        merged = cyc_a[1:] + cyc_b[1:]  # both start at the dead dart
-        if merged:
-            for i, d in enumerate(merged):
-                gam[d] = merged[(i + 1) % len(merged)]
-        dead = {a, b}
-        dart_map = {}
-        k = 0
-        for d in range(self.n):
-            if d not in dead:
-                dart_map[d] = k
-                k += 1
-        g2 = [0] * k
-        i2 = [0] * k
-        for d in range(self.n):
-            if d in dead:
-                continue
-            g2[dart_map[d]] = dart_map[gam[d]]
-            i2[dart_map[d]] = dart_map[self.iota[d]]
-        return RibbonGraph(i2, g2, check=False), dart_map
+        merged = self.cycle_from(a)[1:] + self.cycle_from(b)[1:]
+        for d, nxt in zip(merged, merged[1:] + merged[:1]):
+            gam[d] = nxt
+        iota = self.iota
+        live = [*range(a), *range(a + 1, b), *range(b + 1, n)]
+        return RibbonGraph([new[iota[d]] for d in live], [new[gam[d]] for d in live],
+                           check=False), new
 
     def cycle_from(self, d):
         """The darts of d's vertex in cyclic order, starting at d."""

@@ -544,6 +544,17 @@ def test_capped_homology_notes_the_upper_bound(capsys):
         assert (code, out.splitlines()[-1], err) == (0, "6\t5\t1", ""), extra
 
 
+def test_plane_tree_homology_exits_zero(capsys):
+    # d_1 contracts the single edge to a valence-0 vertex, which lies in no
+    # complex: it is no boundary term, so every cap prints its table
+    table = "degree\tdim\tbetti\n0\t0\t0\n1\t1\t1\n2\t0\t0\n3\t1\t1\n4\t2\t2\n"
+    for n in (1, 2, 3, 4):
+        code, out, err = run_cli(["ribbon", "homology", "--genus", "0", "--faces", "1",
+                                  "--min-valence", "1", "--max-edges", str(n)], capsys)
+        assert (code, out) == (0, "".join(table.splitlines(True)[:n + 2])), n
+        assert "caps the complex at degree %d" % n in err, n
+
+
 def test_warm_ribbon_homology_checks_d_squared_once(tmp_path, monkeypatch, capsys):
     from nlab.ribbon.complexes import RibbonComplex
     args = ["ribbon", "homology", "--genus", "1", "--faces", "2", "--max-edges", "6",

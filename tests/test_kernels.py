@@ -3,7 +3,10 @@ import random
 import pytest
 
 import nlab.kernels as kernels
-from nlab.ribbon.census import iso_classes, partitions
+from nlab.ribbon.census import _close, _splits, iso_classes, iso_levels, partitions
+from nlab.ribbon.complexes import bottom_degree
+
+from ribbon_helpers import relabel
 
 
 def test_disconnected_maps_rejected():
@@ -35,6 +38,36 @@ def test_vertex_splitting_equals_pairing_scan():
             split = iso_classes(k, v, g, m)
             assert [(c.gamma, c.iota) for c in split] == \
                 [(gamma, iota) for gamma, iota, _ in sorted(scanned)], (g, m, v, k)
+
+
+def _ordered_splits(graphs, min_valence):
+    """Every split (i, j) of every vertex, mirrors included: the codes of
+    the loop over all i < a and min_valence - 1 <= j <= a + 1 - min_valence."""
+    out = set()
+    for g in graphs:
+        n = g.n
+        iota = list(g.iota) + [n + 1, n]
+        zeros = [0] * (n + 2)
+        for cyc in g.vertices:
+            a = len(cyc)
+            for j in range(min_valence - 1, a + 2 - min_valence):
+                for i in range(a):
+                    gamma = list(g.gamma) + [n, n + 1]
+                    _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
+                    _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])
+                    out.add(kernels.canonical_data(iota, gamma, zeros)[0])
+    return out
+
+
+def test_unordered_splits_equal_ordered_splits():
+    # _splits skips each split's mirror (i + j, a - j); the code set of every
+    # degree must be the one of the loop over all ordered (i, j)
+    for g, m, v, top in [(0, 6, 3, 7), (3, 1, 3, 7), (1, 3, 3, 7), (1, 2, 2, 6), (0, 4, 1, 5)]:
+        kmin = bottom_degree(g, m)
+        levels = list(iso_levels(kmin, top - 1, v, g, m))
+        assert levels[-1][1], (g, m, v)
+        for k, graphs in levels:
+            assert _splits(graphs, v) == _ordered_splits(graphs, v), (g, m, v, k)
 
 
 def _reference_canonical(iota, gamma, labels):
@@ -113,6 +146,6 @@ def test_pruned_canonical_search_matches_full_scan():
         for _ in range(5):
             perm = list(range(graph.n))
             rng.shuffle(perm)
-            h = graph.relabel(perm)
+            h = relabel(graph, perm)
             want = _reference_canonical(h.iota, h.gamma, [0] * h.n)
             assert kernels.canonical_data(list(h.iota), list(h.gamma), [0] * h.n) == want

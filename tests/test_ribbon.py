@@ -16,6 +16,8 @@ from nlab.ribbon.complexes import RibbonComplex, bottom_degree, family_levels, t
 from nlab.ribbon.graph import RibbonGraph, RibbonError, polygon
 from nlab.ribbon.orientation import ef_sign, is_orientable
 
+from ribbon_helpers import relabel
+
 
 def loop_graph():
     return adjacency(Quiver(["v"], [("e", "v", "v")]))
@@ -40,7 +42,7 @@ def test_canonical_iso_invariance_and_idempotence():
     for _ in range(10):
         perm = list(range(6))
         rng.shuffle(perm)
-        code2, _ = g.relabel(perm).canonical()
+        code2, _ = relabel(g, perm).canonical()
         assert code2 == code
     cg = RibbonGraph.from_code(code)
     code3, _ = cg.canonical()
@@ -191,6 +193,26 @@ def pq_graph():
     return adjacency(Quiver(["p", "q"], [("a", "p", "q"), ("c", "p", "p")]))
 
 
+def _reference_contract(g, edge_index):
+    """Contract a non-loop edge by dicts: (graph, {surviving old dart: new dart})."""
+    a, b = g.edges[edge_index]
+    gam = list(g.gamma)
+    merged = g.cycle_from(a)[1:] + g.cycle_from(b)[1:]  # both start at the dead dart
+    for i, d in enumerate(merged):
+        gam[d] = merged[(i + 1) % len(merged)]
+    dead = {a, b}
+    dart_map = {}
+    for d in range(g.n):
+        if d not in dead:
+            dart_map[d] = len(dart_map)
+    g2 = [0] * len(dart_map)
+    i2 = [0] * len(dart_map)
+    for d, new in dart_map.items():
+        g2[new] = dart_map[gam[d]]
+        i2[new] = dart_map[g.iota[d]]
+    return RibbonGraph(i2, g2, check=False), dart_map
+
+
 def _reference_boundary(cx, k):
     """d_k by the recipe that rebuilds the target: contract, relabel the
     contracted faces, canonical_labeled, and the sign (-1)^i times the face
@@ -202,7 +224,7 @@ def _reference_boundary(cx, k):
         for i in range(g.num_edges):
             if g.is_loop(i):
                 continue
-            contracted, dart_map = g.contract(i)
+            contracted, dart_map = _reference_contract(g, i)
             face_img = [contracted.face_of(dart_map[next(d for d in cyc if d in dart_map)])
                         for cyc in g.faces]
             labels = [None] * contracted.num_faces
@@ -235,6 +257,22 @@ def test_boundary_transport_matches_rebuilt_targets():
                 vec = [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in cx.basis[k]]
                 dense = [sum(x * v for x, v in zip(row, vec)) for row in mat]
                 assert cx.apply(k, vec) == dense, (args, k)
+
+
+def test_cold_build_canonical_search_count_pinned(monkeypatch):
+    # each unordered vertex split, base class, labeled class and boundary
+    # contraction runs one canonical search: a duplicate split or a second
+    # search per contraction moves these counts
+    from nlab import kernels
+    calls = []
+    search = kernels.canonical_data
+    monkeypatch.setattr(kernels, "canonical_data",
+                        lambda *args: calls.append(1) or search(*args))
+    for args, kw, want in [((1, 3, 3), {}, 8687), ((2, 1, 3), {}, 1970),
+                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 199)]:
+        calls.clear()
+        RibbonComplex(*args, **kw)
+        assert len(calls) == want, (args, kw)
 
 
 def test_one_pass_levels_equal_per_degree_classes():

@@ -261,10 +261,11 @@ def cmd_ribbon(args):
     cx = RibbonComplex(args.genus, args.faces, args.min_valence, G=G, X=X,
                        max_edges=args.max_edges, cache_dir=args.cache_dir)
     if args.op == "boundary":
-        for k in sorted(cx.matrices):
+        matrices = cx.matrices
+        for k in sorted(matrices):
             print("# d: degree %d -> %d  (%d x %d)" % (
                 k, k - 1, len(cx.basis.get(k - 1, ())), len(cx.basis.get(k, ()))))
-            for row in cx.matrices[k]:
+            for row in matrices[k]:
                 print("\t".join(str(v) for v in row))
     elif args.op == "homology":
         table = cx.betti()

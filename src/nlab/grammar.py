@@ -72,6 +72,8 @@ class _Parser:
         coeff = Fraction(sign)
         t = self.peek()
         if t is not None and re.fullmatch(r"[0-9]+(?:/[0-9]+)?", t):
+            if re.fullmatch(r"[0-9]+/0+", t):
+                raise QuiverError("zero denominator in %r" % t)
             coeff *= Fraction(self.next())
         hdeg = 0
         if self.peek() == "h":
@@ -79,7 +81,10 @@ class _Parser:
             hdeg = 1
             if self.peek() == "^":
                 self.next()
-                hdeg = int(self.next())
+                t = self.next()
+                if t is None or not t.isdigit():
+                    raise QuiverError("exponent after h^ must be a non-negative integer, got %r" % t)
+                hdeg = int(t)
         necklaces = []
         if self.peek() in ("(", "I", "1"):
             necklaces = self.factors()

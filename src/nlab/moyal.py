@@ -15,8 +15,7 @@ kept in one flat orbit list.  Every f-cycle containing an uncut edge yields
 one necklace; an f-cycle consisting entirely of cut edges yields one vertex
 idempotent at the common tail vertex of its members.  The star product
 glues the tuple msP + msR, R's edges numbered after P's; the coproduct glues
-one multiset along pairs inside it.  `cut_and_glue` takes a cut given by
-positions (i, j), letter j of necklace i, for callers outside the engine.
+one multiset along pairs inside it.
 
     P *_h R   = sum over (I_X, I_Y, phi) of (h/2)^{#I_X} s(I_X, I_Y, phi)
                 times the glued multiset, with s = (-1)^{#(I_Y cut at base edges)}.
@@ -126,34 +125,6 @@ class MoyalHopf:
                 pieces.append(alg.idempotent(alg.dq.tail[letters[start]]))
         pieces.extend(n for n in ms if n.is_idempotent())
         return pieces, orbit
-
-    def cut_and_glue(self, ms, cut_pairs):
-        """Cut-and-glue a tuple of necklaces along paired positions.
-
-        cut_pairs: list of ((i, j), (i', j')), position (i, j) being letter j
-        of necklace i, with reverse labels, each position in at most one
-        pair.  Returns (pieces, orbit_of) as `_glue` does, with orbit_of
-        keyed by position.
-        """
-        letters, succ = _layout(ms)
-        flat_of = {}
-        for i, n in enumerate(ms):
-            for j in range(len(n.word)):
-                flat_of[i, j] = len(flat_of)
-        flat = []
-        seen = set()
-        for a, b in cut_pairs:
-            if a not in flat_of or b not in flat_of:
-                raise QuiverError("cut position is not a letter")
-            if a in seen or b in seen or a == b:
-                raise QuiverError("overlapping cut indices")
-            x, y = flat_of[a], flat_of[b]
-            if self.alg.dq.reverse(letters[x]) != letters[y]:
-                raise QuiverError("cut pair is not reverse-labeled")
-            seen.update((a, b))
-            flat.append((x, y))
-        pieces, orbit = self._glue(ms, letters, succ, flat)
-        return pieces, {pos: orbit[x] for pos, x in flat_of.items()}
 
     # -- star product -----------------------------------------------------
 

@@ -1,8 +1,9 @@
-"""Path algebra of a double quiver, necklaces, and the Lie bialgebra.
+"""Necklaces of a double quiver, and the necklace Lie bialgebra.
 
-A path is a composable word of edges of the double quiver (or a vertex
-idempotent 1_v).  A necklace is a closed path up to rotation, stored as its
-minimal rotation under the fixed edge order; vertex idempotents are genuine
+A path is an edge word: a tuple of composable edges of the double quiver,
+the empty word standing for the idempotent 1_v at a vertex the context
+fixes.  A necklace is a closed word up to rotation, stored as its minimal
+rotation under the fixed edge order; vertex idempotents are genuine
 degree-0 necklaces.  Each `NecklaceAlgebra` interns its necklaces: it holds
 one `Necklace` object per canonical necklace, found by any rotation seen so
 far, so necklaces compare and hash by identity.  Elements of Sym L are finite
@@ -17,7 +18,10 @@ a_{r+1}...a_n a_1...a_{r-1}, and the cobracket
 
     delta(f) = (pr (x) pr)( sum_{e in Q} D_e(df/de*) - D_{e*}(df/de) )
 
-with D_e the double derivation cutting at occurrences of e.
+with D_e the double derivation cutting at occurrences of e.  Both
+derivatives return word slices of f; each slice that `bracket` and
+`cobracket` project to L = P/[P, P] is closed, so pr is `_canonical` on a
+nonempty word and the idempotent at its known vertex on an empty one.
 """
 
 from __future__ import annotations
@@ -26,50 +30,6 @@ from operator import attrgetter
 
 from .quiver import DoubleQuiver, QuiverError
 from .rational import LinComb, QPoly
-
-
-class Path:
-    """A composable edge word, or the idempotent 1_v when the word is empty."""
-
-    __slots__ = ("word", "tail", "head")
-
-    def __init__(self, dq: DoubleQuiver, word, vertex=None):
-        word = tuple(word)
-        if word:
-            for e in word:
-                if not dq.is_edge(e):
-                    raise QuiverError("unknown edge %r" % (e,))
-            for a, b in zip(word, word[1:]):
-                if dq.head[a] != dq.tail[b]:
-                    raise QuiverError("non-composable word %r" % (word,))
-            self.tail = dq.tail[word[0]]
-            self.head = dq.head[word[-1]]
-        else:
-            if vertex is None:
-                raise QuiverError("idempotent path needs a vertex")
-            dq.check_vertex(vertex)
-            self.tail = self.head = vertex
-        self.word = word
-
-    def is_idempotent(self):
-        return not self.word
-
-    def is_closed(self):
-        return self.tail == self.head
-
-    def key(self):
-        return (self.word, self.tail)
-
-    def __eq__(self, other):
-        return isinstance(other, Path) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        if self.word:
-            return "Path(%s)" % " ".join(self.word)
-        return "Path(1_%s)" % self.tail
 
 
 _KEY = attrgetter("_key")
@@ -127,9 +87,6 @@ class NecklaceAlgebra:
 
     # -- construction -------------------------------------------------
 
-    def path(self, word, vertex=None) -> Path:
-        return Path(self.dq, word, vertex)
-
     def idempotent(self, v) -> Necklace:
         n = self._idempotents.get(v)
         if n is None:
@@ -139,12 +96,18 @@ class NecklaceAlgebra:
 
     def necklace(self, word) -> Necklace:
         """Canonical necklace of a closed word (minimal rotation)."""
-        p = self.path(word, vertex=None) if word else None
-        if p is None:
+        if not word:
             raise QuiverError("necklace of an empty word needs idempotent()")
-        if not p.is_closed():
+        dq = self.dq
+        w = tuple(word)
+        for i, e in enumerate(w):
+            if not dq.is_edge(e):
+                raise QuiverError("unknown edge %r" % (e,))
+            if i and dq.head[w[i - 1]] != dq.tail[e]:
+                raise QuiverError("non-composable word %r" % (w,))
+        if dq.head[w[-1]] != dq.tail[w[0]]:
             raise QuiverError("word %r is not closed" % (word,))
-        return self._canonical(tuple(word))
+        return self._canonical(w)
 
     def _canonical(self, word) -> Necklace:
         """The interned necklace of a closed word given as a tuple."""
@@ -166,14 +129,6 @@ class NecklaceAlgebra:
         self._necklaces[word] = n
         return n
 
-    def pr(self, p: Path) -> Necklace:
-        """Projection P -> L = P/[P,P]; errors on non-closed paths."""
-        if not p.is_closed():
-            raise QuiverError("pr_L of a non-closed path %r" % (p,))
-        if p.is_idempotent():
-            return self.idempotent(p.tail)
-        return self._canonical(p.word)
-
     def multiset(self, necklaces) -> tuple:
         return tuple(sorted(necklaces, key=_KEY))
 
@@ -193,30 +148,20 @@ class NecklaceAlgebra:
     # -- derivatives ---------------------------------------------------
 
     def cyclic_derivative(self, f: Necklace, e: str):
-        """d f / d e as a list of Paths (one per occurrence of e)."""
+        """d f / d e as a list of words, one per occurrence of e: each runs
+        from head(e) to tail(e), the empty word standing for 1_{head(e)}."""
         if not self.dq.is_edge(e):
             raise QuiverError("unknown edge %r" % e)
-        out = []
         w = f.word
-        n = len(w)
-        for r in range(n):
-            if w[r] == e:
-                rest = w[r + 1:] + w[:r]
-                out.append(self.path(rest, vertex=self.dq.head[e]))
-        return out
+        return [w[r + 1:] + w[:r] for r in range(len(w)) if w[r] == e]
 
-    def double_derivation(self, p: Path, e: str):
-        """D_e(p) as a list of (left Path, right Path) pairs."""
+    def double_derivation(self, word, e: str):
+        """D_e(word) as a list of (left, right) words, one per occurrence of
+        e; an empty left word stands for 1_{tail(e)}, an empty right one for
+        1_{head(e)}."""
         if not self.dq.is_edge(e):
             raise QuiverError("unknown edge %r" % e)
-        out = []
-        w = p.word
-        for r in range(len(w)):
-            if w[r] == e:
-                left = self.path(w[:r], vertex=self.dq.tail[e])
-                right = self.path(w[r + 1:], vertex=self.dq.head[e])
-                out.append((left, right))
-        return out
+        return [(word[:r], word[r + 1:]) for r in range(len(word)) if word[r] == e]
 
     # -- Lie bialgebra --------------------------------------------------
 
@@ -226,10 +171,10 @@ class NecklaceAlgebra:
         for e in self.dq.base_edges:
             es = e + "*"
             for (u, v, s) in ((e, es, 1), (es, e, -1)):
-                for pf in self.cyclic_derivative(f, u):
-                    for pg in self.cyclic_derivative(g, v):
-                        w = pf.word + pg.word
-                        key = (self._canonical(w) if w else self.idempotent(pf.tail),)
+                for wf in self.cyclic_derivative(f, u):
+                    for wg in self.cyclic_derivative(g, v):
+                        w = wf + wg
+                        key = (self._canonical(w) if w else self.idempotent(self.dq.head[u]),)
                         acc[key] = acc.get(key, 0) + s
         return SymElement(self, acc)
 
@@ -240,13 +185,15 @@ class NecklaceAlgebra:
         the plain tensor whose antisymmetry is a property, not a convention.
         """
         acc = {}
-        for e in self.dq.base_edges:
+        dq = self.dq
+        for e in dq.base_edges:
             es = e + "*"
             for (u, v, s) in ((e, es, 1), (es, e, -1)):
                 # D_u applied to df/dv per Eq. (delta) ordering: D_e(df/de*) - D_{e*}(df/de)
-                for p in self.cyclic_derivative(f, v):
-                    for (a, b) in self.double_derivation(p, u):
-                        key = ((self.pr(a),), (self.pr(b),))
+                for w in self.cyclic_derivative(f, v):
+                    for (a, b) in self.double_derivation(w, u):
+                        key = ((self._canonical(a) if a else self.idempotent(dq.tail[u]),),
+                               (self._canonical(b) if b else self.idempotent(dq.head[u]),))
                         acc[key] = acc.get(key, 0) + s
         return TensorElement(self, 2, acc)
 

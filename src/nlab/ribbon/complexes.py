@@ -44,14 +44,16 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
     """(kmin, kmax) of a (g, m [, G, X]) family: bottom degree to top degree,
     capped at max_edges.
 
-    Raises RibbonError unless the family exists and max_edges, when given, is
-    at least the bottom degree.  X, when given, is the face label multiset:
+    Raises RibbonError unless the family exists, min_valence is at least 1
+    and max_edges, when given, is at least the bottom degree.  X, when given, is the face label multiset:
     one vertex of G per face.
     """
     if genus < 0:
         raise RibbonError("genus must be >= 0")
     if faces < 1:
         raise RibbonError("need at least one face")
+    if min_valence < 1:
+        raise RibbonError("min_valence = %r is below 1" % (min_valence,))
     if min_valence >= 3 and 2 - 2 * genus - faces >= 0:
         raise RibbonError("unstable (g, m): no valence>=3 complex")
     if (G is None) != (X is None):

@@ -388,6 +388,23 @@ def test_usage_errors_exit_two(capsys):
         (["verify", "hopf", "-q", q("loop.json"), "--random-len", "-4",
           "--random-cases", "2"], "random_len = -4"),
         (["verify", "limits", "-q", q("loop.json"), "--random-len", "0"], "random_len = 0"),
+        (["ribbon", "homology", "--genus", "0", "--faces", "3", "--min-valence", "0",
+          "--max-edges", "3"], "min_valence = 0"),
+        (["ribbon", "homology", "--genus", "0", "--faces", "3", "--min-valence", "-1",
+          "--max-edges", "3"], "min_valence = -1"),
+        (["ribbon", "enum", "--genus", "0", "--faces", "3", "--min-valence", "0",
+          "--max-edges", "3"], "min_valence = 0"),
+        (["ribbon", "boundary", "--genus", "0", "--faces", "3", "--min-valence", "0",
+          "--max-edges", "3"], "min_valence = 0"),
+        (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
+          "--labels", "v,v,v", "--min-valence", "0", "--max-edges", "3"], "min_valence = 0"),
+        # malformed scalars in an element
+        (["algebra", "star", "-q", q("loop.json"), "-l", "(e e*)", "-r", "1/0"],
+         "zero denominator"),
+        (["algebra", "star", "-q", q("loop.json"), "-l", "(e e*)", "-r", "h^"],
+         "exponent after h^"),
+        (["algebra", "star", "-q", q("loop.json"), "-l", "(e e*)", "-r", "h ^ ("],
+         "exponent after h^"),
     ]:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args

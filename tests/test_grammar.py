@@ -1,9 +1,13 @@
 import pytest
 
-from nlab.grammar import format_element, format_tensor, parse_element
-from nlab.moyal import MoyalHopf
-from nlab.necklace import NecklaceAlgebra
-from nlab.quiver import QuiverError, double, one_loop, two_loops, two_vertex
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nlab.grammar import format_element, format_tensor, parse_element  # noqa: E402
+from nlab.moyal import MoyalHopf  # noqa: E402
+from nlab.necklace import NecklaceAlgebra  # noqa: E402
+from nlab.quiver import QuiverError, double, one_loop, two_loops, two_vertex  # noqa: E402
 
 
 def test_parse_and_format_round_trip():
@@ -39,9 +43,25 @@ def test_unit_and_zero():
     assert format_element(parse_element(alg, "1")) == "1"
 
 
+# every kind of token the grammar reads, with bad numbers and names among them
+TOKENS = ["(", ")", "&", "+", "-", "^", "h", "I", "1", "0", "3/2", "1/0",
+          "e", "e*", "v", "zz"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=4))
+def test_parse_errors_are_quiver_errors(tokens):
+    # a string over the grammar's tokens parses, or fails with a QuiverError
+    alg = NecklaceAlgebra(double(one_loop()))
+    try:
+        parse_element(alg, " ".join(tokens))
+    except QuiverError:
+        pass
+
+
 def test_parse_rejects_garbage():
     alg = NecklaceAlgebra(double(one_loop()))
-    for bad in ("(e", "()", "e e*", "(e zz)", "I()"):
+    for bad in ("(e", "()", "e e*", "(e zz)", "I()", "1/0", "h^", "h ^ (", "h^1/2"):
         with pytest.raises(QuiverError):
             parse_element(alg, bad)
 

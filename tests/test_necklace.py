@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nlab.grammar import parse_element
-from nlab.moyal import MoyalHopf
+from nlab.moyal import MoyalHopf, _layout
 from nlab.necklace import Necklace, NecklaceAlgebra
 from nlab.quiver import Quiver, QuiverError, double, one_loop, two_loops
 from nlab.rational import QPoly
@@ -14,27 +14,20 @@ def alg_for(q):
     return NecklaceAlgebra(double(q))
 
 
-def hamiltonian_action(alg, f, p):
-    """The derivation e -> -df/de*, e* -> df/de applied to p.
+def hamiltonian_action(alg, f, word, tail):
+    """The derivation e -> -df/de*, e* -> df/de applied to the path (word,
+    tail): an edge word starting at vertex tail, or 1_tail when empty.
 
-    Returns a dict {Path: Fraction}.
+    Each replacement keeps the path's endpoints, so every result starts at
+    tail too.  Returns a dict {(word, tail): Fraction}.
     """
     out = {}
-    w = p.word
-    for r, a in enumerate(w):
+    for r, a in enumerate(word):
         rev = alg.dq.reverse(a)
-        if alg.dq.is_base(a):
-            repls = [(q, -1) for q in alg.cyclic_derivative(f, rev)]
-        else:
-            repls = [(q, 1) for q in alg.cyclic_derivative(f, rev)]
-        for q, s in repls:
-            if q.word:
-                word = w[:r] + q.word + w[r + 1:]
-                new = alg.path(word)
-            else:
-                # idempotent replacement: drop the letter
-                word = w[:r] + w[r + 1:]
-                new = alg.path(word, vertex=q.tail)
+        s = -1 if alg.dq.is_base(a) else 1
+        for q in alg.cyclic_derivative(f, rev):
+            # an empty q is an idempotent replacement: the letter is dropped
+            new = (word[:r] + q + word[r + 1:], tail)
             out[new] = out.get(new, Fraction(0)) + s
     return {k: v for k, v in out.items() if v}
 
@@ -61,7 +54,6 @@ def test_interned_rotations():
     m = alg.necklace(["b", "b", "a"])
     assert alg.necklace(("b", "b", "a")) is m is alg.necklace(["a", "b", "b"])
     assert alg.idempotent("v") is alg.idempotent("v")
-    assert alg.pr(alg.path([], vertex="v")) is alg.idempotent("v")
     with pytest.raises(QuiverError):
         alg.idempotent("w")
 
@@ -70,7 +62,7 @@ def test_interned_results():
     alg = alg_for(two_loops())
     f = alg.necklace(["a", "b"])
     g = alg.necklace(["a*", "b*"])
-    assert alg.pr(alg.path(["b", "a"])) is f
+    assert alg.necklace(["b", "a"]) is f
     for (n,), _ in alg.bracket(f, g).terms.items():
         assert alg.necklace(n.word) is n
     ab = alg.necklace(["a", "a*", "b", "b*"])
@@ -78,13 +70,14 @@ def test_interned_results():
         for n in msa + msb:
             want = alg.idempotent(n.vertex) if n.is_idempotent() else alg.necklace(n.word)
             assert n is want
-    # cutting a of (a b b) against a* of (b a*) glues the rest into (b b b)
+    # cutting a of (a b b) against a* of (b a*) glues the rest into (b b b);
+    # the abstract edges of ms are numbered 0, 1, 2 in (a b b), then 3, 4
     H = MoyalHopf(alg)
     ms = (alg.necklace(["a", "b", "b"]), alg.necklace(["b", "a*"]))
-    pieces, _ = H.cut_and_glue(ms, [((0, 0), (1, ms[1].word.index("a*")))])
+    pieces, _ = H._glue(ms, *_layout(ms), [(0, 3 + ms[1].word.index("a*"))])
     assert len(pieces) == 1 and pieces[0] is alg.necklace(["b", "b", "b"])
     aa = alg.necklace(["a", "a*"])
-    pieces, _ = H.cut_and_glue((aa,), [((0, 0), (0, 1))])
+    pieces, _ = H._glue((aa,), *_layout((aa,)), [(0, 1)])
     assert pieces[0] is pieces[1] is alg.idempotent("v")
     (ms,) = parse_element(alg, "(b a) & I(v) & (b* a*)").terms
     assert ms == alg.multiset([f, alg.idempotent("v"), g])
@@ -121,37 +114,38 @@ def test_two_algebras_are_distinct():
 
 def test_canonical_requires_closed():
     alg = alg_for(Quiver(["v1", "v2"], [("a", "v1", "v2")]))
-    with pytest.raises(QuiverError):
+    with pytest.raises(QuiverError, match="is not closed"):
         alg.necklace(["a"])
-    with pytest.raises(QuiverError):
-        alg.pr(alg.path(["a"]))
+    with pytest.raises(QuiverError, match="non-composable"):
+        alg.necklace(["a", "a"])
+    with pytest.raises(QuiverError, match="unknown edge 'zz'"):
+        alg.necklace(["a", "zz"])
+    with pytest.raises(QuiverError, match="idempotent"):
+        alg.necklace([])
 
 
 def test_cyclic_derivative():
     alg = alg_for(one_loop())
-    d = alg.cyclic_derivative(alg.necklace(["e", "e*"]), "e")
-    assert len(d) == 1 and d[0].word == ("e*",)
-    d = alg.cyclic_derivative(alg.necklace(["e", "e*"]), "e*")
-    assert len(d) == 1 and d[0].word == ("e",)
+    assert alg.cyclic_derivative(alg.necklace(["e", "e*"]), "e") == [("e*",)]
+    assert alg.cyclic_derivative(alg.necklace(["e", "e*"]), "e*") == [("e",)]
+    # d(e)/de is the idempotent 1_v, the empty word
+    assert alg.cyclic_derivative(alg.necklace(["e"]), "e") == [()]
     alg2 = alg_for(two_loops())
     # d(aa)/da = 2a: two occurrences each contributing the complement
-    d2 = alg2.cyclic_derivative(alg2.necklace(["a", "a"]), "a")
-    assert len(d2) == 2 and all(p.word == ("a",) for p in d2)
+    assert alg2.cyclic_derivative(alg2.necklace(["a", "a"]), "a") == [("a",), ("a",)]
+    assert alg2.cyclic_derivative(alg2.necklace(["a", "b", "a*"]), "a") == [("b", "a*")]
     assert alg2.cyclic_derivative(alg2.necklace(["a", "a*"]), "b") == []
+    with pytest.raises(QuiverError):
+        alg2.cyclic_derivative(alg2.necklace(["a"]), "zz")
 
 
 def test_double_derivation():
     alg = alg_for(two_loops())
-    p = alg.path(["a"])
-    out = alg.double_derivation(p, "a")
-    assert len(out) == 1
-    left, right = out[0]
-    assert left.is_idempotent() and right.is_idempotent()
-    out2 = alg.double_derivation(alg.path(["a", "b"]), "a")
-    assert len(out2) == 1
-    l, r = out2[0]
-    assert l.is_idempotent() and r.word == ("b",)
-    assert alg.double_derivation(alg.path(["b", "b"]), "a") == []
+    assert alg.double_derivation(("a",), "a") == [((), ())]
+    assert alg.double_derivation(("a", "b"), "a") == [((), ("b",))]
+    assert alg.double_derivation(("b", "a", "b", "a"), "a") == [
+        (("b",), ("b", "a")), (("b", "a", "b"), ())]
+    assert alg.double_derivation(("b", "b"), "a") == []
 
 
 def test_bracket_examples():
@@ -185,14 +179,10 @@ def test_cobracket_examples():
 def test_hamiltonian_action():
     alg = alg_for(one_loop())
     f = alg.necklace(["e", "e*"])
-    out = hamiltonian_action(alg, f, alg.path(["e"]))
-    assert len(out) == 1
-    (p, c), = out.items()
-    assert p.word == ("e",) and c == -1
-    assert hamiltonian_action(alg, f, alg.path([], vertex="v")) == {}
+    assert hamiltonian_action(alg, f, ("e",), "v") == {(("e",), "v"): -1}
+    assert hamiltonian_action(alg, f, (), "v") == {}
     alg2 = alg_for(two_loops())
-    assert hamiltonian_action(alg2, alg2.necklace(["a", "a"]),
-                              alg2.path(["b"])) == {}
+    assert hamiltonian_action(alg2, alg2.necklace(["a", "a"]), ("b",), "v") == {}
 
 
 def test_action_compatible_with_bracket():
@@ -202,10 +192,10 @@ def test_action_compatible_with_bracket():
     necks = necklaces_of_length(alg, 2) + necklaces_of_length(alg, 3)
     for f in necks:
         for g in necks:
-            acted = hamiltonian_action(alg, f, alg.path(g.word))
+            acted = hamiltonian_action(alg, f, g.word, g.vertex)
             got = {}
-            for p, c in acted.items():
-                n = alg.pr(p)
+            for (w, tail), c in acted.items():
+                n = alg.necklace(w) if w else alg.idempotent(tail)
                 got[n] = got.get(n, 0) + c
             got = {k: QPoly.const(v) for k, v in got.items() if v}
             want = {ms[0]: c for ms, c in alg.bracket(f, g).terms.items()}

@@ -207,7 +207,10 @@ def cmd_rep(args):
         ms = terms[0]
         positions = [(i, j) for i, n in enumerate(ms) for j in range(len(n.word))]
         if args.heights:
-            hs = [int(x) for x in args.heights.split(",")]
+            try:
+                hs = [int(x) for x in args.heights.split(",")]
+            except ValueError:
+                raise QuiverError("cannot read --heights %r" % args.heights) from None
         else:
             hs = list(range(1, len(positions) + 1))
         if len(hs) != len(positions):

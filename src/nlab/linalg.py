@@ -1,10 +1,10 @@
-"""Exact linear algebra over Q: ranks, determinant signs, inverses, Pfaffians.
+"""Exact linear algebra over Q: ranks, inverses, Pfaffians, permutation signs.
 
 Matrices are lists of rows; entries int or Fraction.  A row is a dense
 list or, for `rank`, a sparse {column: entry} dict of its nonzeros, the
 form in which ribbon complexes store their boundaries (about 1% nonzero).
-Ranks, determinant signs and inverses share one sparse Gaussian
-elimination; its +-1 pivots keep integral rows in int.
+Ranks and inverses share one sparse Gaussian elimination; its +-1
+pivots keep integral rows in int.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from fractions import Fraction
 
 def _eliminate(rows, ncols):
     """Sparse Gaussian elimination of dense or {column: entry} rows, pivoting
-    in columns < ncols.
+    in columns < ncols (`invert` pivots only in the columns of A of [A | I]).
 
     Repeatedly takes the shortest remaining row, pivots on its first +-1
     entry in a column < ncols (else its first such entry) and clears that
-    column from every other remaining row.  Returns [(row index, pivot
-    column, reduced row as {column: entry})] in pivot order; a pivot row is
-    zero in the pivot columns before its own.
+    column from every other remaining row.  Returns [(pivot column, reduced
+    row as {column: entry})] in pivot order; a pivot row is zero in the
+    pivot columns before its own.
     """
     active = {i: {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row))
                   if x}
@@ -45,24 +45,13 @@ def _eliminate(rows, ncols):
                         other[j] = y
                     else:
                         del other[j]
-        pivots.append((i, c, row))
+        pivots.append((c, row))
     return pivots
 
 
 def rank(rows) -> int:
     """Rank over Q of dense or {column: entry} rows."""
     return len(_eliminate(rows, math.inf))
-
-
-def det_sign(rows) -> int:
-    """Sign of det of a square matrix (0 if singular)."""
-    pivots = sorted(_eliminate(rows, len(rows)))  # by row index
-    if len(pivots) < len(rows):
-        return 0
-    # row additions keep det; with columns permuted row -> pivot column the
-    # reduced rows are triangular in pivot order, the pivots on the diagonal
-    negative = sum(row[c] < 0 for _, c, row in pivots)
-    return (-1) ** negative * perm_sign([c for _, c, _ in pivots])
 
 
 def pfaffian(a) -> int:
@@ -98,7 +87,7 @@ def invert(rows):
     # back-substitution in reverse pivot order: solved[c] is the reduced row
     # with 1 at column c and 0 at every other column < n
     solved = {}
-    for _, c, row in reversed(pivots):
+    for c, row in reversed(pivots):
         for j in [j for j in row if j < n and j != c]:
             f = row[j]
             for k, x in solved[j].items():

@@ -71,7 +71,7 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
     top = top_degree(genus, faces, min_valence)
     if top is None:
         if max_edges is None:
-            raise RibbonError("valence-2 families need max_edges")
+            raise RibbonError("valence-%d families need max_edges" % min_valence)
         top = max_edges
     elif max_edges is not None:
         top = min(top, max_edges)

@@ -23,8 +23,16 @@ spanning tree T of the graph and a spanning tree C of the dual graph made
 of edges outside T.  The 2g edges in neither tree close tree cycles
 z_e = u_e + (path in T) that form a basis of H_1, and the edges of T lift
 a basis of the boundaries in Q^V.  Since z_e - u_e lies in the span of T,
-the torsion determinant takes the unit vector u_e in place of z_e.  The
-intersection form of the z_e is read at the one vertex left by
+the torsion determinant takes the unit vector u_e in place of z_e.
+
+Both determinants are triangular in the order in which breadth-first
+search reaches the cells, so their signs are read off the two trees.  A
+tree edge's boundary is +1 at the vertex of its larger dart, with its
+diagonal entry at the vertex it reaches; a face's boundary is +1 at each
+edge whose smaller dart it holds, and with the cotree rooted at the face
+the basis leaves out, its diagonal entry is at the edge that reaches it.
+
+The intersection form of the z_e is read at the one vertex left by
 contracting T: walking around the tree gives that vertex's cyclic order
 without building the contracted graph, two loops cross when their darts
 interleave, and symplectic positivity is the sign of the Pfaffian.
@@ -36,7 +44,7 @@ det A, and another tree lifts the same boundaries into both Q^E and Q^V.
 
 from __future__ import annotations
 
-from ..linalg import det_sign, perm_sign, pfaffian, relative_perm_sign
+from ..linalg import perm_sign, pfaffian, relative_perm_sign
 from .graph import RibbonGraph, RibbonError
 
 
@@ -100,32 +108,16 @@ class OrientationBridge:
 
     # -- torsion of the based cellular complex -----------------------------------
 
-    def _boundaries(self):
-        """Boundary of each face in Q^E and of each edge in Q^V, as rows."""
+    def _spanning_tree(self, cells, cell_of, root, avoid=frozenset()):
+        """Breadth-first spanning tree of cells (vertices, or faces for the
+        dual graph) joined across the edges not in avoid: (tree edges, cells
+        in the order reached, sign), sign -1 per edge entering its new cell
+        by its smaller dart."""
         g = self.graph
-        ne, nv = g.num_edges, g.num_vertices
-        d2 = [[0] * ne for _ in g.faces]
-        for j, cyc in enumerate(g.faces):
-            for d in cyc:
-                e = g.edge_of(d)
-                d2[j][e] += 1 if d == g.edges[e][0] else -1
-        d1 = [[0] * nv for _ in range(ne)]
-        for e, (a, b) in enumerate(g.edges):
-            d1[e][g.vertex_of(b)] += 1
-            d1[e][g.vertex_of(a)] -= 1
-        for row in d2:  # dd = 0 sanity
-            for i in range(nv):
-                if sum(x * d1[e][i] for e, x in enumerate(row)):
-                    raise RibbonError("cellular boundary is broken")
-        return d2, d1
-
-    def _spanning_tree(self, cells, cell_of, avoid=frozenset()):
-        """Edges of a spanning tree of cells (vertices, or faces for the dual
-        graph) joined across the edges not in avoid, in breadth-first order."""
-        g = self.graph
-        seen = {0}
-        order = [0]
+        seen = {root}
+        order = [root]
         tree = []
+        sign = 1
         for c in order:  # order grows while it is read: breadth first
             for d in cells[c]:
                 e = g.edge_of(d)
@@ -134,16 +126,18 @@ class OrientationBridge:
                     seen.add(far)
                     order.append(far)
                     tree.append(e)
+                    if g.iota[d] < d:
+                        sign = -sign
         if len(seen) != len(cells):
             raise RibbonError("disconnected graph")
-        return tree
+        return tree, order, sign
 
     def _torsion_sign(self) -> int:
         g = self.graph
         ne, nf, nv = g.num_edges, g.num_faces, g.num_vertices
-        d2, d1 = self._boundaries()
-        tree = self._spanning_tree(g.vertices, g.vertex_of)
-        cotree = self._spanning_tree(g.faces, g.face_of, set(tree))
+        tree, vorder, vsign = self._spanning_tree(g.vertices, g.vertex_of, 0)
+        cotree, forder, fsign = self._spanning_tree(g.faces, g.face_of, nf - 1,
+                                                    set(tree))
         loops = sorted(set(range(ne)) - set(tree) - set(cotree))
         if len(loops) != 2 - (nv - ne + nf):
             raise RibbonError("tree and cotree do not leave 2g edges")
@@ -152,13 +146,12 @@ class OrientationBridge:
         # s2: faces basis -> (fundamental class, all faces but the last)
         s2 = (-1) ** (nf - 1)
         # s1: (face boundaries, H_1 lifts z_e, tree edges); z_e - u_e is a
-        # sum of tree edges, so u_e stands in for z_e
-        s1 = det_sign(d2[:nf - 1] + [[int(r == e) for r in range(ne)]
-                                     for e in loops + tree])
-        # s0: (boundaries of the tree edges, vertex 0)
-        s0 = det_sign([d1[t] for t in tree] + [[int(r == 0) for r in range(nv)]])
-        if not (s0 and s1):
-            raise RibbonError("torsion bases are singular")
+        # sum of tree edges, so u_e stands in for z_e; the unit rows leave
+        # the cotree minor
+        s1 = (perm_sign(cotree + loops + tree) * perm_sign(forder[1:])
+              * (-1) ** len(cotree) * fsign)
+        # s0: (boundaries of the tree edges, vertex 0), vertex 0 moved first
+        s0 = (-1) ** (nv - 1) * perm_sign(vorder) * vsign
 
         pf_sign = 1
         if loops:

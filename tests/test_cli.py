@@ -398,6 +398,14 @@ def test_usage_errors_exit_two(capsys):
           "--max-edges", "3"], "min_valence = 0"),
         (["ainf", "cycle", "--data", q("unit.json"), "--genus", "0", "--faces", "3",
           "--labels", "v,v,v", "--min-valence", "0", "--max-edges", "3"], "min_valence = 0"),
+        # uncapped families below valence 3, named by their own valence
+        (["ribbon", "homology", "--genus", "0", "--faces", "3", "--min-valence", "1"],
+         "valence-1 families need max_edges"),
+        # heights that are not integers
+        (["rho", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1", "--heights", "a,b"],
+         "cannot read --heights 'a,b'"),
+        (["rho", "-q", q("loop.json"), "-l", "(e e*)", "--dims", "1", "--heights", "1,,2"],
+         "cannot read --heights '1,,2'"),
         # malformed scalars in an element
         (["algebra", "star", "-q", q("loop.json"), "-l", "(e e*)", "-r", "1/0"],
          "zero denominator"),

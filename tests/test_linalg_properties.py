@@ -1,5 +1,5 @@
 """Property tests: exact rank against an independent Fraction Gauss-Jordan;
-determinant signs, Pfaffians and inverses against cofactor determinants."""
+Pfaffians and inverses against cofactor determinants."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nlab.linalg import det_sign, invert, pfaffian, rank  # noqa: E402
+from nlab.linalg import invert, pfaffian, rank  # noqa: E402
 
 
 def gauss_jordan_rank(rows):
@@ -78,16 +78,6 @@ def antisymmetric_matrices(draw):
             a[i][j] = draw(st.integers(-3, 3))
             a[j][i] = -a[i][j]
     return a
-
-
-def sign(x):
-    return (x > 0) - (x < 0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_det_sign_matches_cofactor_determinant(a):
-    assert det_sign(a) == sign(cofactor_det(a))
 
 
 @settings(max_examples=200, deadline=None)

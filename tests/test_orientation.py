@@ -109,6 +109,18 @@ def test_tau_well_defined_on_canonical_forms():
 # contracting the spanning tree edge by edge), so a change of the trees
 # or of the dart walk that alters tau fails here.
 TAU_PINS = {
+    # Valence >= 1, so the vertex tree spans many vertices.  These strings
+    # come from dense determinants of the cellular boundary matrices, an
+    # independent computation of the torsion signs that the trees now read.
+    (1, 0, 3, 4): (
+        "+--++-++----+++--++++--++-+++"
+    ),
+    (1, 1, 1, 4): (
+        "+---+++++++++++"
+    ),
+    (1, 1, 2, 4): (
+        "-----------+-+-+-+-+++++-++"
+    ),
     (2, 0, 3, 5): (
         "+++-+-++++-+++---"
     ),

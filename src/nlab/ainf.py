@@ -24,14 +24,17 @@ entries a tensor or its rotation stores.
 The weight of an oriented labeled ribbon graph contracts one tensor per
 vertex (the pairing at bivalent vertices, mt_{valence-1} otherwise)
 against one inverse-pairing tensor C per edge, with explicit braiding
-signs.  The contraction is ribbon.graph.tensor_contractions, which walks
-the vertices in turn through the nonzero entries of each vertex tensor and
-reads an edge's C entry once both of its darts are set, so only nonzero
-terms are ever completed.  Pairings, C tensors and product tensors are
-read once, at load, into dicts {index tuple: nonzero entry}, where an
-entry is an int when it is integral and a Fraction otherwise, so integral
-data multiply as ints and each weight makes one Fraction at the end.  The
-sign is normalized against the graph's reference orientation through the
+signs.  The contraction is ribbon.graph.tensor_contractions, a join: it
+walks the vertices in turn, and at each vertex reads only the entries
+whose indices the C tensors join to the indices already set at the other
+ends of its edges, so only nonzero terms are ever completed.  Those
+groupings of the vertex tensors by C are built once per WeightEngine
+(once per check_ainf call for the axiom checks) and kept for every later
+graph.  Pairings, C tensors and product tensors are read once, at load,
+into dicts {index tuple: nonzero entry}, where an entry is an int when it
+is integral and a Fraction otherwise, so integral data multiply as ints
+and each weight makes one Fraction at the end.  The sign is normalized
+against the graph's reference orientation through the
 ciliation/vertex-order description (module ribbon.orientation).  Weight
 normalization requires the standard parity pattern (even pairings, mt_n of
 parity n mod 2); the axiom checks are fully general.
@@ -259,6 +262,7 @@ def check_ainf(data: CyclicAInfData, n_max: int):
     if n_max < 2:
         raise AInfError("n_max = %r is below 2, the first product" % (n_max,))
     acc = {}
+    index = {}   # tensor_contractions' groupings, shared by every term
     for cin, inner in data.tensors.items():
         ell = len(cin) - 1
         for cout, outer in data.tensors.items():
@@ -272,7 +276,7 @@ def check_ainf(data: CyclicAInfData, n_max: int):
                     continue
                 seq = cout[:k + 1] + cin[1:-1] + cout[k + 1:]
                 edge = ((k, p + ell + 1), data.c_tensor(cin[0], cin[-1]))
-                for assign, v in tensor_contractions(blocks, [edge]):
+                for assign, v in tensor_contractions(blocks, [edge], index):
                     a = [assign[d] for d in range(p + ell + 1)]
                     idx = tuple(a[:k] + a[p + 1:] + a[k + 1:p])
                     d_pref = sum(data.parity(cout[r], cout[r + 1], a[r]) for r in range(k))
@@ -309,6 +313,7 @@ class WeightEngine:
 
     def __init__(self, data: CyclicAInfData):
         self.data = data
+        self._index = {}   # tensor_contractions' groupings of data's tensors
         for (i, j) in data.parities:
             if data.pairing_parity(i, j) % 2:
                 raise AInfError("weights need even pairings (standard parity pattern)")
@@ -334,8 +339,10 @@ class WeightEngine:
         """W(Gamma, reference orientation) as an exact Fraction.
 
         tensor_contractions over the vertices in vertex_order: each vertex
-        sets its darts from one nonzero entry of its tensor, and a zero C
-        entry on an edge whose darts are both set prunes the branch.  The
+        sets its darts from one entry of its tensor, read from the group
+        that the C tensors join to the indices already set at the other
+        ends of its edges, so a zero C entry is never visited.  The
+        groupings live in this engine and serve every later weight.  The
         terms are summed in the entries' own types (ints for integral data)
         and made a Fraction once, at the end.
         The optional arguments rechoose the contraction presentation; the
@@ -376,7 +383,7 @@ class WeightEngine:
             c_slots.extend((a, b))
 
         total = 0
-        for assign, v in tensor_contractions(blocks, c_blocks):
+        for assign, v in tensor_contractions(blocks, c_blocks, self._index):
             par = {d: data.parity(*slot_space[d], assign[d]) for d in assign}
             # braid the C factors (in c_slots order) into the M slot order
             sign = relative_perm_sign([d for d in m_slots if par[d]],

@@ -245,7 +245,7 @@ class RepSpace:
         # Memos of shared results, each dropped with this RepSpace; callers
         # read them and never accumulate into them.
         self._trace_memo = {}  # necklace multiset -> the product of its traces
-        self._weyl_memo = {}   # monomial asked for -> its Weyl image, in closed form
+        self._weyl_memo = {}   # monomial asked for -> its Weyl image's terms, as items
 
     # trace representation --------------------------------------------------
 
@@ -343,7 +343,8 @@ class RepSpace:
 
     def _weyl_monomial(self, m):
         """The terms of m's Weyl image, the average of the compositions of its
-        letters over all orderings; memoized and shared like `_trace_ms`.
+        letters over all orderings, as a tuple of (key, QPoly) items;
+        memoized and shared like `_trace_ms`.
 
         Letters of different conjugate pairs commute, so the average is the
         product over the pairs x = (M_e)_{ij}, Y = Y_{e,ji} of
@@ -374,8 +375,8 @@ class RepSpace:
                 ym = tuple((v, e) for (v, _), e, s in zip(m, exps, signs) if e and s < 0)
                 hpow = sum(ks)
                 terms[(cm, ym)] = QPoly.halves({hpow: coeff}) if hpow else ONE
-            hit = self._weyl_memo[m] = DiffOperator(terms)
-        return hit.terms.items()
+            hit = self._weyl_memo[m] = tuple(DiffOperator(terms).terms.items())
+        return hit
 
     def weyl_unsymmetrize(self, D: DiffOperator) -> RepPolynomial:
         """Inverse of weyl_symmetrize; degree-descending elimination.  The

@@ -18,7 +18,7 @@ from itertools import permutations
 
 from .. import kernels
 from ..quiver import AdjacencyGraph
-from .graph import RibbonGraph, polygon
+from .graph import RibbonGraph
 from .orientation import is_orientable
 
 
@@ -230,8 +230,3 @@ def unlabeled_as_classes(num_edges, min_valence, genus, faces, graphs=None):
     if graphs is None:
         graphs = iso_classes(num_edges, min_valence, genus, faces)
     return [canonical_labeled(graph, (None,) * faces, key) for graph in graphs]
-
-
-def polygon_class(k, face_labels=(None, None)):
-    """The k-gon as a (possibly labeled) class."""
-    return canonical_labeled(polygon(k), face_labels, label_key(face_labels))

@@ -9,8 +9,9 @@ written starting from its minimal dart; the reference orientation of edge
 i is the dart pair (min dart, its iota partner).
 
 tensor_contractions is the one routine that contracts a tensor per vertex
-along every edge by a pairing: A-infinity weights and axiom checks (module
-ainf) and graph cochains (module ribbon.cochain) all run it.
+along every edge by a pairing, as a join over the vertices: A-infinity
+weights and axiom checks (module ainf) and graph cochains (module
+ribbon.cochain) all run it.
 """
 
 from __future__ import annotations
@@ -262,31 +263,64 @@ class RibbonGraph:
             self.num_vertices, self.num_edges, self.num_faces, self.genus())
 
 
-def tensor_contractions(blocks, edge_tensors):
+def tensor_contractions(blocks, edge_tensors, index=None):
     """(assignment, product) for every assignment of indices to darts whose
     product of block and edge entries is nonzero.
 
     blocks is a list of (darts, {index tuple: entry}), one tensor per vertex,
     contracted in list order; edge_tensors is a list of ((a, b), {(index at
     a, index at b): entry}), one pairing per edge.  Every dict holds nonzero
-    entries only.  Depth t sets the darts of blocks[t] from one entry of its
-    tensor, then looks up each edge whose second dart it sets (a loop's
-    included); a missing edge entry prunes the branch before anything is
-    multiplied.  The yielded assignment is reused: read it before resuming.
+    entries only.
+
+    The contraction is a join.  An edge between a dart e of an earlier block
+    and a dart d of blocks[t] bonds d: once e holds index x, d can only take
+    an index y that the pairing joins to x (an entry at (x, y), or at (y, x)
+    when d is the edge's first dart).  Each tensor's entries are grouped,
+    through the pairings of its block's bonds, by those x, each entry
+    carrying its pairing factors; depth t reads the one group that the
+    indices of its earlier darts name.  A loop edge, with both darts in
+    blocks[t], is looked up once the entry is chosen, and a block without
+    bonds reads all of its entries.  index, when given, is a dict that keeps
+    the groupings for later calls; the tensors and pairings it has seen must
+    not change while it is in use.  The yielded assignment is reused: read
+    it before resuming.
     """
+    if index is None:
+        index = {}
     depth = {d: t for t, (darts, _) in enumerate(blocks) for d in darts}
-    closing = [[] for _ in blocks]
+    # per block: its grouping's key (the tensor's id, then the slot, pairing
+    # id and side of each bond) and its bonds (earlier dart, pairing)
+    keys = [[id(tensor)] for _, tensor in blocks]
+    bonds = [[] for _ in blocks]
+    loops = {}
     for (a, b), pairing in edge_tensors:
-        closing[max(depth[a], depth[b])].append((a, b, pairing))
+        ta, tb = depth[a], depth[b]
+        if ta < tb:
+            keys[tb] += blocks[tb][0].index(b), id(pairing), 0
+            bonds[tb].append((a, pairing))
+        elif ta > tb:
+            keys[ta] += blocks[ta][0].index(a), id(pairing), 1
+            bonds[ta].append((b, pairing))
+        else:
+            loops.setdefault(ta, []).append((a, b, pairing))
+    plan = []
+    for t, (darts, tensor) in enumerate(blocks):
+        if bonds[t]:
+            key = tuple(keys[t])
+            group = (index.get(key) or _join(index, key, tensor, bonds[t]))[0]
+        else:
+            group = tensor.items()
+        plan.append((darts, group, bonds[t], loops.get(t, ())))
     assign = {}
+    last = len(plan) - 1
 
     def extend(t, v):
-        if t == len(blocks):
-            yield assign, v
-            return
-        darts, tensor = blocks[t]
-        edges = closing[t]
-        for idx, entry in tensor.items():
+        darts, group, bonded, edges = plan[t]
+        for e, _ in bonded:
+            group = group.get(assign[e])
+            if group is None:
+                return
+        for idx, entry in group:
             assign.update(zip(darts, idx))
             for a, b, pairing in edges:
                 if (assign[a], assign[b]) not in pairing:
@@ -295,25 +329,44 @@ def tensor_contractions(blocks, edge_tensors):
                 w = v * entry
                 for a, b, pairing in edges:
                     w *= pairing[assign[a], assign[b]]
-                yield from extend(t + 1, w)
+                if t == last:
+                    yield assign, w
+                else:
+                    yield from extend(t + 1, w)
 
-    return extend(0, 1)
+    return extend(0, 1) if plan else iter([(assign, 1)])
 
 
-def polygon(k) -> RibbonGraph:
-    """The k-gon: k bivalent vertices in a single cycle (genus 0, 2 faces).
+def _join(index, key, tensor, bonds):
+    """tensor's items (idx, entry) grouped for the bonds that key (slot r,
+    pairing id, side) and bonds (earlier dart, pairing) list: a trie with one
+    level per bond, each item filed under every index x that the bond's
+    pairing joins to idx[r], with entry times those pairing entries.  Stored
+    in index under key with the tensor and pairings, so that the ids in key
+    stay theirs."""
+    pairings = [pairing for _, pairing in bonds]
+    levels = [(r, _partners(index, pairing, side))
+              for r, pairing, side in zip(key[1::3], pairings, key[3::3])]
+    trie = {}
+    for idx, entry in tensor.items():
+        nodes = [(trie, entry)]
+        for i, (r, by_y) in enumerate(levels, 1):
+            nodes = [(node.setdefault(x, [] if i == len(levels) else {}), w * c)
+                     for node, w in nodes for x, c in by_y.get(idx[r], ())]
+        for leaf, w in nodes:
+            leaf.append((idx, w))
+    hit = index[key] = (trie, tensor, pairings)
+    return hit
 
-    Vertex j carries darts 2j, 2j+1 with gamma swapping them; dart 2j+1 is
-    glued to dart 2(j+1) of the next vertex.
-    """
-    if k < 1:
-        raise RibbonError("polygon needs k >= 1")
-    n = 2 * k
-    gamma = [0] * n
-    iota = [0] * n
-    for j in range(k):
-        gamma[2 * j] = 2 * j + 1
-        gamma[2 * j + 1] = 2 * j
-        iota[2 * j + 1] = (2 * j + 2) % n
-        iota[(2 * j + 2) % n] = 2 * j + 1
-    return RibbonGraph(iota, gamma)
+
+def _partners(index, pairing, side):
+    """{y: [(x, entry)]} over the pairing's entries at (x, y) (side 0) or
+    at (y, x) (side 1); stored in index with the pairing."""
+    key = id(pairing), side
+    hit = index.get(key)
+    if hit is None:
+        by_y = {}
+        for xy, c in pairing.items():
+            by_y.setdefault(xy[1 - side], []).append((xy[side], c))
+        hit = index[key] = (by_y, pairing)
+    return hit[0]

@@ -11,8 +11,9 @@ from itertools import product
 from nlab.ainf import (AInfError, CyclicAInfData, WeightEngine, build_cycle,
                        check_ainf, cyclicity_check, load_data)
 from nlab.linalg import rank
-from nlab.ribbon.census import polygon_class
 from nlab.ribbon.orientation import OrientationBridge
+
+from ribbon_helpers import polygon_class
 
 
 def data_k():

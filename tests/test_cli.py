@@ -596,7 +596,7 @@ def test_warm_ribbon_homology_checks_d_squared_once(tmp_path, monkeypatch, capsy
 
 
 def test_ribbon_cochain_cli(tmp_path, capsys):
-    from nlab.ribbon.graph import polygon
+    from ribbon_helpers import polygon
     path = tmp_path / "p3.json"
     path.write_text(polygon(3).to_json(face_labels=["v", "v"]))
     code, out, _ = run_cli(["ribbon", "cochain", "--ribbon", str(path),

@@ -157,7 +157,7 @@ def test_invariance_under_quadratic_action():
 
 def test_vanishes_on_non_reverse_letters():
     alg = algebra(2)
-    from nlab.ribbon.census import polygon_class
+    from ribbon_helpers import polygon_class
     lg = polygon_class(3, ("v", "v"))
     coch = GraphCochain(lg, alg)
     # all letters equal: omega vanishes on every edge slot pair

@@ -114,7 +114,8 @@ def _bouquet(k, step):
 
 
 def test_pruned_canonical_search_matches_full_scan():
-    from nlab.ribbon.graph import RibbonGraph, polygon
+    from nlab.ribbon.graph import RibbonGraph
+    from ribbon_helpers import polygon
     rng = random.Random(11)
     disconnected = connected = 0
     for _ in range(400):

@@ -198,3 +198,38 @@ def test_tau_pinned_over_families():
         got = "".join("+" if OrientationBridge(x).tau == 1 else "-"
                       for _, graphs in iso_levels(1, kmax, v, g, m) for x in graphs)
         assert got == pin, (v, g, m, kmax)
+
+
+# tau of a seeded relabeling of every class of four TAU_PINS families, in
+# iso_levels order, with one random.Random(5) drawing each class's dart
+# permutation in turn.  The strings were computed by the tree and cotree
+# signs of this OrientationBridge.  Canonical forms reach the vertex tree
+# with its darts in one fixed pattern, so a torsion sign that drops the
+# vertex tree's dart sign still passes TAU_PINS; it fails here.
+TAU_RELABELED_PINS = {
+    (1, 0, 3, 4): (
+        "--+-------+-------+--+++--+-+"
+    ),
+    (1, 1, 2, 4): (
+        "----+---++++-+--++---+-+---"
+    ),
+    (2, 1, 2, 5): (
+        "+++--++++--++-+-+++--++---++--+-+++-+-+-++-+-+----+--+++--++-++"
+    ),
+    (3, 0, 5, 6): (
+        "+------++----+-----+-+++---+++-+-+-+---++-+-+-+-++--+++++--+-+--"
+        "---++++-++---++-+-+-+++--"
+    ),
+}
+
+
+def test_tau_pinned_on_relabelings():
+    rng = random.Random(5)
+    for (v, g, m, kmax), pin in TAU_RELABELED_PINS.items():
+        got = []
+        for _, graphs in iso_levels(1, kmax, v, g, m):
+            for x in graphs:
+                perm = list(range(x.n))
+                rng.shuffle(perm)
+                got.append("+" if OrientationBridge(relabel(x, perm)).tau == 1 else "-")
+        assert "".join(got) == pin, (v, g, m, kmax)

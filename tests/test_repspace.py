@@ -257,7 +257,7 @@ def test_trace_memo_is_never_mutated():
         def copy(items):
             return {k: dict(c.c) for k, c in items}
         return ({ms: copy(t.terms.items()) for ms, t in rs._trace_memo.items()},
-                {m: copy(t.terms.items()) for m, t in rs._weyl_memo.items()})
+                {m: copy(items) for m, items in rs._weyl_memo.items()})
 
     snapshot = contents()
     assert len(snapshot[0]) == 8  # six necklaces and two multisets of more
@@ -292,7 +292,7 @@ def test_weyl_memo_coefficients_are_ints():
     alg, rs = setup(q=two_loops(), dims=2)
     P = parse_element(alg, "(a a*)&(a a*) + 2 (a a* b b*) + (a b a* b*) + h (b) + (a)&I(v)")
     rs.phi_w_realized(P)
-    values = [v for D in rs._weyl_memo.values() for c in D.terms.values() for v in c.c.values()]
+    values = [v for items in rs._weyl_memo.values() for _, c in items for v in c.c.values()]
     assert set(rs._weyl_memo) == set(rs.trace_rep(P).terms)
     assert any(v not in (1, -1) for v in values)
     assert all(type(v) is int for v in values)

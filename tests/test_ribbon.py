@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -10,13 +11,12 @@ import pytest
 from nlab.quiver import AdjacencyGraph, Quiver, adjacency
 from nlab.linalg import perm_sign
 from nlab.ribbon.census import (canonical_labeled, dart_keys, iso_classes, iso_levels,
-                                label_key, labeled_classes, partitions, polygon_class,
-                                unlabeled_as_classes)
+                                label_key, labeled_classes, partitions, unlabeled_as_classes)
 from nlab.ribbon.complexes import RibbonComplex, bottom_degree, family_levels, top_degree
-from nlab.ribbon.graph import RibbonGraph, RibbonError, polygon
+from nlab.ribbon.graph import RibbonGraph, RibbonError, tensor_contractions
 from nlab.ribbon.orientation import ef_sign, is_orientable
 
-from ribbon_helpers import relabel
+from ribbon_helpers import polygon, polygon_class, relabel
 
 
 def loop_graph():
@@ -527,3 +527,83 @@ def test_harer_zagier_euler_characteristic():
             for lg in unlabeled_as_classes(k, 3, genus=g, faces=m):
                 total += Fraction((-1) ** lg.graph.num_vertices, len(lg.auts))
         assert total == euler_characteristic_moduli(g, m) / math.factorial(m), (g, m)
+
+
+ENTRIES = (1, 2, -1, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _random_tensor(rng, dims, density):
+    return {idx: rng.choice(ENTRIES) for idx in itertools.product(*map(range, dims))
+            if rng.random() < density}
+
+
+def _random_contraction(rng):
+    """(blocks, edge_tensors, dims): 1-3 blocks of 1-3 darts with dims 1-3,
+    darts named by arbitrary ints, and a random partial matching of the darts
+    into edges given in random dart order, with sparse, dense or empty
+    pairings."""
+    names = rng.sample(range(100), 9)
+    blocks, dims = [], {}
+    for _ in range(rng.randint(1, 3)):
+        darts = [names.pop() for _ in range(rng.randint(1, 3))]
+        for d in darts:
+            dims[d] = rng.randint(1, 3)
+        blocks.append((darts, _random_tensor(rng, [dims[d] for d in darts],
+                                              rng.choice((0.4, 1.0)))))
+    free = [d for darts, _ in blocks for d in darts]
+    rng.shuffle(free)
+    edges = []
+    while len(free) >= 2 and rng.random() < 0.9:
+        a, b = free.pop(), free.pop()
+        density = rng.choice((0.0, 0.4, 1.0, 1.0))
+        edges.append(((a, b), _random_tensor(rng, (dims[a], dims[b]), density)))
+    return blocks, edges, dims
+
+
+def _brute_contractions(blocks, edges, dims):
+    """The multiset of (assignment, product) over every assignment of indices
+    to darts whose product is nonzero."""
+    darts = sorted(dims)
+    out = collections.Counter()
+    for vals in itertools.product(*(range(dims[d]) for d in darts)):
+        x = dict(zip(darts, vals))
+        v = 1
+        for ds, tensor in blocks:
+            v *= tensor.get(tuple(x[d] for d in ds), 0)
+        for (a, b), pairing in edges:
+            v *= pairing.get((x[a], x[b]), 0)
+        if v:
+            out[tuple(sorted(x.items())), v] += 1
+    return out
+
+
+def test_tensor_contractions_match_brute_force():
+    """tensor_contractions against every assignment, as multisets of
+    (assignment, product), with and without an index kept across calls;
+    the seeded cases are checked to cover loop edges, bonds in both dart
+    orders, several partners per index, empty pairings, blocks with several
+    bonds and later blocks with none."""
+    rng = random.Random(31)
+    kept = {}
+    seen = collections.Counter()
+    for _ in range(300):
+        blocks, edges, dims = _random_contraction(rng)
+        want = _brute_contractions(blocks, edges, dims)
+        for index in (None, kept, kept):
+            got = collections.Counter(
+                (tuple(sorted(assign.items())), v)
+                for assign, v in tensor_contractions(blocks, edges, index))
+            assert got == want, (blocks, edges)
+        depth = {d: t for t, (darts, _) in enumerate(blocks) for d in darts}
+        bonds = collections.Counter(max(depth[a], depth[b]) for (a, b), _ in edges
+                                    if depth[a] != depth[b])
+        seen["loop"] += any(depth[a] == depth[b] for (a, b), _ in edges)
+        seen["bond to the first dart"] += any(depth[a] > depth[b] for (a, b), _ in edges)
+        seen["bond to the second dart"] += any(depth[a] < depth[b] for (a, b), _ in edges)
+        seen["several partners"] += any(
+            len({x for x, _ in p}) < len(p) for (a, b), p in edges if depth[a] != depth[b])
+        seen["empty pairing"] += any(not p for _, p in edges)
+        seen["several bonds"] += any(n > 1 for n in bonds.values())
+        seen["later block without bonds"] += any(not bonds[t] for t in range(1, len(blocks)))
+        seen["nonzero"] += bool(want)
+    assert min(seen.values()) >= 10 and len(seen) == 8, seen

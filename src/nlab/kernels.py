@@ -1,8 +1,8 @@
 """Ribbon map kernels: canonical forms and the one-partition pairing scan.
 
 A combinatorial map is a pair of permutations (iota, gamma) on darts
-0..n-1 with iota a fixed-point-free involution; `labels[d]` is an integer
-attached to the face containing dart d (0 everywhere for unlabeled use).
+0..n-1 with iota a fixed-point-free involution.  The search sees no face
+labels: census.labeled_search reads a labeled code off its relabelings.
 """
 
 from __future__ import annotations
@@ -10,13 +10,13 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def canonical_data(iota, gamma, labels):
+def canonical_data(iota, gamma):
     """Minimal rooted-BFS relabeling over all darts.
 
-    Returns (code, perms): `code` is the tuple
-    (gamma', iota', labels') of the minimal relabeled map, and `perms`
-    lists every old->new relabeling achieving it (their count is the order
-    of the automorphism group; the map acts freely on darts).
+    Returns (code, perms): `code` is the pair (gamma', iota') of the
+    minimal relabeled map, and `perms` lists every old->new relabeling
+    achieving it, in root order (their count is the order of the
+    automorphism group; the map acts freely on darts).
     Raises ValueError on a disconnected map.
 
     The BFS from a root gives new label i to dart order[i], so gamma'[i]
@@ -58,8 +58,7 @@ def canonical_data(iota, gamma, labels):
         else:
             if k < n:
                 raise ValueError("disconnected map")
-            code = (tuple(g2), tuple([perm[iota[d]] for d in order]),
-                    tuple([labels[d] for d in order]))
+            code = (tuple(g2), tuple([perm[iota[d]] for d in order]))
             if best_code is None or code < best_code:
                 best_code = code
                 best_g = g2
@@ -129,7 +128,7 @@ def scan_pairings(valences, want_genus, want_faces):
         faces = _count_faces(iota, gamma)
         if faces != want_faces or 2 - (nvert - nedge + faces) != 2 * want_genus:
             return
-        code, _ = canonical_data(iota, gamma, [0] * n)
+        code, _ = canonical_data(iota, gamma)
         found.setdefault(code, None)
 
     def rec(d):

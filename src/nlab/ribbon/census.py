@@ -8,7 +8,9 @@ whole family (every degree up to the top) out of one run; iso_classes is
 its one-degree case.  Face labelings by vertices of an adjacency graph G are
 layered on top: every edge must separate faces whose labels are adjacent
 in G, the label multiset is fixed, and labeled classes are deduplicated
-by the label-aware canonical form.  An unlabeled class is the one-object
+by the label-aware canonical form.  That form is read off the unlabeled
+canonical search (labeled_search), so each unlabeled graph is searched
+once for all of its labelings.  An unlabeled class is the one-object
 case: every face carries the label None, which keys to 0.
 """
 
@@ -20,26 +22,6 @@ from .. import kernels
 from ..quiver import AdjacencyGraph
 from .graph import RibbonGraph
 from .orientation import is_orientable
-
-
-def partitions(total, min_part):
-    """Partitions of `total` into parts >= min_part, weakly decreasing."""
-    out = []
-
-    def rec(rest, maxp, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        p = min(rest, maxp)
-        while p >= min_part:
-            if rest - p == 0 or rest - p >= min_part:
-                acc.append(p)
-                rec(rest - p, p, acc)
-                acc.pop()
-            p -= 1
-
-    rec(total, total, [])
-    return out
 
 
 def iso_classes(num_edges, min_valence, genus, faces):
@@ -105,7 +87,6 @@ def _splits(graphs, min_valence):
     for g in graphs:
         n = g.n
         iota = list(g.iota) + [n + 1, n]
-        zeros = [0] * (n + 2)
         for cyc in g.vertices:
             a = len(cyc)
             for j in range(min_valence - 1, a // 2 + 1):
@@ -113,7 +94,7 @@ def _splits(graphs, min_valence):
                     gamma = list(g.gamma) + [n, n + 1]
                     _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
                     _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])
-                    out.add(kernels.canonical_data(iota, gamma, zeros)[0])
+                    out.add(kernels.canonical_data(iota, gamma)[0])
     return out
 
 
@@ -169,13 +150,40 @@ def dart_keys(graph: RibbonGraph, face_labels, key):
     return keys
 
 
-def canonical_labeled(graph: RibbonGraph, face_labels, key) -> LabeledRibbonGraph:
-    """Rebuild a labeled graph in its canonical form; key is a label_key."""
-    code, perms = graph.canonical(dart_keys(graph, face_labels, key))
+def labeled_search(searched, keys):
+    """The label-aware (code, perms) of a map, read off its unlabeled search.
+
+    keys[d] is the int key of dart d's face, and relabeling p moves it to
+    p[d].  Codes order by (gamma', iota') first and the relabelings do not
+    depend on the keys, so the least labeled code is the unlabeled one
+    followed by the least moved keys, reached by the perms that give them,
+    in root order.
+    """
+    code, perms = searched
+    if keys.count(keys[0]) == len(keys):
+        return code + (tuple(keys),), perms
+    labs = []
+    for p in perms:
+        lab = [0] * len(p)
+        for d, x in zip(p, keys):
+            lab[d] = x
+        labs.append(tuple(lab))
+    best = min(labs)
+    return code + (best,), [p for p, lab in zip(perms, labs) if lab == best]
+
+
+def _labeled_class(searched, keys, key):
+    """The LabeledRibbonGraph of labeled_search(searched, keys)."""
+    code, perms = labeled_search(searched, keys)
     cg = RibbonGraph.from_code(code)
     key_to_label = {v: k for k, v in key.items()}
     lab = [key_to_label[code[2][cyc[0]]] for cyc in cg.faces]
     return LabeledRibbonGraph(cg, lab, code, automorphisms(perms))
+
+
+def canonical_labeled(graph: RibbonGraph, face_labels, key) -> LabeledRibbonGraph:
+    """Rebuild a labeled graph in its canonical form; key is a label_key."""
+    return _labeled_class(graph.canonical(), dart_keys(graph, face_labels, key), key)
 
 
 def label_assignments(graph: RibbonGraph, G: AdjacencyGraph, X):
@@ -214,8 +222,9 @@ def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus=None, gr
         graphs = [gr for g in genera for gr in iso_classes(num_edges, min_valence, g, len(X))]
     out = {}
     for graph in graphs:
+        searched = graph.canonical()
         for lab in label_assignments(graph, G, X):
-            lg = canonical_labeled(graph, lab, key)
+            lg = _labeled_class(searched, dart_keys(graph, lab, key), key)
             out.setdefault(lg.code, lg)
     return [out[c] for c in sorted(out)]
 

@@ -11,7 +11,9 @@ edge wedge, i.e. a sign (-1)^{position of e}; transporting to the
 canonical representative of the target contributes the sign of the
 induced edge and face permutations.  Contraction preserves faces, genus
 and connectivity, and can only raise valences, so the enumeration is
-closed under it; this is asserted during construction.
+closed under it; this is asserted during construction.  The contractions
+of a graph are canonicalized once, unlabeled, and every labeling of the
+graph reads its targets off that one table (census.labeled_search).
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import hashlib
 import json
 import os
 
-from .. import __version__, kernels
+from .. import __version__
 from ..linalg import perm_sign, rank
 from .census import (LabeledRibbonGraph, automorphisms, dart_keys, iso_levels,
-                     label_key, labeled_classes, unlabeled_as_classes)
+                     label_key, labeled_classes, labeled_search, unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
 from .orientation import is_orientable
 
@@ -94,6 +96,22 @@ def family_levels(kmin, kmax, genus, faces, min_valence, G=None, X=None):
                                           graphs=graphs)
 
 
+def _contraction_table(g: RibbonGraph):
+    """(i, a, b, new, search) per non-loop edge i = (a, b) of a canonical
+    graph: g.contract(i)'s dart renumbering and the contracted graph's
+    unlabeled canonical search."""
+    table = []
+    for i, (a, b) in enumerate(g.edges):
+        if g.is_loop(i):
+            continue
+        contracted, new = g.contract(i)
+        # the single edge contracts to a valence-0 vertex, which lies
+        # outside every complex (min_valence >= 1)
+        if contracted.n:
+            table.append((i, a, b, new, contracted.canonical()))
+    return table
+
+
 class RibbonComplex:
     """Bases and sparse boundaries for one (g, m [, G, X]) family."""
 
@@ -141,9 +159,16 @@ class RibbonComplex:
                 for k, rows in self.boundary.items()}
 
     def _boundary(self, k):
+        """d_k as sparse rows.  The basis is in code order, so the labelings
+        of one graph are adjacent and share one table of its contractions,
+        searched once."""
         rows = [{} for _ in self.basis.get(k - 1, ())]
+        graph_code = None
         for col, lg in enumerate(self.basis.get(k, ())):
-            for target, coeff in self._contractions(lg, k):
+            if lg.code[:2] != graph_code:
+                graph_code = lg.code[:2]
+                table = _contraction_table(lg.graph)
+            for target, coeff in self._contractions(lg, table, k):
                 row = rows[target]
                 row[col] = row.get(col, 0) + coeff
                 if not row[col]:
@@ -154,26 +179,19 @@ class RibbonComplex:
         """The label_key of the family's codes: G's vertices, or None alone."""
         return label_key(self.G.vertices if self.G is not None else ())
 
-    def _contractions(self, lg: LabeledRibbonGraph, k):
+    def _contractions(self, lg: LabeledRibbonGraph, table, k):
         """(row, sign) per non-loop edge of lg whose contraction is in the basis.
 
-        Contraction keeps every face, so each surviving dart keeps its face's
-        label key and the contracted graph is canonicalized once.  The sign
-        is (-1)^i times the sign of the edge and face bijection from lg minus
-        edge i onto the stored target, read through new[d] and perms[0].
+        `table` is _contraction_table(lg.graph).  Contraction keeps every
+        face, so each surviving dart keeps its face's label key, and the
+        labeled target is read off the contraction's unlabeled search.  The
+        sign is (-1)^i times the sign of the edge and face bijection from lg
+        minus edge i onto the stored target, read through new[d] and perms[0].
         """
         g = lg.graph
         keys = lg.code[2]  # lg.graph is canonical: its per-dart keys
-        for i, (a, b) in enumerate(g.edges):
-            if g.is_loop(i):
-                continue
-            contracted, new = g.contract(i)
-            if not contracted.n:
-                # the single edge contracts to a valence-0 vertex, which lies
-                # outside every complex (min_valence >= 1)
-                continue
-            code, perms = kernels.canonical_data(
-                contracted.iota, contracted.gamma, keys[:a] + keys[a + 1:b] + keys[b + 1:])
+        for i, a, b, new, searched in table:
+            code, perms = labeled_search(searched, keys[:a] + keys[a + 1:b] + keys[b + 1:])
             pos = self.index[k - 1].get(code)
             if pos is None:
                 if is_orientable(RibbonGraph.from_code(code), automorphisms(perms)):
@@ -217,9 +235,6 @@ class RibbonComplex:
                 raise RibbonError("negative Betti number %d at degree %d" % (b, k))
             out[k] = (dim, b)
         return out
-
-    def euler_characteristic(self):
-        return sum((-1) ** k * len(b) for k, b in self.basis.items())
 
     def apply(self, k, vec):
         """d_k of a coefficient list over basis[k], as a list over basis[k-1]."""

@@ -146,15 +146,14 @@ class RibbonGraph:
 
     # -- canonical form ------------------------------------------------------
 
-    def canonical(self, labels=None):
-        """(code, perms) of the minimal relabeling; labels are per-dart ints."""
-        if labels is None:
-            labels = [0] * self.n
-        return kernels.canonical_data(list(self.iota), list(self.gamma), list(labels))
+    def canonical(self):
+        """(code, perms) of the minimal relabeling: code is (gamma', iota')."""
+        return kernels.canonical_data(self.iota, self.gamma)
 
     @staticmethod
     def from_code(code):
-        g2, i2, _ = code
+        """The graph of a code; a labeled code's third part is ignored."""
+        g2, i2 = code[:2]
         return RibbonGraph(i2, g2, check=False)
 
     # -- contraction -----------------------------------------------------------

@@ -4,6 +4,31 @@ from nlab.ribbon.census import canonical_labeled, label_key
 from nlab.ribbon.graph import RibbonError, RibbonGraph
 
 
+def partitions(total, min_part):
+    """Partitions of `total` into parts >= min_part, weakly decreasing."""
+    out = []
+
+    def rec(rest, maxp, acc):
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        p = min(rest, maxp)
+        while p >= min_part:
+            if rest - p == 0 or rest - p >= min_part:
+                acc.append(p)
+                rec(rest - p, p, acc)
+                acc.pop()
+            p -= 1
+
+    rec(total, total, [])
+    return out
+
+
+def euler_characteristic(cx):
+    """The alternating sum of a RibbonComplex's basis sizes."""
+    return sum((-1) ** k * len(b) for k, b in cx.basis.items())
+
+
 def relabel(graph, perm):
     """The image of a ribbon graph under an old->new dart bijection."""
     n = graph.n

@@ -3,10 +3,10 @@ import random
 import pytest
 
 import nlab.kernels as kernels
-from nlab.ribbon.census import _close, _splits, iso_classes, iso_levels, partitions
+from nlab.ribbon.census import _close, _splits, iso_classes, iso_levels, labeled_search
 from nlab.ribbon.complexes import bottom_degree
 
-from ribbon_helpers import relabel
+from ribbon_helpers import partitions, relabel
 
 
 def test_disconnected_maps_rejected():
@@ -14,13 +14,13 @@ def test_disconnected_maps_rejected():
     iota = [1, 0, 3, 2]
     gamma = [1, 0, 3, 2]
     with pytest.raises(ValueError):
-        kernels.canonical_data(iota, gamma, [0, 0, 0, 0])
+        kernels.canonical_data(iota, gamma)
 
 
 def test_canonical_code_shape():
-    code, perms = kernels.canonical_data([1, 0], [1, 0], [0, 0])
-    g2, i2, l2 = code
-    assert len(g2) == len(i2) == len(l2) == 2
+    code, perms = kernels.canonical_data([1, 0], [1, 0])
+    g2, i2 = code
+    assert len(g2) == len(i2) == 2
     assert perms
 
 
@@ -37,7 +37,7 @@ def test_vertex_splitting_equals_pairing_scan():
                 scanned.update(kernels.scan_pairings(list(valences), g, m))
             split = iso_classes(k, v, g, m)
             assert [(c.gamma, c.iota) for c in split] == \
-                [(gamma, iota) for gamma, iota, _ in sorted(scanned)], (g, m, v, k)
+                [(gamma, iota) for gamma, iota in sorted(scanned)], (g, m, v, k)
 
 
 def _ordered_splits(graphs, min_valence):
@@ -47,7 +47,6 @@ def _ordered_splits(graphs, min_valence):
     for g in graphs:
         n = g.n
         iota = list(g.iota) + [n + 1, n]
-        zeros = [0] * (n + 2)
         for cyc in g.vertices:
             a = len(cyc)
             for j in range(min_valence - 1, a + 2 - min_valence):
@@ -55,7 +54,7 @@ def _ordered_splits(graphs, min_valence):
                     gamma = list(g.gamma) + [n, n + 1]
                     _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
                     _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])
-                    out.add(kernels.canonical_data(iota, gamma, zeros)[0])
+                    out.add(kernels.canonical_data(iota, gamma)[0])
     return out
 
 
@@ -113,6 +112,11 @@ def _bouquet(k, step):
     return iota, [(d + 1) % n for d in range(n)]
 
 
+def _search(iota, gamma, labels):
+    """The label-aware search: labeled_search over the unlabeled one."""
+    return labeled_search(kernels.canonical_data(iota, gamma), labels)
+
+
 def test_pruned_canonical_search_matches_full_scan():
     from nlab.ribbon.graph import RibbonGraph
     from ribbon_helpers import polygon
@@ -127,10 +131,10 @@ def test_pruned_canonical_search_matches_full_scan():
         except ValueError:
             disconnected += 1
             with pytest.raises(ValueError):
-                kernels.canonical_data(iota, gamma, labels)
+                _search(iota, gamma, labels)
             continue
         connected += 1
-        assert kernels.canonical_data(iota, gamma, labels) == want
+        assert _search(iota, gamma, labels) == want
     assert disconnected > 20 and connected > 100
     # maps with |Aut| > 1, relabeled at random so every root order occurs
     theta = RibbonGraph([2, 4, 0, 5, 1, 3], [1, 3, 5, 0, 2, 4])
@@ -142,11 +146,11 @@ def test_pruned_canonical_search_matches_full_scan():
             face_keys[1][d] = 1  # one face told apart from the rest
         for labels in face_keys:
             want = _reference_canonical(graph.iota, graph.gamma, labels)
-            assert kernels.canonical_data(list(graph.iota), list(graph.gamma), labels) == want
+            assert _search(graph.iota, graph.gamma, labels) == want
         assert len(_reference_canonical(graph.iota, graph.gamma, face_keys[0])[1]) > 1, graph
         for _ in range(5):
             perm = list(range(graph.n))
             rng.shuffle(perm)
             h = relabel(graph, perm)
             want = _reference_canonical(h.iota, h.gamma, [0] * h.n)
-            assert kernels.canonical_data(list(h.iota), list(h.gamma), [0] * h.n) == want
+            assert _search(h.iota, h.gamma, [0] * h.n) == want

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,13 +11,17 @@ import pytest
 
 from nlab.quiver import AdjacencyGraph, Quiver, adjacency
 from nlab.linalg import perm_sign
-from nlab.ribbon.census import (canonical_labeled, dart_keys, iso_classes, iso_levels,
-                                label_key, labeled_classes, partitions, unlabeled_as_classes)
-from nlab.ribbon.complexes import RibbonComplex, bottom_degree, family_levels, top_degree
+from nlab.ribbon.census import (automorphisms, canonical_labeled, dart_keys, iso_classes,
+                                iso_levels, label_key, labeled_classes, labeled_search,
+                                unlabeled_as_classes)
+from nlab.ribbon.complexes import (RibbonComplex, bottom_degree, degree_range, family_levels,
+                                   top_degree)
 from nlab.ribbon.graph import RibbonGraph, RibbonError, tensor_contractions
 from nlab.ribbon.orientation import ef_sign, is_orientable
 
-from ribbon_helpers import polygon, polygon_class, relabel
+from ribbon_helpers import euler_characteristic, partitions, polygon, polygon_class, relabel
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "examples-data")
 
 
 def loop_graph():
@@ -144,7 +149,7 @@ def test_d_squared_and_euler():
         table = cx.betti()
         euler_dims = sum((-1) ** k * d for k, (d, b) in table.items())
         euler_betti = sum((-1) ** k * b for k, (d, b) in table.items())
-        assert euler_dims == euler_betti == cx.euler_characteristic()
+        assert euler_dims == euler_betti == euler_characteristic(cx)
 
 
 def test_polygon_subcomplex_pattern():
@@ -235,7 +240,7 @@ def _reference_boundary(cx, k):
             if pos is None:
                 assert not target.is_orientable()
                 continue
-            _, perms = contracted.canonical(dart_keys(contracted, labels, key))
+            _, perms = labeled_search(contracted.canonical(), dart_keys(contracted, labels, key))
             mat[pos][col] += ((-1) ** i * perm_sign(face_img)
                               * ef_sign(contracted, perms[0], target.graph))
     return mat
@@ -260,19 +265,61 @@ def test_boundary_transport_matches_rebuilt_targets():
 
 
 def test_cold_build_canonical_search_count_pinned(monkeypatch):
-    # each unordered vertex split, base class, labeled class and boundary
-    # contraction runs one canonical search: a duplicate split or a second
-    # search per contraction moves these counts
+    # each unordered vertex split, base class, unlabeled graph and boundary
+    # contraction of an unlabeled graph runs one canonical search: a
+    # duplicate split or a second search per contraction moves these counts.
+    # The labelings of a graph share its searches, so (0,4,{p,p,q,q}) reads
+    # fewer than its 199 labeled classes and contractions
     from nlab import kernels
     calls = []
     search = kernels.canonical_data
     monkeypatch.setattr(kernels, "canonical_data",
                         lambda *args: calls.append(1) or search(*args))
     for args, kw, want in [((1, 3, 3), {}, 8687), ((2, 1, 3), {}, 1970),
-                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 199)]:
+                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 139)]:
         calls.clear()
         RibbonComplex(*args, **kw)
         assert len(calls) == want, (args, kw)
+    # distinct labels: the labeled build searches what the unlabeled build
+    # does, plus the contractions of the unlabeled graphs that only a
+    # labeling makes orientable, whatever the labels
+    calls.clear()
+    RibbonComplex(0, 4, 3)
+    unlabeled = len(calls)
+    kmin, kmax = degree_range(0, 4, 3)
+    extra = sum(sum(not g.is_loop(i) for i in range(g.num_edges))
+                for k, graphs in iso_levels(kmin + 1, kmax, 3, 0, 4) for g in graphs
+                if not is_orientable(g, automorphisms(g.canonical()[1])))
+    G = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
+    calls.clear()
+    RibbonComplex(0, 4, 3, G=G, X=("a", "b", "c", "d"))
+    assert len(calls) <= unlabeled + extra, (len(calls), unlabeled, extra)
+
+
+def test_labeled_class_counts_by_burnside():
+    # the labeled classes over an unlabeled graph are the orbits of its
+    # automorphisms on its admissible labelings: (1/|Aut|) sum_s fix(s),
+    # with the labelings and the fixed ones counted by brute force
+    complete4 = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
+    for g, m, G, X in [(0, 4, complete4, "abcd"), (0, 4, pq_graph(), "ppqq"),
+                       (1, 3, pq_graph(), "ppq")]:
+        total = 0
+        for k, graphs in iso_levels(*degree_range(g, m, 3), 3, g, m):
+            over = collections.Counter(
+                lg.code[:2] for lg in labeled_classes(k, 3, G, X, genus=g, graphs=graphs))
+            assert set(over) <= {(gr.gamma, gr.iota) for gr in graphs}
+            total += sum(over.values())
+            for graph in graphs:
+                faces = graph.faces
+                labelings = [lab for lab in set(itertools.permutations(X))
+                             if all(G.adjacent(lab[graph.face_of(a)], lab[graph.face_of(b)])
+                                    for a, b in graph.edges)]
+                auts = automorphisms(graph.canonical()[1])
+                fixed = sum(all(lab[graph.face_of(s[cyc[0]])] == lab[f]
+                                for f, cyc in enumerate(faces))
+                            for s in auts for lab in labelings)
+                assert fixed == len(auts) * over[graph.gamma, graph.iota], (g, m, X, graph)
+        assert total > 10, (g, m, X)
 
 
 def test_one_pass_levels_equal_per_degree_classes():

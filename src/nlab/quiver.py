@@ -153,9 +153,6 @@ class AdjacencyGraph:
     def adjacent(self, v, w) -> bool:
         return tuple(sorted((v, w))) in self.pairs
 
-    def has_loop(self, v) -> bool:
-        return (v, v) in self.pairs
-
     def key(self):
         """Hashable identity used in cache keys."""
         return (self.vertices, tuple(sorted(self.pairs)))

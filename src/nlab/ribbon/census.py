@@ -7,11 +7,11 @@ splitting pass per degree builds the next degree, so iso_levels hands a
 whole family (every degree up to the top) out of one run; iso_classes is
 its one-degree case.  Face labelings by vertices of an adjacency graph G are
 layered on top: every edge must separate faces whose labels are adjacent
-in G, the label multiset is fixed, and labeled classes are deduplicated
-by the label-aware canonical form.  That form is read off the unlabeled
-canonical search (labeled_search), so each unlabeled graph is searched
-once for all of its labelings.  An unlabeled class is the one-object
-case: every face carries the label None, which keys to 0.
+in G and the label multiset is fixed.  A labeled class is the canonical
+graph object iso_levels made with the least labeling of an Aut-orbit;
+its code is read off the graph's one unlabeled canonical search
+(labeled_search).  An unlabeled class is the one-object case: every face
+carries the label None, which keys to 0.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def dart_keys(graph: RibbonGraph, face_labels, key):
     for cyc, lab in zip(graph.faces, face_labels):
         for d in cyc:
             keys[d] = key[lab]
-    return keys
+    return tuple(keys)
 
 
 def labeled_search(searched, keys):
@@ -172,61 +172,55 @@ def labeled_search(searched, keys):
     return code + (best,), [p for p, lab in zip(perms, labs) if lab == best]
 
 
-def _labeled_class(searched, keys, key):
-    """The LabeledRibbonGraph of labeled_search(searched, keys)."""
-    code, perms = labeled_search(searched, keys)
+def canonical_labeled(graph: RibbonGraph, face_labels, key) -> LabeledRibbonGraph:
+    """Rebuild a labeled graph in its canonical form; key is a label_key."""
+    code, perms = labeled_search(graph.canonical(), dart_keys(graph, face_labels, key))
     cg = RibbonGraph.from_code(code)
-    key_to_label = {v: k for k, v in key.items()}
-    lab = [key_to_label[code[2][cyc[0]]] for cyc in cg.faces]
+    label_of = {v: k for k, v in key.items()}
+    lab = [label_of[code[2][cyc[0]]] for cyc in cg.faces]
     return LabeledRibbonGraph(cg, lab, code, automorphisms(perms))
 
 
-def canonical_labeled(graph: RibbonGraph, face_labels, key) -> LabeledRibbonGraph:
-    """Rebuild a labeled graph in its canonical form; key is a label_key."""
-    return _labeled_class(graph.canonical(), dart_keys(graph, face_labels, key), key)
-
-
 def label_assignments(graph: RibbonGraph, G: AdjacencyGraph, X):
-    """All face labelings with multiset X respecting G-adjacency, not deduped."""
-    m = graph.num_faces
-    if len(X) != m:
+    """The distinct face labelings with multiset X that respect G-adjacency,
+    in sorted order."""
+    if len(X) != graph.num_faces:
         return
-    side_pairs = set()
-    for (a, b) in graph.edges:
-        side_pairs.add((graph.face_of(a), graph.face_of(b)))
-    seen = set()
-    for perm in permutations(X):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        ok = True
-        for fa, fb in side_pairs:
-            if not G.adjacent(perm[fa], perm[fb]):
-                ok = False
-                break
-        if ok:
-            yield perm
+    side_pairs = {(graph.face_of(a), graph.face_of(b)) for a, b in graph.edges}
+    for lab in sorted(set(permutations(X))):
+        if all(G.adjacent(lab[fa], lab[fb]) for fa, fb in side_pairs):
+            yield lab
 
 
-def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus=None, graphs=None):
-    """Labeled iso classes: X an unordered label tuple, one label per face.
+def _classes(graph: RibbonGraph, labelings, key):
+    """The labeled classes of a canonical graph: each given labeling that is
+    least in its Aut(graph)-orbit, i.e. whose labeled_search keys are its own.
 
-    genus=None takes every genus the edge and face counts allow.  `graphs`,
-    when given, are the unlabeled classes of degree num_edges and the given
-    genus (one level of iso_levels); otherwise iso_classes finds them.
+    On a canonical graph the search's first perm is the identity, so its
+    perms are the automorphisms, and those kept for a least labeling (the
+    identity first) are the labeled class's automorphisms.
     """
-    X = tuple(sorted(X))
+    searched = graph.canonical()
+    for lab in labelings:
+        keys = dart_keys(graph, lab, key)
+        code, perms = labeled_search(searched, keys)
+        if code[2] == keys:
+            yield LabeledRibbonGraph(graph, lab, code, perms)
+
+
+def labeled_classes(num_edges, min_valence, G: AdjacencyGraph, X, genus, graphs=None):
+    """Labeled iso classes of one genus: X an unordered label tuple, one
+    label per face.  They come in code order: the graphs do, and so do
+    each graph's labelings, whose keys grow with their face labels.
+
+    `graphs`, when given, are the unlabeled classes of degree num_edges and
+    the given genus (one level of iso_levels); otherwise iso_classes finds
+    them.
+    """
     key = label_key(G.vertices)
     if graphs is None:
-        genera = [genus] if genus is not None else range((num_edges + 1 - len(X)) // 2 + 1)
-        graphs = [gr for g in genera for gr in iso_classes(num_edges, min_valence, g, len(X))]
-    out = {}
-    for graph in graphs:
-        searched = graph.canonical()
-        for lab in label_assignments(graph, G, X):
-            lg = _labeled_class(searched, dart_keys(graph, lab, key), key)
-            out.setdefault(lg.code, lg)
-    return [out[c] for c in sorted(out)]
+        graphs = iso_classes(num_edges, min_valence, genus, len(X))
+    return [lg for graph in graphs for lg in _classes(graph, label_assignments(graph, G, X), key)]
 
 
 def unlabeled_as_classes(num_edges, min_valence, genus, faces, graphs=None):
@@ -238,4 +232,4 @@ def unlabeled_as_classes(num_edges, min_valence, genus, faces, graphs=None):
     key = label_key(())
     if graphs is None:
         graphs = iso_classes(num_edges, min_valence, genus, faces)
-    return [canonical_labeled(graph, (None,) * faces, key) for graph in graphs]
+    return [lg for graph in graphs for lg in _classes(graph, [(None,) * faces], key)]

@@ -160,14 +160,14 @@ class RibbonComplex:
 
     def _boundary(self, k):
         """d_k as sparse rows.  The basis is in code order, so the labelings
-        of one graph are adjacent and share one table of its contractions,
-        searched once."""
+        of one graph are adjacent, share its graph object and share one
+        table of its contractions, searched once."""
         rows = [{} for _ in self.basis.get(k - 1, ())]
-        graph_code = None
+        graph = None
         for col, lg in enumerate(self.basis.get(k, ())):
-            if lg.code[:2] != graph_code:
-                graph_code = lg.code[:2]
-                table = _contraction_table(lg.graph)
+            if lg.graph is not graph:
+                graph = lg.graph
+                table = _contraction_table(graph)
             for target, coeff in self._contractions(lg, table, k):
                 row = rows[target]
                 row[col] = row.get(col, 0) + coeff
@@ -300,7 +300,7 @@ class RibbonComplex:
                     cg = RibbonGraph.from_code(code)
                     face_labels = item["face_labels"]
                     if (sorted(face_labels, key=str) != list(labels)
-                            or code[2] != tuple(dart_keys(cg, face_labels, key))):
+                            or code[2] != dart_keys(cg, face_labels, key)):
                         return False
                     auts = [tuple(p) for p in item["auts"]]
                     basis[int(k_str)].append(

@@ -209,6 +209,8 @@ class RibbonGraph:
             return json_field(data, key, kind, "ribbon graph", error=RibbonError)
 
         darts = list(field("half_edges", list))
+        if not darts:
+            raise RibbonError("ribbon graph: 'half_edges' is empty")
         for d in darts:
             if not _is_dart_id(d):
                 raise RibbonError("ribbon graph: half-edge %r is not an integer or string"

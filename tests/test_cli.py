@@ -748,6 +748,7 @@ def test_malformed_input_exits_two(tmp_path, capsys):
          {"objects": ["v"], "adjacency": [["v", "v"]],
           "spaces": {"v,v": {"parities": [0]}}}, "'pairings'"),
         (ribbon, {"half_edges": [0, 1], "gamma": [[0, 1]]}, "'iota'"),
+        (ribbon, {"half_edges": [], "iota": [], "gamma": []}, "'half_edges' is empty"),
     ]
     good = {"half_edges": [0, 1], "iota": [[0, 1]], "gamma": [[0, 1]]}
     for change, key in [({"iota": [[0, 7]]}, "iota entry [0, 7] names 7"),

@@ -104,12 +104,12 @@ def test_labeled_enumeration_constraints():
     # no loop in G: self-adjacent faces are forbidden
     G = adjacency(Quiver(["p", "q"], [("a", "p", "q")]))
     # the 1-gon has two faces sharing an edge; labels must differ
-    lg = labeled_classes(1, 2, G, ("p", "q"))
+    lg = labeled_classes(1, 2, G, ("p", "q"), genus=0)
     assert len(lg) == 1
-    assert not labeled_classes(1, 2, G, ("p", "p"))
+    assert not labeled_classes(1, 2, G, ("p", "p"), genus=0)
     # over the loop graph every labeling works
     Gv = loop_graph()
-    assert labeled_classes(1, 2, Gv, ("v", "v"))
+    assert labeled_classes(1, 2, Gv, ("v", "v"), genus=0)
     # loopless one-vertex G: any edge makes a pair of w-labeled faces
     # adjacent, so the labeled list is empty in every degree
     from nlab.quiver import AdjacencyGraph
@@ -275,25 +275,36 @@ def test_cold_build_canonical_search_count_pinned(monkeypatch):
     search = kernels.canonical_data
     monkeypatch.setattr(kernels, "canonical_data",
                         lambda *args: calls.append(1) or search(*args))
+    # every labeled class shares its unlabeled graph object, so a labeled
+    # build makes no more graphs from codes than the unlabeled build does
+    built = []
+    from_code = RibbonGraph.from_code
+    monkeypatch.setattr(RibbonGraph, "from_code",
+                        staticmethod(lambda code: built.append(1) or from_code(code)))
+    calls.clear()
+    RibbonComplex(0, 4, 3)
+    unlabeled, unlabeled_built = len(calls), len(built)
     for args, kw, want in [((1, 3, 3), {}, 8687), ((2, 1, 3), {}, 1970),
                            ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 139)]:
         calls.clear()
+        built.clear()
         RibbonComplex(*args, **kw)
         assert len(calls) == want, (args, kw)
+        if "G" in kw:
+            assert len(built) <= unlabeled_built, (len(built), unlabeled_built)
     # distinct labels: the labeled build searches what the unlabeled build
     # does, plus the contractions of the unlabeled graphs that only a
     # labeling makes orientable, whatever the labels
-    calls.clear()
-    RibbonComplex(0, 4, 3)
-    unlabeled = len(calls)
     kmin, kmax = degree_range(0, 4, 3)
     extra = sum(sum(not g.is_loop(i) for i in range(g.num_edges))
                 for k, graphs in iso_levels(kmin + 1, kmax, 3, 0, 4) for g in graphs
                 if not is_orientable(g, automorphisms(g.canonical()[1])))
     G = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
     calls.clear()
+    built.clear()
     RibbonComplex(0, 4, 3, G=G, X=("a", "b", "c", "d"))
     assert len(calls) <= unlabeled + extra, (len(calls), unlabeled, extra)
+    assert len(built) <= unlabeled_built, (len(built), unlabeled_built)
 
 
 def test_labeled_class_counts_by_burnside():
@@ -305,9 +316,15 @@ def test_labeled_class_counts_by_burnside():
                        (1, 3, pq_graph(), "ppq")]:
         total = 0
         for k, graphs in iso_levels(*degree_range(g, m, 3), 3, g, m):
-            over = collections.Counter(
-                lg.code[:2] for lg in labeled_classes(k, 3, G, X, genus=g, graphs=graphs))
+            classes = labeled_classes(k, 3, G, X, genus=g, graphs=graphs)
+            over = collections.Counter(lg.code[:2] for lg in classes)
             assert set(over) <= {(gr.gamma, gr.iota) for gr in graphs}
+            # each class is its iso_levels graph with the least labeling of
+            # its orbit, whose stabilizer starts at the identity
+            for lg in classes:
+                assert any(lg.graph is gr for gr in graphs)
+                assert lg.code[2] == dart_keys(lg.graph, lg.face_labels, label_key(G.vertices))
+                assert lg.auts[0] == tuple(range(lg.graph.n))
             total += sum(over.values())
             for graph in graphs:
                 faces = graph.faces

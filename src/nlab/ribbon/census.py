@@ -5,11 +5,14 @@ generated by vertex splitting from the one-vertex maps, deduplicated by
 canonical form.  One pairing scan finds the one-vertex maps and one
 splitting pass per degree builds the next degree, so iso_levels hands a
 whole family (every degree up to the top) out of one run; iso_classes is
-its one-degree case.  Face labelings by vertices of an adjacency graph G are
-layered on top: every edge must separate faces whose labels are adjacent
-in G and the label multiset is fixed.  A labeled class is the canonical
-graph object iso_levels made with the least labeling of an Aut-orbit;
-its code is read off the graph's one unlabeled canonical search
+its one-degree case.  Each split is searched once: the first search that
+reaches a code gives the class its automorphisms, and every split keeps
+a record (parent, perm) from which complexes reads the class's edge
+contractions (split_levels).  Face labelings by vertices of an adjacency
+graph G are layered on top: every edge must separate faces whose labels
+are adjacent in G and the label multiset is fixed.  A labeled class is
+the canonical graph object iso_levels made with the least labeling of an
+Aut-orbit; its code is read off the graph's automorphisms
 (labeled_search).  An unlabeled class is the one-object case: every face
 carries the label None, which keys to 0.
 """
@@ -46,32 +49,59 @@ def iso_levels(min_edges, max_edges, min_valence, genus, faces):
     One pairing scan finds the base degree and one vertex-splitting pass
     builds each degree above it from the one below, so a whole family
     costs what its top degree alone costs.  Degrees below the base are
-    empty.
+    empty.  Every graph carries its automorphisms in root order as `auts`:
+    a base graph's come from one search of it, a split graph's from the
+    search of the first split that made it.
     """
+    for k, graphs, _ in split_levels(min_edges, max_edges, min_valence, genus, faces):
+        yield k, graphs
+
+
+def split_levels(min_edges, max_edges, min_valence, genus, faces):
+    """Yield (k, graphs, splits): iso_levels with each degree's _splits
+    records, {} at the base degree and below it.  The records hold the
+    graphs of the degree below, so they are cleared when the next degree
+    is asked for."""
     v = max(min_valence, 1)
     base = 2 * genus - 1 + faces
     valences = [2 * base] if base else [1, 1]
     at = max(base, 1)  # the degree of `graphs`
     graphs = []
+    splits = {}
     if min(valences) >= v and at <= max_edges:
         # a base below the valence bound has no splits either
-        graphs = _sorted_graphs(kernels.scan_pairings(valences, genus, faces))
+        graphs = [RibbonGraph.from_code(c)
+                  for c in kernels.scan_pairings(valences, genus, faces)]
+        for g in graphs:
+            g.auts = g.canonical()[1]  # a canonical graph's perms are its automorphisms
     for k in range(min_edges, max_edges + 1):
         if k < at:
-            yield k, []
+            yield k, [], {}
             continue
         for _ in range(at, k):
-            graphs = _sorted_graphs(_splits(graphs, v))
+            splits = _splits(graphs, v)
+            graphs = []
+            for code in sorted(splits):
+                g = RibbonGraph.from_code(code)
+                g.auts = splits[code][0]
+                graphs.append(g)
         at = k
-        yield k, graphs
+        yield k, graphs, splits
+        splits.clear()
 
 
-def _sorted_graphs(codes):
-    return [RibbonGraph.from_code(c) for c in sorted(codes)]
+def root(perm):
+    """The dart a relabeling sends to 0: a search lists its perms in root order."""
+    return perm.index(0)
 
 
 def _splits(graphs, min_valence):
-    """Canonical codes of every vertex split of the given graphs.
+    """Every vertex split of the given graphs, by canonical code:
+    {code: (auts, parents, perms)}.  auts are the automorphisms of code's
+    graph in root order, p o p0^-1 over the perms of the first search that
+    reached code.  parents and perms keep one record per split reaching
+    code: its parent graph, and its search's first perm, a byte per dart,
+    packed end to end into the bytearray perms.
 
     A split cuts a contiguous arc out of a vertex's cyclic order and joins
     it to the rest of that vertex by a new edge (darts n, n + 1), keeping
@@ -83,7 +113,7 @@ def _splits(graphs, min_valence):
     them, so the two maps are isomorphic and only j <= a/2 is split: every
     i when 2j < a, and i < j when 2j = a (there i and i + j are mirrors).
     """
-    out = set()
+    out = {}
     for g in graphs:
         n = g.n
         iota = list(g.iota) + [n + 1, n]
@@ -94,7 +124,13 @@ def _splits(graphs, min_valence):
                     gamma = list(g.gamma) + [n, n + 1]
                     _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
                     _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])
-                    out.add(kernels.canonical_data(iota, gamma)[0])
+                    code, perms = kernels.canonical_data(iota, gamma)
+                    hit = out.get(code)
+                    if hit is None:
+                        hit = out[code] = (sorted(automorphisms(perms), key=root), [],
+                                           bytearray())
+                    hit[1].append(g)
+                    hit[2].extend(perms[0])
     return out
 
 
@@ -193,14 +229,15 @@ def label_assignments(graph: RibbonGraph, G: AdjacencyGraph, X):
 
 
 def _classes(graph: RibbonGraph, labelings, key):
-    """The labeled classes of a canonical graph: each given labeling that is
-    least in its Aut(graph)-orbit, i.e. whose labeled_search keys are its own.
+    """The labeled classes of a canonical graph from iso_levels: each given
+    labeling that is least in its Aut(graph)-orbit, i.e. whose labeled_search
+    keys are its own.
 
-    On a canonical graph the search's first perm is the identity, so its
-    perms are the automorphisms, and those kept for a least labeling (the
-    identity first) are the labeled class's automorphisms.
+    The graph's code is its own, and its automorphisms are the perms a
+    search of it finds, the identity first; those kept for a least labeling
+    are the labeled class's automorphisms.
     """
-    searched = graph.canonical()
+    searched = (graph.gamma, graph.iota), graph.auts
     for lab in labelings:
         keys = dart_keys(graph, lab, key)
         code, perms = labeled_search(searched, keys)

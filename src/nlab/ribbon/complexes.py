@@ -11,8 +11,10 @@ edge wedge, i.e. a sign (-1)^{position of e}; transporting to the
 canonical representative of the target contributes the sign of the
 induced edge and face permutations.  Contraction preserves faces, genus
 and connectivity, and can only raise valences, so the enumeration is
-closed under it; this is asserted during construction.  The contractions
-of a graph are canonicalized once, unlabeled, and every labeling of the
+closed under it; this is asserted during construction.  A contraction
+is never searched: contracting the new edge of a vertex split gives its
+parent back, so each graph's non-loop contractions are read off the
+splits that made it (census.split_levels), and every labeling of the
 graph reads its targets off that one table (census.labeled_search).
 """
 
@@ -24,8 +26,9 @@ import os
 
 from .. import __version__
 from ..linalg import perm_sign, rank
-from .census import (LabeledRibbonGraph, automorphisms, dart_keys, iso_levels,
-                     label_key, labeled_classes, labeled_search, unlabeled_as_classes)
+from .census import (LabeledRibbonGraph, automorphisms, dart_keys, label_key,
+                     labeled_classes, labeled_search, root, split_levels,
+                     unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
 from .orientation import is_orientable
 
@@ -88,28 +91,57 @@ def family_levels(kmin, kmax, genus, faces, min_valence, G=None, X=None):
     census.iso_levels (one pairing scan, one vertex-splitting pass per
     degree); each degree is then labeled on its own.
     """
-    for k, graphs in iso_levels(kmin, kmax, min_valence, genus, faces):
+    for k, classes, _ in _family_splits(kmin, kmax, genus, faces, min_valence, G, X):
+        yield k, classes
+
+
+def _family_splits(kmin, kmax, genus, faces, min_valence, G, X):
+    """family_levels with each degree's census.split_levels records."""
+    for k, graphs, splits in split_levels(kmin, kmax, min_valence, genus, faces):
         if G is not None:
-            yield k, labeled_classes(k, min_valence, G, X, genus=genus, graphs=graphs)
+            classes = labeled_classes(k, min_valence, G, X, genus=genus, graphs=graphs)
         else:
-            yield k, unlabeled_as_classes(k, min_valence, genus=genus, faces=faces,
-                                          graphs=graphs)
+            classes = unlabeled_as_classes(k, min_valence, genus=genus, faces=faces,
+                                           graphs=graphs)
+        yield k, classes, splits
 
 
-def _contraction_table(g: RibbonGraph):
+def _contraction_table(g: RibbonGraph, parents, perms):
     """(i, a, b, new, search) per non-loop edge i = (a, b) of a canonical
-    graph: g.contract(i)'s dart renumbering and the contracted graph's
-    unlabeled canonical search."""
-    table = []
-    for i, (a, b) in enumerate(g.edges):
-        if g.is_loop(i):
-            continue
-        contracted, new = g.contract(i)
-        # the single edge contracts to a valence-0 vertex, which lies
-        # outside every complex (min_valence >= 1)
-        if contracted.n:
-            table.append((i, a, b, new, contracted.canonical()))
-    return table
+    graph made by vertex splits: the dart renumbering new[d] = d - (d > a)
+    - (d > b) of the contraction g/i and its unlabeled canonical search,
+    read off the splits that made g, with no search of its own.
+
+    parents and perms are g's census._splits records: split r made g from
+    parents[r], and p = perms[r * g.n:(r + 1) * g.n] is its search's first
+    perm.  With n = g.n - 2, contracting the split's new edge (n, n + 1)
+    gives the parent back, dart for dart, and every isomorphism of the
+    split onto g is aut o p for an automorphism aut of g.  So when aut o p
+    carries the new edge onto edge i, tau[new[aut[p[d]]]] = d maps g/i
+    onto the parent: g/i has the parent's code, and its perms are x o tau
+    over the parent's automorphisms x, in root order.  Every non-loop edge
+    is reached, since g/i is a graph of the degree below and one of its
+    splits puts the new edge on i.
+    """
+    n = g.n - 2
+    want = sum(not g.is_loop(i) for i in range(g.num_edges))
+    table = {}
+    for r, parent in enumerate(parents):
+        p = perms[r * g.n:(r + 1) * g.n]
+        for aut in g.auts:
+            i = g.edge_of(aut[p[n]])
+            if i in table:
+                continue
+            a, b = g.edges[i]
+            new = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n)]
+            tau = [0] * n
+            for d in range(n):
+                tau[new[aut[p[d]]]] = d
+            search = sorted((tuple([x[t] for t in tau]) for x in parent.auts), key=root)
+            table[i] = (i, a, b, new, ((parent.gamma, parent.iota), search))
+        if len(table) == want:
+            return [table[i] for i in sorted(table)]
+    raise RibbonError("a contraction left the enumerated degrees")
 
 
 class RibbonComplex:
@@ -136,9 +168,11 @@ class RibbonComplex:
     # -- construction -----------------------------------------------------------
 
     def _build(self):
+        """Enumerate degree by degree, building d_k from degree k's split
+        records (self._splits) while census.split_levels still holds them."""
         total = 0
-        for k, classes in family_levels(self.kmin, self.kmax, self.genus, self.faces,
-                                        self.min_valence, self.G, self.X):
+        for k, classes, splits in _family_splits(self.kmin, self.kmax, self.genus, self.faces,
+                                                 self.min_valence, self.G, self.X):
             basis = [lg for lg in classes if lg.is_orientable()]
             total += len(basis)
             if total > self.SIZE_GUARD:
@@ -146,8 +180,10 @@ class RibbonComplex:
                                   % (total, self.SIZE_GUARD))
             self.basis[k] = basis
             self.index[k] = {lg.code: i for i, lg in enumerate(basis)}
-        for k in range(self.kmin + 1, self.kmax + 1):
-            self.boundary[k] = self._boundary(k)
+            self._splits = splits
+            if k > self.kmin:
+                self.boundary[k] = self._boundary(k)
+        del self._splits
 
     def dims(self):
         return {k: len(self.basis.get(k, ())) for k in range(self.kmin, self.kmax + 1)}
@@ -161,13 +197,15 @@ class RibbonComplex:
     def _boundary(self, k):
         """d_k as sparse rows.  The basis is in code order, so the labelings
         of one graph are adjacent, share its graph object and share one
-        table of its contractions, searched once."""
-        rows = [{} for _ in self.basis.get(k - 1, ())]
+        table of its contractions, read off its records in self._splits."""
+        rows = [{} for _ in self.basis[k - 1]]
+        if not self._splits:
+            return rows  # the base degree: no edge contracts into the complex
         graph = None
-        for col, lg in enumerate(self.basis.get(k, ())):
+        for col, lg in enumerate(self.basis[k]):
             if lg.graph is not graph:
                 graph = lg.graph
-                table = _contraction_table(graph)
+                table = _contraction_table(graph, *self._splits[graph.gamma, graph.iota][1:])
             for target, coeff in self._contractions(lg, table, k):
                 row = rows[target]
                 row[col] = row.get(col, 0) + coeff
@@ -182,7 +220,7 @@ class RibbonComplex:
     def _contractions(self, lg: LabeledRibbonGraph, table, k):
         """(row, sign) per non-loop edge of lg whose contraction is in the basis.
 
-        `table` is _contraction_table(lg.graph).  Contraction keeps every
+        `table` is lg.graph's _contraction_table.  Contraction keeps every
         face, so each surviving dart keeps its face's label key, and the
         labeled target is read off the contraction's unlabeled search.  The
         sign is (-1)^i times the sign of the edge and face bijection from lg

@@ -48,7 +48,7 @@ def _orbits(perm):
 
 
 class RibbonGraph:
-    __slots__ = ("iota", "gamma", "n", "_vertices", "_edges", "_faces",
+    __slots__ = ("iota", "gamma", "n", "auts", "_vertices", "_edges", "_faces",
                  "_face_of", "_vertex_of", "_edge_of")
 
     def __init__(self, iota, gamma, check=True):
@@ -62,6 +62,7 @@ class RibbonGraph:
             for d in range(n):
                 if self.iota[d] == d or self.iota[self.iota[d]] != d:
                     raise RibbonError("iota must be a fixed-point-free involution")
+        self.auts = None  # a census-made canonical graph's automorphisms, in root order
         self._vertices = None
         self._edges = None
         self._faces = None
@@ -155,29 +156,6 @@ class RibbonGraph:
         """The graph of a code; a labeled code's third part is ignored."""
         g2, i2 = code[:2]
         return RibbonGraph(i2, g2, check=False)
-
-    # -- contraction -----------------------------------------------------------
-
-    def contract(self, edge_index):
-        """Contract a non-loop edge (a, b), a < b.
-
-        Returns (graph, new): the merged vertex is a's cycle after a, then
-        b's cycle after b, and new[d] = d - (d > a) - (d > b) renumbers each
-        surviving dart d in order (new[a] = new[b] = -1).
-        """
-        a, b = self.edges[edge_index]
-        if self.is_loop(edge_index):
-            raise RibbonError("cannot contract a loop")
-        n = self.n
-        new = [*range(a), -1, *range(a, b - 1), -1, *range(b - 1, n - 2)]
-        gam = list(self.gamma)
-        merged = self.cycle_from(a)[1:] + self.cycle_from(b)[1:]
-        for d, nxt in zip(merged, merged[1:] + merged[:1]):
-            gam[d] = nxt
-        iota = self.iota
-        live = [*range(a), *range(a + 1, b), *range(b + 1, n)]
-        return RibbonGraph([new[iota[d]] for d in live], [new[gam[d]] for d in live],
-                           check=False), new
 
     def cycle_from(self, d):
         """The darts of d's vertex in cyclic order, starting at d."""

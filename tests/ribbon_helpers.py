@@ -62,3 +62,23 @@ def polygon(k) -> RibbonGraph:
 def polygon_class(k, face_labels=(None, None)):
     """The k-gon as a (possibly labeled) class."""
     return canonical_labeled(polygon(k), face_labels, label_key(face_labels))
+
+
+def _reference_contract(g, edge_index):
+    """Contract a non-loop edge by dicts: (graph, {surviving old dart: new dart})."""
+    a, b = g.edges[edge_index]
+    gam = list(g.gamma)
+    merged = g.cycle_from(a)[1:] + g.cycle_from(b)[1:]  # both start at the dead dart
+    for i, d in enumerate(merged):
+        gam[d] = merged[(i + 1) % len(merged)]
+    dead = {a, b}
+    dart_map = {}
+    for d in range(g.n):
+        if d not in dead:
+            dart_map[d] = len(dart_map)
+    g2 = [0] * len(dart_map)
+    i2 = [0] * len(dart_map)
+    for d, new in dart_map.items():
+        g2[new] = dart_map[gam[d]]
+        i2[new] = dart_map[g.iota[d]]
+    return RibbonGraph(i2, g2, check=False), dart_map

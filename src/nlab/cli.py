@@ -239,8 +239,8 @@ def cmd_ribbon(args):
         kmin, kmax = degree_range(args.genus, args.faces, args.min_valence,
                                   args.max_edges, G, X)
         out = []
-        for k, classes in family_levels(kmin, kmax, args.genus, args.faces,
-                                        args.min_valence, G, X):
+        for k, classes, _ in family_levels(kmin, kmax, args.genus, args.faces,
+                                           args.min_valence, G, X):
             for lg in classes:
                 g = lg.graph
                 out.append({

@@ -105,8 +105,9 @@ def scan_pairings(valences, want_genus, want_faces):
     gamma is fixed with one cycle per valence on consecutive darts; all
     fixed-point-free pairings are scanned and deduplicated by canonical
     form.  Only maps with the requested genus and face count are kept.
-    Returns a sorted list of canonical codes.  A one-vertex map is connected
-    (gamma is a single cycle), so only several valences test connectivity.
+    Returns {code: perms of the first search reaching it}, in code order.
+    A one-vertex map is connected (gamma is a single cycle), so only
+    several valences test connectivity.
     """
     n = sum(valences)
     if n % 2:
@@ -128,8 +129,8 @@ def scan_pairings(valences, want_genus, want_faces):
         faces = _count_faces(iota, gamma)
         if faces != want_faces or 2 - (nvert - nedge + faces) != 2 * want_genus:
             return
-        code, _ = canonical_data(iota, gamma)
-        found.setdefault(code, None)
+        code, perms = canonical_data(iota, gamma)
+        found.setdefault(code, perms)
 
     def rec(d):
         while d < n and iota[d] >= 0:
@@ -146,4 +147,4 @@ def scan_pairings(valences, want_genus, want_faces):
                 iota[e] = -1
 
     rec(0)
-    return sorted(found)
+    return dict(sorted(found.items()))

@@ -5,10 +5,10 @@ generated by vertex splitting from the one-vertex maps, deduplicated by
 canonical form.  One pairing scan finds the one-vertex maps and one
 splitting pass per degree builds the next degree, so iso_levels hands a
 whole family (every degree up to the top) out of one run; iso_classes is
-its one-degree case.  Each split is searched once: the first search that
+its one-degree case.  Each map is searched once: the first search that
 reaches a code gives the class its automorphisms, and every split keeps
 a record (parent, perm) from which complexes reads the class's edge
-contractions (split_levels).  Face labelings by vertices of an adjacency
+contractions (iso_levels).  Face labelings by vertices of an adjacency
 graph G are layered on top: every edge must separate faces whose labels
 are adjacent in G and the label multiset is fixed.  A labeled class is
 the canonical graph object iso_levels made with the least labeling of an
@@ -42,52 +42,52 @@ def iso_classes(num_edges, min_valence, genus, faces):
     return next(iso_levels(num_edges, num_edges, min_valence, genus, faces))[1]
 
 
+def bottom_degree(genus, faces):
+    """2g - 1 + m: the edge count of the one-vertex maps of a (g, m) family."""
+    return 2 * genus - 1 + faces
+
+
 def iso_levels(min_edges, max_edges, min_valence, genus, faces):
-    """Yield (k, iso_classes(k, min_valence, genus, faces)) for k =
+    """Yield (k, iso_classes(k, min_valence, genus, faces), splits) for k =
     min_edges, ..., max_edges, in that order, from one run of the generation.
 
     One pairing scan finds the base degree and one vertex-splitting pass
     builds each degree above it from the one below, so a whole family
     costs what its top degree alone costs.  Degrees below the base are
     empty.  Every graph carries its automorphisms in root order as `auts`:
-    a base graph's come from one search of it, a split graph's from the
-    search of the first split that made it.
+    a base graph's come from the scan's search that reached it, a split
+    graph's from the search of the first split that made it.  splits are
+    the degree's _splits records, {} at the base degree and below it; they
+    hold the graphs of the degree below, so they are cleared when the next
+    degree is asked for.
     """
-    for k, graphs, _ in split_levels(min_edges, max_edges, min_valence, genus, faces):
-        yield k, graphs
-
-
-def split_levels(min_edges, max_edges, min_valence, genus, faces):
-    """Yield (k, graphs, splits): iso_levels with each degree's _splits
-    records, {} at the base degree and below it.  The records hold the
-    graphs of the degree below, so they are cleared when the next degree
-    is asked for."""
     v = max(min_valence, 1)
-    base = 2 * genus - 1 + faces
+    base = bottom_degree(genus, faces)
     valences = [2 * base] if base else [1, 1]
     at = max(base, 1)  # the degree of `graphs`
     graphs = []
     splits = {}
     if min(valences) >= v and at <= max_edges:
         # a base below the valence bound has no splits either
-        graphs = [RibbonGraph.from_code(c)
-                  for c in kernels.scan_pairings(valences, genus, faces)]
-        for g in graphs:
-            g.auts = g.canonical()[1]  # a canonical graph's perms are its automorphisms
+        graphs = [_graph(code, automorphisms(perms))
+                  for code, perms in kernels.scan_pairings(valences, genus, faces).items()]
     for k in range(min_edges, max_edges + 1):
         if k < at:
             yield k, [], {}
             continue
         for _ in range(at, k):
             splits = _splits(graphs, v)
-            graphs = []
-            for code in sorted(splits):
-                g = RibbonGraph.from_code(code)
-                g.auts = splits[code][0]
-                graphs.append(g)
+            graphs = [_graph(code, splits[code][0]) for code in sorted(splits)]
         at = k
         yield k, graphs, splits
         splits.clear()
+
+
+def _graph(code, auts):
+    """code's graph, carrying its automorphisms auts."""
+    g = RibbonGraph.from_code(code)
+    g.auts = auts
+    return g
 
 
 def root(perm):
@@ -98,10 +98,10 @@ def root(perm):
 def _splits(graphs, min_valence):
     """Every vertex split of the given graphs, by canonical code:
     {code: (auts, parents, perms)}.  auts are the automorphisms of code's
-    graph in root order, p o p0^-1 over the perms of the first search that
-    reached code.  parents and perms keep one record per split reaching
-    code: its parent graph, and its search's first perm, a byte per dart,
-    packed end to end into the bytearray perms.
+    graph, read off the perms of the first search that reached code.
+    parents and perms keep one record per split reaching code: its parent
+    graph, and its search's first perm, a byte per dart, packed end to end
+    into the bytearray perms.
 
     A split cuts a contiguous arc out of a vertex's cyclic order and joins
     it to the rest of that vertex by a new edge (darts n, n + 1), keeping
@@ -127,8 +127,7 @@ def _splits(graphs, min_valence):
                     code, perms = kernels.canonical_data(iota, gamma)
                     hit = out.get(code)
                     if hit is None:
-                        hit = out[code] = (sorted(automorphisms(perms), key=root), [],
-                                           bytearray())
+                        hit = out[code] = (automorphisms(perms), [], bytearray())
                     hit[1].append(g)
                     hit[2].extend(perms[0])
     return out
@@ -161,9 +160,10 @@ class LabeledRibbonGraph:
 
 def automorphisms(perms):
     """The automorphisms of a canonical graph, one per old->new dart map
-    reaching its code: p o p0^-1 for p in perms."""
+    reaching its code: p o p0^-1 for p in perms, in root order (the order
+    a search of the canonical graph itself lists them)."""
     inv0 = sorted(range(len(perms[0])), key=perms[0].__getitem__)
-    return [tuple(p[d] for d in inv0) for p in perms]
+    return sorted((tuple(p[d] for d in inv0) for p in perms), key=root)
 
 
 def label_key(labels):

@@ -14,8 +14,9 @@ and connectivity, and can only raise valences, so the enumeration is
 closed under it; this is asserted during construction.  A contraction
 is never searched: contracting the new edge of a vertex split gives its
 parent back, so each graph's non-loop contractions are read off the
-splits that made it (census.split_levels), and every labeling of the
-graph reads its targets off that one table (census.labeled_search).
+splits that made it (their records come with census.iso_levels), and
+every labeling of the graph reads its targets off that one table
+(census.labeled_search).  Each class's orientability is tested once.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import os
 
 from .. import __version__
 from ..linalg import perm_sign, rank
-from .census import (LabeledRibbonGraph, automorphisms, dart_keys, label_key,
-                     labeled_classes, labeled_search, root, split_levels,
-                     unlabeled_as_classes)
+from .census import (LabeledRibbonGraph, bottom_degree, dart_keys, iso_levels, label_key,
+                     labeled_classes, labeled_search, root, unlabeled_as_classes)
 from .graph import RibbonGraph, RibbonError
 from .orientation import is_orientable
 
@@ -39,10 +39,6 @@ def top_degree(g, m, min_valence):
     if min_valence >= 3:
         return 6 * g - 6 + 3 * m
     return None
-
-
-def bottom_degree(g, m):
-    return 2 * g - 1 + m
 
 
 def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
@@ -84,20 +80,14 @@ def degree_range(genus, faces, min_valence, max_edges=None, G=None, X=None):
 
 
 def family_levels(kmin, kmax, genus, faces, min_valence, G=None, X=None):
-    """Yield (k, classes) for k = kmin..kmax: every connected class of
-    degree k in a family, orientable or not.
+    """Yield (k, classes, splits) for k = kmin..kmax: every connected class
+    of degree k in a family, orientable or not, and degree k's records.
 
-    The unlabeled classes of all degrees come from one run of
-    census.iso_levels (one pairing scan, one vertex-splitting pass per
-    degree); each degree is then labeled on its own.
+    The unlabeled classes of all degrees and their records come from one
+    run of census.iso_levels (one pairing scan, one vertex-splitting pass
+    per degree); each degree is then labeled on its own.
     """
-    for k, classes, _ in _family_splits(kmin, kmax, genus, faces, min_valence, G, X):
-        yield k, classes
-
-
-def _family_splits(kmin, kmax, genus, faces, min_valence, G, X):
-    """family_levels with each degree's census.split_levels records."""
-    for k, graphs, splits in split_levels(kmin, kmax, min_valence, genus, faces):
+    for k, graphs, splits in iso_levels(kmin, kmax, min_valence, genus, faces):
         if G is not None:
             classes = labeled_classes(k, min_valence, G, X, genus=genus, graphs=graphs)
         else:
@@ -169,21 +159,22 @@ class RibbonComplex:
 
     def _build(self):
         """Enumerate degree by degree, building d_k from degree k's split
-        records (self._splits) while census.split_levels still holds them."""
+        records while census.iso_levels still holds them."""
         total = 0
-        for k, classes, splits in _family_splits(self.kmin, self.kmax, self.genus, self.faces,
-                                                 self.min_valence, self.G, self.X):
-            basis = [lg for lg in classes if lg.is_orientable()]
+        orientable = {}  # code -> is_orientable, per class: tested once
+        for k, classes, splits in family_levels(self.kmin, self.kmax, self.genus, self.faces,
+                                                self.min_valence, self.G, self.X):
+            below, orientable = orientable, {lg.code: is_orientable(lg.graph, lg.auts)
+                                             for lg in classes}
+            basis = [lg for lg in classes if orientable[lg.code]]
             total += len(basis)
             if total > self.SIZE_GUARD:
                 raise RibbonError("%d basis elements exceed RibbonComplex.SIZE_GUARD = %d"
                                   % (total, self.SIZE_GUARD))
             self.basis[k] = basis
             self.index[k] = {lg.code: i for i, lg in enumerate(basis)}
-            self._splits = splits
             if k > self.kmin:
-                self.boundary[k] = self._boundary(k)
-        del self._splits
+                self.boundary[k] = self._boundary(k, splits, below)
 
     def dims(self):
         return {k: len(self.basis.get(k, ())) for k in range(self.kmin, self.kmax + 1)}
@@ -194,19 +185,21 @@ class RibbonComplex:
         return {k: [[row.get(j, 0) for j in range(len(self.basis[k]))] for row in rows]
                 for k, rows in self.boundary.items()}
 
-    def _boundary(self, k):
+    def _boundary(self, k, splits, below):
         """d_k as sparse rows.  The basis is in code order, so the labelings
         of one graph are adjacent, share its graph object and share one
-        table of its contractions, read off its records in self._splits."""
+        table of its contractions, read off its records in splits (degree
+        k's census._splits).  below maps every class code of degree k - 1
+        to its orientability."""
         rows = [{} for _ in self.basis[k - 1]]
-        if not self._splits:
+        if not splits:
             return rows  # the base degree: no edge contracts into the complex
         graph = None
         for col, lg in enumerate(self.basis[k]):
             if lg.graph is not graph:
                 graph = lg.graph
-                table = _contraction_table(graph, *self._splits[graph.gamma, graph.iota][1:])
-            for target, coeff in self._contractions(lg, table, k):
+                table = _contraction_table(graph, *splits[graph.gamma, graph.iota][1:])
+            for target, coeff in self._contractions(lg, table, k, below):
                 row = rows[target]
                 row[col] = row.get(col, 0) + coeff
                 if not row[col]:
@@ -217,7 +210,7 @@ class RibbonComplex:
         """The label_key of the family's codes: G's vertices, or None alone."""
         return label_key(self.G.vertices if self.G is not None else ())
 
-    def _contractions(self, lg: LabeledRibbonGraph, table, k):
+    def _contractions(self, lg: LabeledRibbonGraph, table, k, below):
         """(row, sign) per non-loop edge of lg whose contraction is in the basis.
 
         `table` is lg.graph's _contraction_table.  Contraction keeps every
@@ -225,6 +218,8 @@ class RibbonComplex:
         labeled target is read off the contraction's unlabeled search.  The
         sign is (-1)^i times the sign of the edge and face bijection from lg
         minus edge i onto the stored target, read through new[d] and perms[0].
+        A target that is no class of degree k - 1 (no code in below, as in
+        _boundary) raises RibbonError.
         """
         g = lg.graph
         keys = lg.code[2]  # lg.graph is canonical: its per-dart keys
@@ -232,7 +227,7 @@ class RibbonComplex:
             code, perms = labeled_search(searched, keys[:a] + keys[a + 1:b] + keys[b + 1:])
             pos = self.index[k - 1].get(code)
             if pos is None:
-                if is_orientable(RibbonGraph.from_code(code), automorphisms(perms)):
+                if code not in below:
                     raise RibbonError("boundary left the enumerated basis")
                 continue
             target = self.basis[k - 1][pos].graph

@@ -26,10 +26,11 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_traced_builds_reach_the_wrapped_entry_points(monkeypatch, tmp_path):
-    # a cold build must run one base pairing scan per family and count its
-    # classes through the wrapped census functions, and betti() must rank
-    # each nonempty boundary through the wrapped linalg.rank, or the
-    # linalg.rank.* layers read zero
+    # a cold build must run one base pairing scan per family, count its
+    # classes through the wrapped census functions and test each class's
+    # orientability once, with no RibbonGraph.canonical search, and betti()
+    # must rank each nonempty boundary through the wrapped linalg.rank, or
+    # the linalg.rank.* layers read zero
     monkeypatch.syspath_prepend(ROOT)
     from nlabbench.tracing import Tracer, install
     from nlab.quiver import Quiver, adjacency
@@ -46,6 +47,9 @@ def test_traced_builds_reach_the_wrapped_entry_points(monkeypatch, tmp_path):
                                          cache_dir=str(tmp_path / str(n)))
             assert tracer.stats["kernels.scan_pairings"].calls == 1, (g, m, X)
             assert tracer.counters["census.classes"] > 0, (g, m, X)
+            assert tracer.stats["orientation.is_orientable"].calls == \
+                tracer.counters["census.classes"], (g, m, X)
+            assert "graph.canonical" not in tracer.stats, (g, m, X)
             assert tracer.counters["complexes.cache_miss"] == 1
             tracer.reset()
             cx.betti()

@@ -65,7 +65,7 @@ def test_unordered_splits_equal_ordered_splits():
         kmin = bottom_degree(g, m)
         levels = list(iso_levels(kmin, top - 1, v, g, m))
         assert levels[-1][1], (g, m, v)
-        for k, graphs in levels:
+        for k, graphs, _ in levels:
             assert set(_splits(graphs, v)) == _ordered_splits(graphs, v), (g, m, v, k)
 
 

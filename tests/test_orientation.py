@@ -196,7 +196,7 @@ TAU_PINS = {
 def test_tau_pinned_over_families():
     for (v, g, m, kmax), pin in TAU_PINS.items():
         got = "".join("+" if OrientationBridge(x).tau == 1 else "-"
-                      for _, graphs in iso_levels(1, kmax, v, g, m) for x in graphs)
+                      for _, graphs, _ in iso_levels(1, kmax, v, g, m) for x in graphs)
         assert got == pin, (v, g, m, kmax)
 
 
@@ -227,7 +227,7 @@ def test_tau_pinned_on_relabelings():
     rng = random.Random(5)
     for (v, g, m, kmax), pin in TAU_RELABELED_PINS.items():
         got = []
-        for _, graphs in iso_levels(1, kmax, v, g, m):
+        for _, graphs, _ in iso_levels(1, kmax, v, g, m):
             for x in graphs:
                 perm = list(range(x.n))
                 rng.shuffle(perm)

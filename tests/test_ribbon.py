@@ -14,7 +14,7 @@ from nlab.quiver import AdjacencyGraph, Quiver, adjacency
 from nlab.linalg import perm_sign
 from nlab.ribbon.census import (automorphisms, canonical_labeled, dart_keys, iso_classes,
                                 iso_levels, label_key, labeled_classes, labeled_search,
-                                split_levels, unlabeled_as_classes)
+                                unlabeled_as_classes)
 from nlab.ribbon.complexes import (RibbonComplex, _contraction_table, bottom_degree,
                                    degree_range, family_levels,
                                    top_degree)
@@ -257,7 +257,7 @@ def test_split_records_match_fresh_searches():
     rows = symmetric = 0
     for (g, m, v), max_edges, G, X in families:
         kmin, kmax = degree_range(g, m, v, max_edges, G, X)
-        for k, graphs, splits in split_levels(kmin, kmax, v, g, m):
+        for k, graphs, splits in iso_levels(kmin, kmax, v, g, m):
             if G is None:
                 classes = unlabeled_as_classes(k, v, genus=g, faces=m, graphs=graphs)
             else:
@@ -281,12 +281,13 @@ def test_split_records_match_fresh_searches():
 
 
 def test_cold_build_canonical_search_count_pinned(monkeypatch):
-    # one canonical search per pairing-scan class, per unordered vertex
-    # split and per graph of the base degree; none from labeling a graph
-    # above the base (its automorphisms come from the split that made it)
-    # and none from the boundary (each contraction is read off a split).  A
-    # duplicate split or a second search per class or contraction moves
-    # these counts, and a labeled family searches what its unlabeled one does
+    # one canonical search per pairing the scan keeps (the first search of
+    # a class gives its base graph the automorphisms) and per unordered
+    # vertex split; none from labeling a graph above the base (its
+    # automorphisms come from the split that made it) and none from the
+    # boundary (each contraction is read off a split).  A duplicate split or
+    # a second search per class or contraction moves these counts, and a
+    # labeled family, whatever its labels, searches what its unlabeled one does
     from nlab import kernels
     calls = []
     search = kernels.canonical_data
@@ -301,28 +302,17 @@ def test_cold_build_canonical_search_count_pinned(monkeypatch):
     calls.clear()
     RibbonComplex(0, 4, 3)
     unlabeled, unlabeled_built = len(calls), len(built)
-    assert unlabeled == 66
-    for args, kw, want in [((1, 3, 3), {}, 4115), ((2, 1, 3), {}, 974),
-                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 66)]:
+    assert unlabeled == 64
+    complete4 = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
+    for args, kw, want in [((1, 3, 3), {}, 4104), ((2, 1, 3), {}, 970),
+                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 64),
+                           ((0, 4, 3), dict(G=complete4, X=("a", "b", "c", "d")), unlabeled)]:
         calls.clear()
         built.clear()
         RibbonComplex(*args, **kw)
         assert len(calls) == want, (args, kw)
         if "G" in kw:
             assert len(built) <= unlabeled_built, (len(built), unlabeled_built)
-    # distinct labels: whatever the labels, the labeled build searches no
-    # more than the unlabeled build plus one search per contraction of the
-    # unlabeled graphs that only a labeling makes orientable
-    kmin, kmax = degree_range(0, 4, 3)
-    extra = sum(sum(not g.is_loop(i) for i in range(g.num_edges))
-                for k, graphs in iso_levels(kmin + 1, kmax, 3, 0, 4) for g in graphs
-                if not is_orientable(g, automorphisms(g.canonical()[1])))
-    G = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
-    calls.clear()
-    built.clear()
-    RibbonComplex(0, 4, 3, G=G, X=("a", "b", "c", "d"))
-    assert len(calls) <= unlabeled + extra, (len(calls), unlabeled, extra)
-    assert len(built) <= unlabeled_built, (len(built), unlabeled_built)
 
 
 def test_labeled_class_counts_by_burnside():
@@ -333,7 +323,7 @@ def test_labeled_class_counts_by_burnside():
     for g, m, G, X in [(0, 4, complete4, "abcd"), (0, 4, pq_graph(), "ppqq"),
                        (1, 3, pq_graph(), "ppq")]:
         total = 0
-        for k, graphs in iso_levels(*degree_range(g, m, 3), 3, g, m):
+        for k, graphs, _ in iso_levels(*degree_range(g, m, 3), 3, g, m):
             classes = labeled_classes(k, 3, G, X, genus=g, graphs=graphs)
             over = collections.Counter(lg.code[:2] for lg in classes)
             assert set(over) <= {(gr.gamma, gr.iota) for gr in graphs}
@@ -361,19 +351,19 @@ def test_one_pass_levels_equal_per_degree_classes():
     for g, m, v, top in [(0, 5, 3, 7), (1, 3, 3, 6), (2, 1, 3, 6), (0, 3, 2, 5)]:
         kmin = bottom_degree(g, m)
         levels = list(iso_levels(kmin, top, v, g, m))
-        assert [k for k, _ in levels] == list(range(kmin, top + 1))
-        for k, graphs in levels:
+        assert [k for k, _, _ in levels] == list(range(kmin, top + 1))
+        for k, graphs, _ in levels:
             want = iso_classes(k, v, g, m)
             assert [(c.gamma, c.iota) for c in graphs] == \
                 [(c.gamma, c.iota) for c in want], (g, m, v, k)
         assert levels[-1][1], (g, m, v)
-        for k, classes in family_levels(kmin, top, g, m, v):
+        for k, classes, _ in family_levels(kmin, top, g, m, v):
             want = unlabeled_as_classes(k, v, genus=g, faces=m)
             assert [(lg.code, lg.auts) for lg in classes] == [(lg.code, lg.auts) for lg in want]
     # a labeled family: each degree labeled on its own, auts in the same order
     G, X = pq_graph(), ("p", "p", "q")
     seen = 0
-    for k, classes in family_levels(bottom_degree(1, 3), 6, 1, 3, 3, G, X):
+    for k, classes, _ in family_levels(bottom_degree(1, 3), 6, 1, 3, 3, G, X):
         want = labeled_classes(k, 3, G, X, genus=1)
         assert [(lg.code, lg.face_labels, lg.auts) for lg in classes] == \
             [(lg.code, lg.face_labels, lg.auts) for lg in want], k
@@ -491,8 +481,8 @@ def test_built_complex_checks_d_squared(tmp_path, monkeypatch):
     # a build whose boundaries break d^2 = 0 raises, and nothing is cached
     boundary = RibbonComplex._boundary
 
-    def broken(self, k):
-        rows = boundary(self, k)
+    def broken(self, k, *records):
+        rows = boundary(self, k, *records)
         if k == self.kmin + 2:
             prev = self.boundary[k - 1]
             t, j = next((t, j) for t, row in enumerate(rows) for j in row
@@ -504,6 +494,39 @@ def test_built_complex_checks_d_squared(tmp_path, monkeypatch):
     for family in (dict(), dict(G=loop_graph(), X=("v",) * 4)):
         with pytest.raises(RibbonError, match=r"d\^2 != 0 at degree 5"):
             RibbonComplex(0, 4, 3, cache_dir=str(tmp_path), **family)
+    assert not list(tmp_path.iterdir())
+
+
+def test_boundary_off_the_enumeration_raises(tmp_path, monkeypatch):
+    # a contraction onto a class that degree k - 1 does not list, or a graph
+    # whose split records do not reach its non-loop edges, raises, and
+    # nothing is cached
+    from nlab.ribbon import complexes
+    G, X = pq_graph(), ("p", "p", "q", "q")
+    cold = RibbonComplex(0, 4, 3, G=G, X=X)
+    k, t = next((k, t) for k in sorted(cold.boundary)
+                for t, row in enumerate(cold.boundary[k]) if row)
+    dropped = cold.basis[k - 1][t].code
+    classes = complexes.labeled_classes
+    monkeypatch.setattr(complexes, "labeled_classes", lambda *args, **kw: [
+        lg for lg in classes(*args, **kw) if lg.code != dropped])
+    with pytest.raises(RibbonError, match="boundary left the enumerated basis"):
+        RibbonComplex(0, 4, 3, G=G, X=X, cache_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+    monkeypatch.undo()
+
+    graph = RibbonComplex(0, 4, 3).basis[cold.kmin + 1][0].graph
+    levels = complexes.iso_levels
+
+    def without_records(*args):
+        for k, graphs, splits in levels(*args):
+            if (graph.gamma, graph.iota) in splits:
+                splits[graph.gamma, graph.iota] = (graph.auts, [], bytearray())
+            yield k, graphs, splits
+
+    monkeypatch.setattr(complexes, "iso_levels", without_records)
+    with pytest.raises(RibbonError, match="a contraction left the enumerated degrees"):
+        RibbonComplex(0, 4, 3, cache_dir=str(tmp_path))
     assert not list(tmp_path.iterdir())
 
 

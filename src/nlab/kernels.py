@@ -3,6 +3,8 @@
 A combinatorial map is a pair of permutations (iota, gamma) on darts
 0..n-1 with iota a fixed-point-free involution.  The search sees no face
 labels: census.labeled_search reads a labeled code off its relabelings.
+The scan of one vertex searches only the least rotation of each pairing,
+the rotations being that vertex's isomorphisms.
 """
 
 from __future__ import annotations
@@ -102,16 +104,24 @@ def _count_faces(iota, gamma):
 def scan_pairings(valences, want_genus, want_faces):
     """Enumerate iso classes of connected maps with the given vertex valences.
 
-    gamma is fixed with one cycle per valence on consecutive darts; all
+    gamma is fixed with one cycle per valence on consecutive darts; the
     fixed-point-free pairings are scanned and deduplicated by canonical
     form.  Only maps with the requested genus and face count are kept.
-    Returns {code: perms of the first search reaching it}, in code order.
-    A one-vertex map is connected (gamma is a single cycle), so only
-    several valences test connectivity.
+    Returns {code: perms of the first search reaching it}, in code order,
+    and {} for an odd dart count.  A one-vertex map is connected (gamma is
+    a single cycle), so only several valences test connectivity.
+
+    The isomorphisms of one-vertex maps are the rotations of gamma, taking
+    iota to iota_r[d] = (iota[d - r] + r) mod n, so one vertex scans only
+    the least rotation of each class.  Its iota[0] is its shortest chord
+    length min(e - d, n - e + d): a shorter chord rotated to dart 0 would
+    give a smaller iota_r.  So dart 0 is paired within n/2, no later chord
+    is shorter than iota[0], and a pairing is searched only when no
+    rotation is smaller.
     """
     n = sum(valences)
     if n % 2:
-        return []
+        return {}
     gamma = [0] * n
     start = 0
     for v in valences:
@@ -123,8 +133,20 @@ def scan_pairings(valences, want_genus, want_faces):
     iota = [-1] * n
     found = {}
 
+    def least_rotation():
+        first = iota[0]
+        for r in range(1, n):
+            if (iota[-r] + r) % n == first:
+                rot = [(iota[d - r] + r) % n for d in range(n)]
+                if rot < iota:
+                    return False
+        return True
+
     def emit():
-        if nvert > 1 and not is_connected(iota, gamma):
+        if nvert > 1:
+            if not is_connected(iota, gamma):
+                return
+        elif not least_rotation():
             return
         faces = _count_faces(iota, gamma)
         if faces != want_faces or 2 - (nvert - nedge + faces) != 2 * want_genus:
@@ -138,7 +160,13 @@ def scan_pairings(valences, want_genus, want_faces):
         if d == n:
             emit()
             return
-        for e in range(d + 1, n):
+        if nvert > 1:
+            lo, hi = d + 1, n
+        elif d:
+            lo, hi = d + iota[0], min(n, n + d - iota[0] + 1)
+        else:
+            lo, hi = 1, nedge + 1
+        for e in range(lo, hi):
             if iota[e] < 0:
                 iota[d] = e
                 iota[e] = d

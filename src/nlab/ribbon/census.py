@@ -5,12 +5,15 @@ generated by vertex splitting from the one-vertex maps, deduplicated by
 canonical form.  One pairing scan finds the one-vertex maps and one
 splitting pass per degree builds the next degree, so iso_levels hands a
 whole family (every degree up to the top) out of one run; iso_classes is
-its one-degree case.  Each map is searched once: the first search that
-reaches a code gives the class its automorphisms, and every split keeps
-a record (parent, perm) from which complexes reads the class's edge
-contractions (iso_levels).  Face labelings by vertices of an adjacency
-graph G are layered on top: every edge must separate faces whose labels
-are adjacent in G and the label multiset is fixed.  A labeled class is
+its one-degree case.  No search repeats what a known symmetry decides:
+the scan searches the least rotation of each one-vertex map, and a
+parent's splits are searched one per orbit of its automorphisms
+(_splits).  The first search that reaches a code gives the class its
+automorphisms, and every searched split keeps a record (parent, perm)
+from which complexes reads the class's edge contractions (iso_levels).
+Face labelings by vertices of an adjacency graph G are layered on top:
+every edge must separate faces whose labels are adjacent in G and the
+label multiset is fixed.  A labeled class is
 the canonical graph object iso_levels made with the least labeling of an
 Aut-orbit; its code is read off the graph's automorphisms
 (labeled_search).  An unlabeled class is the one-object case: every face
@@ -99,9 +102,9 @@ def _splits(graphs, min_valence):
     """Every vertex split of the given graphs, by canonical code:
     {code: (auts, parents, perms)}.  auts are the automorphisms of code's
     graph, read off the perms of the first search that reached code.
-    parents and perms keep one record per split reaching code: its parent
-    graph, and its search's first perm, a byte per dart, packed end to end
-    into the bytearray perms.
+    parents and perms keep one record per searched split reaching code:
+    its parent graph, and its search's first perm, a byte per dart, packed
+    end to end into the bytearray perms.
 
     A split cuts a contiguous arc out of a vertex's cyclic order and joins
     it to the rest of that vertex by a new edge (darts n, n + 1), keeping
@@ -112,15 +115,31 @@ def _splits(graphs, min_valence):
     n + 1 swapped.  Swapping n <-> n + 1 commutes with iota, which pairs
     them, so the two maps are isomorphic and only j <= a/2 is split: every
     i when 2j < a, and i < j when 2j = a (there i and i + j are mirrors).
+
+    Name a split (cyc[i], j) by its arc's first dart.  An automorphism s
+    of the parent, extended by fixing n and n + 1, maps split (d, j) onto
+    split (s[d], j) and fixes the new edge.  So one split is searched per
+    orbit of the parent's automorphisms: a split is skipped once an
+    earlier one was carried onto it (onto either arc start when 2j = a).
+    The records still reach every non-loop edge i of a child: when a
+    skipped split s(d, j) is isomorphic to the child with its new edge on
+    i, so is the searched split (d, j), through s, and every such
+    isomorphism is aut o p for the record's perm p and an automorphism
+    aut of the child (complexes._contraction_table).
     """
     out = {}
     for g in graphs:
         n = g.n
         iota = list(g.iota) + [n + 1, n]
+        seen = set()  # (first arc dart, j) of the splits searched and their images
         for cyc in g.vertices:
             a = len(cyc)
             for j in range(min_valence - 1, a // 2 + 1):
                 for i in range(a if 2 * j < a else j):
+                    if (cyc[i], j) in seen:
+                        continue
+                    starts = (cyc[i], cyc[(i + j) % a]) if 2 * j == a else (cyc[i],)
+                    seen.update((s[d], j) for s in g.auts for d in starts)
                     gamma = list(g.gamma) + [n, n + 1]
                     _close(gamma, n, [cyc[(i + j + t) % a] for t in range(a - j)])
                     _close(gamma, n + 1, [cyc[(i + t) % a] for t in range(j)])

@@ -111,7 +111,9 @@ def _contraction_table(g: RibbonGraph, parents, perms):
     onto the parent: g/i has the parent's code, and its perms are x o tau
     over the parent's automorphisms x, in root order.  Every non-loop edge
     is reached, since g/i is a graph of the degree below and one of its
-    splits puts the new edge on i.
+    splits puts the new edge on i: a searched split, or one skipped for
+    an automorphism of the parent, whose orbit's searched split then
+    does (census._splits).
     """
     n = g.n - 2
     want = sum(not g.is_loop(i) for i in range(g.num_edges))

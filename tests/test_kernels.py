@@ -3,7 +3,8 @@ import random
 import pytest
 
 import nlab.kernels as kernels
-from nlab.ribbon.census import _close, _splits, iso_classes, iso_levels, labeled_search
+from nlab.ribbon.census import (_close, _splits, automorphisms, iso_classes, iso_levels,
+                                labeled_search)
 from nlab.ribbon.complexes import bottom_degree
 
 from ribbon_helpers import partitions, relabel
@@ -38,6 +39,46 @@ def test_vertex_splitting_equals_pairing_scan():
             split = iso_classes(k, v, g, m)
             assert [(c.gamma, c.iota) for c in split] == \
                 [(gamma, iota) for gamma, iota in sorted(scanned)], (g, m, v, k)
+
+
+def _pairings(darts):
+    """Every fixed-point-free involution of the given darts, as pair lists."""
+    if not darts:
+        yield []
+        return
+    d, rest = darts[0], darts[1:]
+    for t, e in enumerate(rest):
+        for pairs in _pairings(rest[:t] + rest[t + 1:]):
+            yield [(d, e)] + pairs
+
+
+def test_one_vertex_scan_equals_every_pairing():
+    # the scan keeps the least rotation of each one-vertex map; the oracle
+    # searches every pairing of 2k darts around one vertex, dedupes by code
+    # and groups the classes by (genus, faces)
+    for n in range(2, 13, 2):
+        gamma = [(d + 1) % n for d in range(n)]
+        oracle = {}
+        for pairs in _pairings(list(range(n))):
+            iota = [0] * n
+            for a, b in pairs:
+                iota[a], iota[b] = b, a
+            faces = kernels._count_faces(iota, gamma)
+            code, perms = kernels.canonical_data(iota, gamma)
+            genus = (n // 2 + 1 - faces) // 2
+            oracle.setdefault((genus, faces), {}).setdefault(code, automorphisms(perms))
+        assert set(oracle) == {(g, n // 2 + 1 - 2 * g) for g in range(n // 4 + 1)}, n
+        for g in range(n // 4 + 1):
+            m = n // 2 + 1 - 2 * g
+            scanned = kernels.scan_pairings([n], g, m)
+            want = oracle[g, m]
+            assert list(scanned) == sorted(want), (n, g, m)
+            assert [automorphisms(p) for p in scanned.values()] == \
+                [want[code] for code in scanned], (n, g, m)
+
+
+def test_odd_dart_count_scans_to_empty_dict():
+    assert kernels.scan_pairings([3], 1, 1) == {} and kernels.scan_pairings([1, 2], 0, 1) == {}
 
 
 def _ordered_splits(graphs, min_valence):

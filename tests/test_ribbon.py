@@ -245,19 +245,36 @@ def test_boundary_transport_matches_rebuilt_targets():
                 assert cx.apply(k, vec) == dense, (args, k)
 
 
+def _enumerated_splits(graphs, v):
+    """The count of the unordered splits (i, j) of the given graphs with
+    both new valences >= v, before any orbit of automorphisms is skipped."""
+    return sum(a if 2 * j < a else j
+               for graph in graphs for a in map(len, graph.vertices)
+               for j in range(v - 1, a // 2 + 1))
+
+
 def test_split_records_match_fresh_searches():
     # each graph's automorphisms and each non-loop contraction of a graph
-    # are read off the vertex-split searches; they must equal a fresh
-    # search of the graph and of the contracted graph, perms in root order
+    # are read off the vertex-split searches, one split per orbit of the
+    # parent's automorphisms; they must equal a fresh search of the graph
+    # and of the contracted graph, perms in root order.  Each family has
+    # parents with symmetries, so its records are fewer than its splits
     complete4 = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
     families = [((1, 2, 3), 7, None, None), ((2, 1, 3), 6, None, None),
                 ((0, 1, 1), 4, None, None), ((1, 1, 2), 5, None, None),
+                ((0, 6, 3), 6, None, None), ((0, 3, 1), 4, None, None),
                 ((0, 4, 3), None, pq_graph(), ("p", "p", "q", "q")),
                 ((0, 4, 3), None, complete4, ("a", "b", "c", "d"))]
     rows = symmetric = 0
     for (g, m, v), max_edges, G, X in families:
         kmin, kmax = degree_range(g, m, v, max_edges, G, X)
+        records = enumerated = 0
+        below = []
         for k, graphs, splits in iso_levels(kmin, kmax, v, g, m):
+            if splits:
+                records += sum(len(parents) for _, parents, _ in splits.values())
+                enumerated += _enumerated_splits(below, v)
+            below = graphs
             if G is None:
                 classes = unlabeled_as_classes(k, v, genus=g, faces=m, graphs=graphs)
             else:
@@ -277,13 +294,15 @@ def test_split_records_match_fresh_searches():
                 assert table == want, (g, m, k)
                 rows += len(table)
                 symmetric += sum(len(search[1]) > 1 for *_, search in table)
+        assert records < enumerated, (g, m, v, records, enumerated)
     assert rows > 500 and symmetric > 100, (rows, symmetric)
 
 
 def test_cold_build_canonical_search_count_pinned(monkeypatch):
-    # one canonical search per pairing the scan keeps (the first search of
-    # a class gives its base graph the automorphisms) and per unordered
-    # vertex split; none from labeling a graph above the base (its
+    # one canonical search per pairing the scan keeps (the least rotation of
+    # each one-vertex class, whose search gives its base graph the
+    # automorphisms) and per unordered vertex split in one orbit of its
+    # parent's automorphisms; none from labeling a graph above the base (its
     # automorphisms come from the split that made it) and none from the
     # boundary (each contraction is read off a split).  A duplicate split or
     # a second search per class or contraction moves these counts, and a
@@ -302,10 +321,10 @@ def test_cold_build_canonical_search_count_pinned(monkeypatch):
     calls.clear()
     RibbonComplex(0, 4, 3)
     unlabeled, unlabeled_built = len(calls), len(built)
-    assert unlabeled == 64
+    assert unlabeled == 45
     complete4 = adjacency(Quiver.load(os.path.join(DATA, "complete4.json")))
-    for args, kw, want in [((1, 3, 3), {}, 4104), ((2, 1, 3), {}, 970),
-                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 64),
+    for args, kw, want in [((1, 3, 3), {}, 3861), ((2, 1, 3), {}, 841),
+                           ((0, 4, 3), dict(G=pq_graph(), X=("p", "p", "q", "q")), 45),
                            ((0, 4, 3), dict(G=complete4, X=("a", "b", "c", "d")), unlabeled)]:
         calls.clear()
         built.clear()
